@@ -9,12 +9,10 @@
  * journal) latches its first unrecoverable error, warns exactly once,
  * and silently degrades to a no-op from then on.
  *
- * The exception taxonomy drives the engine's per-cell failure
- * domains: TransientError marks failures worth retrying (I/O
- * hiccups, injected transient faults); CellTimeout is what the
- * timing loop throws when its cooperative cancellation flag fires.
- * Anything else that escapes a cell is treated as a permanent
- * failure of that cell alone.
+ * CellTimeout is what the timing loop throws when its cooperative
+ * cancellation flag fires; the engine's per-cell failure domains
+ * report it as a timed-out cell. Anything else that escapes a cell is
+ * a failure of that cell alone.
  */
 
 #ifndef MG_COMMON_FAILSOFT_HH
@@ -28,15 +26,8 @@
 
 namespace mg {
 
-/** A retryable failure: the operation may succeed if repeated. */
-class TransientError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
 /** Thrown by a cancellation poll point once the cell's wall-clock
- *  deadline has fired (never retried: a rerun would time out too). */
+ *  deadline has fired. */
 class CellTimeout : public std::runtime_error
 {
   public:

@@ -54,11 +54,12 @@ class ArtifactCache
                 mine.set_value(std::make_shared<const T>(make()));
             } catch (...) {
                 // Un-map the key before publishing the failure: the
-                // exception must not be memoised, or a retried cell
-                // would re-throw the stale error forever instead of
-                // recomputing. Callers already blocked on this future
-                // share the failure (they asked for this attempt);
-                // callers arriving later start a fresh compute.
+                // exception must not be memoised, or a later sweep of
+                // the same cell would re-throw the stale error forever
+                // instead of recomputing. Callers already blocked on
+                // this future share the failure (they asked for this
+                // attempt); callers arriving later start a fresh
+                // compute.
                 {
                     std::lock_guard<std::mutex> g(lock);
                     entries.erase(key);

@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 #include "common/serial.hh"
-#include "engine/fault_inject.hh"
 #include "sim/simulator.hh"
 
 namespace fs = std::filesystem;
@@ -136,10 +135,6 @@ CheckpointStore::load(const std::string &key,
 {
     if (!dirOk_)
         return false;
-    // Injectable read failure (a TransientError the engine retries);
-    // fires before any store state is touched, like a real I/O error
-    // at the start of the read.
-    faultPoint(FaultSite::StoreRead, key);
     std::lock_guard<std::mutex> lock(mu_);
     std::string path = pathOf(key);
 
@@ -241,10 +236,6 @@ CheckpointStore::store(const std::string &key,
 {
     if (!dirOk_ || !writeGate_.ok())
         return;
-    // Injectable write failure, thrown rather than latched: it models
-    // an error that escapes into the cell (the engine retries it),
-    // not one the store fields itself.
-    faultPoint(FaultSite::StoreWrite, key);
     std::lock_guard<std::mutex> lock(mu_);
     if (!writeGate_.ok())
         return;

@@ -104,12 +104,6 @@ parseCli(int argc, char **argv)
             if (!end || *end || s < 0)
                 fatal("bad --cell-timeout-s value '%s'", v);
             opt.cellTimeoutS = s;
-        } else if (a == "--cell-retries") {
-            opt.cellRetries = static_cast<int>(
-                parseCount("--cell-retries", next(a, i)));
-        } else if (a == "--cell-backoff-ms") {
-            opt.cellBackoffMs = static_cast<int>(
-                parseCount("--cell-backoff-ms", next(a, i)));
         } else if (a == "--journal-dir") {
             opt.journalDirOpt = next(a, i);
         } else if (a == "--no-journal") {
@@ -132,6 +126,11 @@ parseCli(int argc, char **argv)
             opt.rest.push_back(std::move(a));
         }
     }
+    // Sampled cells never trace: a critical-path breakdown needs every
+    // cycle simulated.
+    if (opt.critpath && opt.samplingParams().enabled)
+        fatal("--critpath, --trace and --whatif need full simulation; "
+              "drop --sample-interval or add --full");
     return opt;
 }
 
@@ -199,8 +198,6 @@ CliOptions::configureFaultTolerance(ExperimentEngine &engine) const
           case Scale::Huge: p.cellTimeoutS = 14400; break;
         }
     }
-    p.cellRetries = cellRetries;
-    p.backoffMs = cellBackoffMs;
     engine.setFaultPolicy(p);
 
     engine.setJournalDir(journalDir());

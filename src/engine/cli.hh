@@ -21,27 +21,26 @@
  * and `--no-checkpoint-store` disables it.
  *
  * Fault tolerance (see engine.hh FaultPolicy and engine/journal.hh):
- * `--cell-timeout-s S` caps each cell attempt's wall clock (default
- * scales with the tier — 600s ref, 3600s long, 14400s huge; 0
- * disables), `--cell-retries N` and `--cell-backoff-ms N` shape the
- * transient-failure retry loop, `--journal-dir PATH` enables the
- * crash-safe sweep journal (default `$MG_JOURNAL_DIR`, else off;
- * `--no-journal` forces off), `--fault-inject SPEC` arms the
- * deterministic fault injector (default `$MG_FAULT_SPEC`; see
- * engine/fault_inject.hh for the rule grammar), and `--dry-run`
- * prints the sweep's cell plan — ids, fingerprints, journal
- * hit/miss — without simulating anything.
+ * `--cell-timeout-s S` caps each cell's wall clock (default scales
+ * with the tier — 600s ref, 3600s long, 14400s huge; 0 disables),
+ * `--journal-dir PATH` enables the crash-safe sweep journal (default
+ * `$MG_JOURNAL_DIR`, else off; `--no-journal` forces off),
+ * `--fault-inject SPEC` arms the deterministic fault injector
+ * (default `$MG_FAULT_SPEC`; see engine/fault_inject.hh for the rule
+ * grammar), and `--dry-run` prints the sweep's cell plan — ids,
+ * fingerprints, journal hit/miss — without simulating anything.
  *
  * Critical-path analysis (see analysis/critpath.hh): `--critpath`
- * runs every timing cell once more with a retired-event trace
- * attached and publishes the analyzer's per-kernel breakdown into the
- * JSON report; `--trace N` bounds the trace ring to N retired events
- * (implies --critpath; 0 keeps the default ring), and
+ * attaches a retired-event trace to every timing cell's only run and
+ * publishes the analyzer's per-kernel breakdown into the JSON report;
+ * `--trace N` bounds the trace ring to N retired events (implies
+ * --critpath; 0 keeps the default ring), and
  * `--whatif key=val[,key=val...]` additionally predicts the cell's
- * cycle count under re-weighted edges (implies --critpath). Without
- * any of the three, no trace is attached and reports are
- * byte-identical to analyzer-less builds. Anything unrecognised is
- * passed through for bench-specific flags.
+ * cycle count under re-weighted edges (implies --critpath). All three
+ * need full simulation: combined with enabled sampling they are
+ * fatal. Without any of the three, no trace is attached and reports
+ * are byte-identical to analyzer-less builds. Anything unrecognised
+ * is passed through for bench-specific flags.
  */
 
 #ifndef MG_ENGINE_CLI_HH
@@ -81,8 +80,6 @@ struct CliOptions
                                         ///< (0 = store default, 2 GiB)
     double cellTimeoutS = -1;   ///< --cell-timeout-s S (-1 = tier
                                 ///< default, 0 = no deadline)
-    int cellRetries = 2;        ///< --cell-retries N
-    int cellBackoffMs = 20;     ///< --cell-backoff-ms N
     std::string journalDirOpt;  ///< --journal-dir PATH ("" = env
                                 ///< MG_JOURNAL_DIR, else no journal)
     bool journal = true;        ///< --no-journal clears it

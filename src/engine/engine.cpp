@@ -30,7 +30,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 } // namespace
 
 /**
- * One timer thread enforcing every in-flight cell attempt's deadline.
+ * One timer thread enforcing every in-flight cell's deadline.
  * arm() registers a cancel flag with a deadline; the thread sets the
  * flag once the deadline passes (the cell's poll points then throw
  * CellTimeout); disarm() withdraws it. Flags are only ever set under
@@ -175,9 +175,12 @@ ExperimentEngine::cellTimed(const EngineWorkload &w, const SimConfig &cfg,
             hold = prepare(w, cfg);
             prep = hold.get();
         }
+        TimedStats ts;
         auto t0 = std::chrono::steady_clock::now();
-        CoreStats s = runCell(*w.program, prep, cfg, w.setup, cancel);
-        return {s, secondsSince(t0)};
+        ts.stats = runCell(*w.program, prep, cfg, w.setup, cancel,
+                           &ts.critpath);
+        ts.seconds = secondsSince(t0);
+        return ts;
     });
 }
 
@@ -285,26 +288,6 @@ ExperimentEngine::cellSampledTimed(const EngineWorkload &w,
     });
 }
 
-CritPathSummary
-ExperimentEngine::critpathCell(const EngineWorkload &w,
-                               const SimConfig &cfg,
-                               const std::atomic<bool> *cancel)
-{
-    // The key shares the cell fingerprint (which includes the gated
-    // critpath fields), so one traced run serves every sweep cell
-    // with the same (workload, config) identity.
-    std::string key = cellFingerprint(w.id, cfg) + "|critpath";
-    return *critpathRuns.get(key, [&]() -> CritPathSummary {
-        const PreparedMg *prep = nullptr;
-        std::shared_ptr<const PreparedMg> hold;
-        if (cfg.useMiniGraphs) {
-            hold = prepare(w, cfg);
-            prep = hold.get();
-        }
-        return runCellTraced(*w.program, prep, cfg, w.setup, cancel);
-    });
-}
-
 SweepCell
 ExperimentEngine::computeCell(const EngineWorkload &w,
                               const SweepColumn &col,
@@ -327,8 +310,11 @@ ExperimentEngine::computeCell(const EngineWorkload &w,
             out.sampledRun = true;
             out.wallSeconds = ts.seconds;
         } else {
+            // The critical-path trace rides in this same run; sampled
+            // cells above never trace.
             TimedStats ts = cellTimed(w, col.config, cancel);
             out.stats = ts.stats;
+            out.critpath = ts.critpath;
             out.wallSeconds = ts.seconds;
         }
         out.timed = true;
@@ -337,10 +323,6 @@ ExperimentEngine::computeCell(const EngineWorkload &w,
                 static_cast<double>(out.stats.committedWork) /
                 out.wallSeconds;
         }
-        // Critical-path analysis rides on timing cells only: it is a
-        // separate traced run, so the timed stats above are untouched.
-        if (col.config.critpath)
-            out.critpath = critpathCell(w, col.config, cancel);
     }
     return out;
 }
@@ -348,83 +330,36 @@ ExperimentEngine::computeCell(const EngineWorkload &w,
 SweepCell
 ExperimentEngine::runOne(const EngineWorkload &w, const SweepColumn &col)
 {
-    // Fault-injection sites and retry jitter key on the cell's sweep
-    // identity.
+    // Fault-injection sites key on the cell's sweep identity.
     const std::string cellKey = w.id + "|" + col.name;
-    for (int attempt = 0;; ++attempt) {
-        // Per-attempt deadline: the watchdog sets the flag, the
-        // timing loop / functional pre-pass polls it and throws
-        // CellTimeout. The flag lives on this frame; the watchdog
-        // never touches it after disarm() returns.
-        std::atomic<bool> cancelFlag{false};
-        std::uint64_t wdId = 0;
-        bool armed = false;
-        if (watchdog_ && policy_.cellTimeoutS > 0) {
-            wdId = watchdog_->arm(&cancelFlag, policy_.cellTimeoutS);
-            armed = true;
-        }
-        auto disarm = [&] {
-            if (armed)
-                watchdog_->disarm(wdId);
-        };
-        try {
-            faultPoint(FaultSite::Stall, cellKey, &cancelFlag);
-            faultPoint(FaultSite::Alloc, cellKey);
-            faultPoint(FaultSite::CellFail, cellKey);
-            faultPoint(FaultSite::Cell, cellKey);
-            SweepCell out = computeCell(w, col, &cancelFlag);
-            disarm();
-            out.retries = static_cast<std::uint32_t>(attempt);
-            return out;
-        } catch (const CellTimeout &e) {
-            // Never retried: a rerun would hit the same deadline.
-            disarm();
-            SweepCell out;
-            out.outcome = CellOutcome::TimedOut;
-            out.error = e.what();
-            out.retries = static_cast<std::uint32_t>(attempt);
-            return out;
-        } catch (const TransientError &e) {
-            disarm();
-            if (attempt >= policy_.cellRetries) {
-                SweepCell out;
-                out.outcome = CellOutcome::Failed;
-                out.error = e.what();
-                out.retries = static_cast<std::uint32_t>(attempt);
-                return out;
-            }
-            // Exponential backoff with deterministic jitter: the
-            // delay depends only on (cell, attempt), never on thread
-            // schedule, so fault runs are reproducible.
-            std::uint64_t base = policy_.backoffMs > 0
-                ? static_cast<std::uint64_t>(policy_.backoffMs)
-                      << attempt
-                : 0;
-            if (base > 0) {
-                std::uint64_t jitter =
-                    fnv1a64(cellKey.data(), cellKey.size(),
-                            0xcbf29ce484222325ull ^
-                                static_cast<std::uint64_t>(attempt)) %
-                    static_cast<std::uint64_t>(policy_.backoffMs);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(base + jitter));
-            }
-        } catch (const std::exception &e) {
-            disarm();
-            SweepCell out;
-            out.outcome = CellOutcome::Failed;
-            out.error = e.what();
-            out.retries = static_cast<std::uint32_t>(attempt);
-            return out;
-        } catch (...) {
-            disarm();
-            SweepCell out;
-            out.outcome = CellOutcome::Failed;
-            out.error = "unknown exception";
-            out.retries = static_cast<std::uint32_t>(attempt);
-            return out;
-        }
+    // Per-cell deadline: the watchdog sets the flag, the timing loop /
+    // functional pre-pass polls it and throws CellTimeout. The flag
+    // lives on this frame; the watchdog never touches it after
+    // disarm() returns.
+    std::atomic<bool> cancelFlag{false};
+    const bool armed = watchdog_ && policy_.cellTimeoutS > 0;
+    std::uint64_t wdId = 0;
+    if (armed)
+        wdId = watchdog_->arm(&cancelFlag, policy_.cellTimeoutS);
+    SweepCell out;
+    try {
+        faultPoint(FaultSite::Stall, cellKey, &cancelFlag);
+        faultPoint(FaultSite::Alloc, cellKey);
+        faultPoint(FaultSite::CellFail, cellKey);
+        out = computeCell(w, col, &cancelFlag);
+    } catch (const CellTimeout &e) {
+        out.outcome = CellOutcome::TimedOut;
+        out.error = e.what();
+    } catch (const std::exception &e) {
+        out.outcome = CellOutcome::Failed;
+        out.error = e.what();
+    } catch (...) {
+        out.outcome = CellOutcome::Failed;
+        out.error = "unknown exception";
     }
+    if (armed)
+        watchdog_->disarm(wdId);
+    return out;
 }
 
 SweepResult

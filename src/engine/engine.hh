@@ -72,6 +72,10 @@ struct TimedStats
 {
     CoreStats stats;
     double seconds = 0;
+    /** Critical-path analysis of this same run (present only when the
+     *  config sets critpath; the seconds then include the trace
+     *  capture and analysis). */
+    CritPathSummary critpath;
 };
 
 /** Sampled-run counterpart of TimedStats. */
@@ -82,26 +86,17 @@ struct TimedSampled
 };
 
 /**
- * Per-cell failure handling: how long a cell may run, and how
- * transient failures are retried. The defaults (no deadline, two
- * retries) keep a policy-less engine byte-identical to the
+ * Per-cell failure handling: how long a cell may run. The default (no
+ * deadline) keeps a policy-less engine byte-identical to the
  * pre-fault-tolerance one — nothing fires unless something fails.
  */
 struct FaultPolicy
 {
-    /** Wall-clock deadline per cell attempt in seconds; 0 disables.
-     *  Enforced cooperatively: a watchdog thread sets the attempt's
-     *  cancel flag, the timing loop / functional pre-pass polls it
-     *  and throws CellTimeout (never retried). */
+    /** Wall-clock deadline per cell in seconds; 0 disables. Enforced
+     *  cooperatively: a watchdog thread sets the cell's cancel flag,
+     *  and the timing loop / functional pre-pass polls it and throws
+     *  CellTimeout. */
     double cellTimeoutS = 0;
-    /** Re-executions after a TransientError (I/O hiccups, injected
-     *  transient faults). A retried cell recomputes from scratch —
-     *  the artifact caches drop failed entries — and is bit-identical
-     *  to one that never failed. */
-    int cellRetries = 2;
-    /** Base backoff before retry k: backoffMs << k, plus a
-     *  deterministic jitter hashed from the cell key. */
-    int backoffMs = 20;
 };
 
 /** Cache effectiveness counters for one engine. */
@@ -140,9 +135,10 @@ class ExperimentEngine
     /** End-to-end timing of one cell (cached). */
     CoreStats cell(const EngineWorkload &w, const SimConfig &cfg);
 
-    /** cell() plus the wall-clock seconds its compute took. A non-null
-     *  @p cancel attaches the per-attempt deadline flag to the compute
-     *  (cache hits never consult it). */
+    /** cell() plus the wall-clock seconds its compute took and, when
+     *  @p cfg sets critpath, the critical-path analysis of that same
+     *  run. A non-null @p cancel attaches the cell's deadline flag to
+     *  the compute (cache hits never consult it). */
     TimedStats cellTimed(const EngineWorkload &w, const SimConfig &cfg,
                          const std::atomic<bool> *cancel = nullptr);
 
@@ -173,11 +169,10 @@ class ExperimentEngine
      *
      * Every cell runs inside its own failure domain: an exception
      * becomes that cell's CellOutcome (Failed/TimedOut) and the sweep
-     * always completes with every other cell intact. Transient
-     * failures retry per the FaultPolicy; a configured journal
-     * replays finished cells from a previous (possibly killed) run of
-     * the same spec and records each Ok cell as it completes; dry-run
-     * mode prints the cell plan and simulates nothing.
+     * always completes with every other cell intact. A configured
+     * journal replays finished cells from a previous (possibly killed)
+     * run of the same spec and records each Ok cell as it completes;
+     * dry-run mode prints the cell plan and simulates nothing.
      */
     SweepResult sweep(const SweepSpec &spec);
 
@@ -224,24 +219,17 @@ class ExperimentEngine
     }
 
   private:
-    /** One cell inside its failure domain: watchdog-armed attempts,
-     *  transient-failure retries with backoff, and exception-to-
-     *  outcome conversion. Never throws. */
+    /** One cell inside its failure domain: a watchdog-armed compute
+     *  and exception-to-outcome conversion. Never throws. */
     SweepCell runOne(const EngineWorkload &w, const SweepColumn &col);
 
-    /** One attempt's actual compute (the pre-fault-tolerance runOne
+    /** The cell's actual compute (the pre-fault-tolerance runOne
      *  body); throws on failure. */
     SweepCell computeCell(const EngineWorkload &w, const SweepColumn &col,
                           const std::atomic<bool> *cancel);
 
     /** The store, when it should serve @p sp; else null. */
     CheckpointStore *storeFor(const SamplingParams &sp) const;
-
-    /** The cell's critical-path analysis run (cached): one traced
-     *  re-execution plus the analyzer walks (see runCellTraced). */
-    CritPathSummary critpathCell(const EngineWorkload &w,
-                                 const SimConfig &cfg,
-                                 const std::atomic<bool> *cancel);
 
     int jobs_;
     FaultPolicy policy_;
@@ -254,7 +242,6 @@ class ExperimentEngine
     ArtifactCache<TimedStats> runs;
     ArtifactCache<SampleSummary> summaries;
     ArtifactCache<TimedSampled> sampledRuns;
-    ArtifactCache<CritPathSummary> critpathRuns;
 };
 
 } // namespace mg

@@ -16,18 +16,15 @@ namespace {
 bool
 parseSite(const std::string &s, FaultSite &out)
 {
-    if (s == "cell") out = FaultSite::Cell;
-    else if (s == "fail") out = FaultSite::CellFail;
+    if (s == "fail") out = FaultSite::CellFail;
     else if (s == "alloc") out = FaultSite::Alloc;
     else if (s == "stall") out = FaultSite::Stall;
-    else if (s == "store-read") out = FaultSite::StoreRead;
-    else if (s == "store-write") out = FaultSite::StoreWrite;
     else return false;
     return true;
 }
 
 /** Uniform [0,1) from a seeded hash of @p key — the per-key arming
- *  coin. Stable across runs, platforms, and retry schedules. */
+ *  coin. Stable across runs and platforms. */
 double
 keyUnit(const std::string &key, std::uint64_t seed)
 {
@@ -72,8 +69,6 @@ parseRule(const std::string &text)
         try {
             if (k == "p")
                 r.p = std::stod(v);
-            else if (k == "count")
-                r.count = static_cast<std::uint32_t>(std::stoul(v));
             else if (k == "ms")
                 r.stallMs = static_cast<std::uint32_t>(std::stoul(v));
             else if (k == "seed")
@@ -100,8 +95,6 @@ FaultInjector::configure(const std::string &spec)
 {
     std::lock_guard<std::mutex> lk(mu_);
     rules_.clear();
-    firings_.clear();
-    fired_ = 0;
     std::size_t pos = 0;
     while (pos < spec.size()) {
         std::size_t end = spec.find(',', pos);
@@ -120,11 +113,9 @@ FaultInjector::at(FaultSite site, const std::string &key,
 {
     std::uint32_t stallMs = 0;
     bool fire = false;
-    FaultSite fireSite = site;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        for (std::size_t i = 0; i < rules_.size(); ++i) {
-            const FaultRule &r = rules_[i];
+        for (const FaultRule &r : rules_) {
             if (r.site != site)
                 continue;
             if (!r.match.empty() &&
@@ -132,23 +123,14 @@ FaultInjector::at(FaultSite site, const std::string &key,
                 continue;
             if (r.p < 1.0 && keyUnit(key, r.seed) >= r.p)
                 continue;
-            std::uint32_t &n = firings_[std::to_string(i) + "|" + key];
-            if (r.count && n >= r.count)
-                continue;       // healed for this key
-            ++n;
-            ++fired_;
             fire = true;
-            fireSite = r.site;
             stallMs = r.stallMs;
             break;
         }
     }
     if (!fire)
         return;
-    switch (fireSite) {
-      case FaultSite::Cell:
-        throw TransientError(
-            strfmt("injected transient fault at '%s'", key.c_str()));
+    switch (site) {
       case FaultSite::CellFail:
         throw std::runtime_error(
             strfmt("injected permanent fault at '%s'", key.c_str()));
@@ -168,20 +150,7 @@ FaultInjector::at(FaultSite site, const std::string &key,
         }
         return;
       }
-      case FaultSite::StoreRead:
-        throw TransientError(
-            strfmt("injected store-read fault at '%s'", key.c_str()));
-      case FaultSite::StoreWrite:
-        throw TransientError(
-            strfmt("injected store-write fault at '%s'", key.c_str()));
     }
-}
-
-std::uint64_t
-FaultInjector::fired() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return fired_;
 }
 
 FaultInjector &

@@ -7,31 +7,23 @@
  * A fault spec — `--fault-inject SPEC` or `$MG_FAULT_SPEC` — is a
  * comma-separated list of rules:
  *
- *     site[@match][:p=P][:count=N][:ms=M][:seed=S]
+ *     site[@match][:p=P][:ms=M][:seed=S]
  *
- *   site   where the fault fires and what it does:
- *            cell         transient exception at cell start (retried)
- *            fail         permanent exception at cell start
- *            alloc        std::bad_alloc at cell start
- *            stall        sleep M ms at cell start (deadline tests)
- *            store-read   transient error in CheckpointStore::load
- *            store-write  transient error in CheckpointStore::store
- *   match  substring the site key must contain (cell sites key on
- *          "<workload>|<column>", store sites on the record key);
- *          omitted = every key.
+ *   site   what the fault does; every site fires at cell start:
+ *            fail         permanent exception
+ *            alloc        std::bad_alloc
+ *            stall        sleep M ms (deadline tests)
+ *   match  substring the cell key ("<workload>|<column>") must
+ *          contain; omitted = every key.
  *   p      fraction of matching keys the rule arms on, decided by a
  *          seeded hash of the key — the same keys fault in every run
- *          and on every retry schedule (default 1.0 = all).
- *   count  firings per (rule, key) before the fault heals (transient
- *          faults recover after `count` retries); 0 = never heals
- *          (default 1).
+ *          (default 1.0 = all).
  *   ms     stall duration (stall site only, default 1000).
  *   seed   seed of the p-hash (default 0).
  *
  * Everything is deterministic: whether a rule fires depends only on
- * (spec, site, key, per-key firing count), never on thread schedule
- * or wall clock, so a faulted sweep is reproducible and a retried
- * cell re-executes against a healed (or identically faulty) world.
+ * (spec, site, key), never on thread schedule or wall clock, so a
+ * faulted sweep is reproducible.
  */
 
 #ifndef MG_ENGINE_FAULT_INJECT_HH
@@ -41,7 +33,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace mg {
@@ -49,21 +40,17 @@ namespace mg {
 /** Instrumented failure sites. */
 enum class FaultSite : std::uint8_t
 {
-    Cell,        ///< cell-start transient exception
     CellFail,    ///< cell-start permanent exception
     Alloc,       ///< cell-start allocation failure
     Stall,       ///< cell-start wall-clock stall
-    StoreRead,   ///< checkpoint-store load
-    StoreWrite,  ///< checkpoint-store write
 };
 
 /** One parsed spec rule. */
 struct FaultRule
 {
-    FaultSite site = FaultSite::Cell;
+    FaultSite site = FaultSite::CellFail;
     std::string match;           ///< key substring; empty = all keys
     double p = 1.0;              ///< key-hash arming fraction
-    std::uint32_t count = 1;     ///< firings per key; 0 = unlimited
     std::uint32_t stallMs = 1000;
     std::uint64_t seed = 0;
 };
@@ -74,7 +61,7 @@ class FaultInjector
 {
   public:
     /** Parse and install @p spec ("" clears). fatal() on a malformed
-     *  spec. Resets all per-key firing counters. */
+     *  spec. */
     void configure(const std::string &spec);
 
     bool armed() const { return armed_.load(std::memory_order_relaxed); }
@@ -88,19 +75,13 @@ class FaultInjector
     void at(FaultSite site, const std::string &key,
             const std::atomic<bool> *cancel = nullptr);
 
-    /** Total faults fired since configure() (test assertions). */
-    std::uint64_t fired() const;
-
     /** The singleton every instrumented site consults. */
     static FaultInjector &global();
 
   private:
     std::atomic<bool> armed_{false};
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::vector<FaultRule> rules_;
-    /** "(rule index)|(key)" -> firings so far. */
-    std::unordered_map<std::string, std::uint32_t> firings_;
-    std::uint64_t fired_ = 0;
 };
 
 /** Convenience wrapper over FaultInjector::global().at(). */

@@ -31,11 +31,12 @@ struct SimConfig
     SamplingParams sampling;        ///< disabled = full simulation
 
     /** Critical-path analysis (analysis/critpath.hh): when set, a
-     *  timing cell additionally runs once with a retired-event trace
-     *  ring attached and publishes the analyzer's breakdown into its
-     *  SweepCell. All three fields are gated out of cell fingerprints
-     *  while critpath is false, so clean configurations keep
-     *  pre-analyzer cache keys and byte-identical reports. */
+     *  full-simulation timing cell's only run carries a retired-event
+     *  trace ring and publishes the analyzer's breakdown into its
+     *  SweepCell. Sampled cells never trace: a breakdown needs every
+     *  cycle simulated. All three fields are gated out of cell
+     *  fingerprints while critpath is false, so clean configurations
+     *  keep pre-analyzer cache keys and byte-identical reports. */
     bool critpath = false;
     std::uint64_t traceDepth = 0;   ///< trace ring capacity (0 = default)
     std::string whatIf;             ///< --whatif spec ("" = none)

@@ -327,16 +327,14 @@ sweepJson(const SweepResult &r, const std::string &bench)
                           static_cast<unsigned long long>(c.templates),
                           static_cast<unsigned long long>(c.textSlots));
             // Failure-domain fields only when non-default: every cell
-            // of a fault-free sweep is Ok with zero retries, and its
-            // record must stay byte-identical to older engines.
+            // of a fault-free sweep is Ok, and its record must stay
+            // byte-identical to older engines.
             if (c.outcome != CellOutcome::Ok) {
                 rec += std::string(", \"outcome\": \"") +
                        cellOutcomeName(c.outcome) + "\"";
                 if (!c.error.empty())
                     rec += ", \"error\": " + jsonStr(c.error);
             }
-            if (c.retries > 0)
-                rec += strfmt(", \"retries\": %u", c.retries);
             rec += "}";
             bool last = row + 1 == r.rows.size() &&
                         col + 1 == r.columns.size();
@@ -351,14 +349,10 @@ std::string
 outcomeSummary(const SweepResult &r)
 {
     std::uint64_t byOutcome[4] = {0, 0, 0, 0};
-    std::uint64_t retried = 0;
-    for (const SweepCell &c : r.cells) {
+    for (const SweepCell &c : r.cells)
         ++byOutcome[static_cast<std::size_t>(c.outcome) & 3];
-        if (c.retries > 0)
-            ++retried;
-    }
     std::uint64_t ok = byOutcome[0];
-    if (ok == r.cells.size() && retried == 0)
+    if (ok == r.cells.size())
         return "";
     std::string out = strfmt("cell outcomes: %llu ok",
                              static_cast<unsigned long long>(ok));
@@ -368,9 +362,6 @@ outcomeSummary(const SweepResult &r)
                           static_cast<unsigned long long>(byOutcome[o]),
                           cellOutcomeName(static_cast<CellOutcome>(o)));
     }
-    if (retried)
-        out += strfmt(" (%llu retried)",
-                      static_cast<unsigned long long>(retried));
     return out;
 }
 
@@ -406,7 +397,6 @@ serializeSweepCell(const SweepCell &c, SerialWriter &w)
     w.f64(c.workPerSec);
     w.u8(static_cast<std::uint8_t>(c.outcome));
     w.str(c.error);
-    w.u32(c.retries);
     // Critical-path fields trail the record. Pre-analyzer journal
     // records are shorter and fail deserialization cleanly, which the
     // journal treats as a miss — the cell just recomputes.
@@ -463,7 +453,6 @@ deserializeSweepCell(SerialReader &r, SweepCell &c)
     }
     c.outcome = static_cast<CellOutcome>(o);
     c.error = r.str();
-    c.retries = r.u32();
     c.critpath.present = r.u8() != 0;
     if (c.critpath.present) {
         c.critpath.tracedSlots = r.u64();

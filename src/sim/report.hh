@@ -67,12 +67,11 @@ struct SweepCell
      *  wall-second it implies — the per-cell perf trajectory. */
     double wallSeconds = 0;
     double workPerSec = 0;
-    /** Failure-domain fields. outcome/error/retries are emitted into
-     *  the JSON only when non-default, so fault-free sweeps stay
-     *  byte-identical to pre-fault-tolerance reports. */
+    /** Failure-domain fields. outcome/error are emitted into the JSON
+     *  only when non-default, so fault-free sweeps stay byte-identical
+     *  to pre-fault-tolerance reports. */
     CellOutcome outcome = CellOutcome::Ok;
     std::string error;              ///< what ended a non-Ok cell
-    std::uint32_t retries = 0;      ///< transient-failure re-executions
     /** Replayed from the sweep journal instead of simulated. Runtime
      *  state only — never serialized or reported, because it differs
      *  between a resumed and an uninterrupted run. */
@@ -174,9 +173,9 @@ std::string writeSweepJson(const SweepResult &r, const std::string &bench,
 
 /**
  * One-line cell-outcome digest ("cell outcomes: 44 ok, 1 failed,
- * 1 timed_out (2 retried)"), or "" when every cell is Ok with no
- * retries — benches print it only when there is something to say,
- * keeping fault-free stdout unchanged.
+ * 1 timed_out"), or "" when every cell is Ok — benches print it only
+ * when there is something to say, keeping fault-free stdout
+ * unchanged.
  */
 std::string outcomeSummary(const SweepResult &r);
 

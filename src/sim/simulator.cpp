@@ -60,19 +60,8 @@ runCore(const Program &prog, const MgTable *mgt, const CoreConfig &coreCfg,
 
 CoreStats
 runCell(const Program &prog, const PreparedMg *prep, const SimConfig &cfg,
-        const SetupFn &setup, const std::atomic<bool> *cancel)
-{
-    if (!cfg.useMiniGraphs)
-        return runCore(prog, nullptr, cfg.core, setup, cfg.runBudget,
-                       cancel);
-    return runCore(prep->program, &prep->table, cfg.core, setup,
-                   cfg.runBudget, cancel);
-}
-
-CritPathSummary
-runCellTraced(const Program &prog, const PreparedMg *prep,
-              const SimConfig &cfg, const SetupFn &setup,
-              const std::atomic<bool> *cancel)
+        const SetupFn &setup, const std::atomic<bool> *cancel,
+        CritPathSummary *critpath)
 {
     const Program *p = &prog;
     const MgTable *mgt = nullptr;
@@ -80,6 +69,8 @@ runCellTraced(const Program &prog, const PreparedMg *prep,
         p = &prep->program;
         mgt = &prep->table;
     }
+    if (!cfg.critpath || !critpath)
+        return runCore(*p, mgt, cfg.core, setup, cfg.runBudget, cancel);
     Core core(*p, mgt, cfg.core);
     core.setCancel(cancel);
     TraceBuffer trace(cfg.traceDepth
@@ -88,8 +79,19 @@ runCellTraced(const Program &prog, const PreparedMg *prep,
     core.setTrace(&trace);
     if (setup)
         setup(core.oracle());
-    core.run(cfg.runBudget);
-    return analyzeCritPath(trace, cfg.core, cfg.whatIf);
+    CoreStats stats = core.run(cfg.runBudget);
+    *critpath = analyzeCritPath(trace, cfg.core, cfg.whatIf);
+    return stats;
+}
+
+CritPathSummary
+runCellTraced(const Program &prog, const PreparedMg *prep,
+              const SimConfig &cfg, const SetupFn &setup,
+              const std::atomic<bool> *cancel)
+{
+    CritPathSummary s;
+    runCell(prog, prep, cfg, setup, cancel, &s);
+    return s;
 }
 
 namespace {

@@ -58,20 +58,22 @@ CoreStats runCore(const Program &prog, const MgTable *mgt,
  * for a baseline config @p prep is null and @p prog runs unmodified.
  * Reads only const state, so concurrent cells may share @p prog and
  * @p prep freely. @p cancel as in runCore.
+ *
+ * When cfg.critpath is set and @p critpath is non-null, the same run
+ * carries a retired-event trace ring (capacity cfg.traceDepth, 0 =
+ * TraceBuffer::defaultCapacity) and @p critpath receives the
+ * dependence-graph analysis of the captured window, including the
+ * cfg.whatIf re-weighting when set. Trace capture is observational,
+ * so the returned CoreStats are bit-identical to an untraced run's;
+ * the ring is preallocated, so full-length runs stay allocation-free.
  */
 CoreStats runCell(const Program &prog, const PreparedMg *prep,
                   const SimConfig &cfg, const SetupFn &setup,
-                  const std::atomic<bool> *cancel = nullptr);
+                  const std::atomic<bool> *cancel = nullptr,
+                  CritPathSummary *critpath = nullptr);
 
-/**
- * Critical-path analysis of one cell: re-run the cell's timing core
- * with a retired-event trace ring attached (capacity cfg.traceDepth,
- * 0 = TraceBuffer::defaultCapacity) and run the dependence-graph
- * analyzer over the captured window, including the cfg.whatIf
- * re-weighting when set. Trace capture is observational, so the
- * traced run's CoreStats are bit-identical to runCell's; the ring is
- * preallocated, so full-length runs stay allocation-free.
- */
+/** runCell's critical-path summary alone (absent unless cfg.critpath
+ *  is set). Kept for callers that want only the analysis. */
 CritPathSummary runCellTraced(const Program &prog, const PreparedMg *prep,
                               const SimConfig &cfg, const SetupFn &setup,
                               const std::atomic<bool> *cancel = nullptr);

@@ -5,7 +5,7 @@
  * Three layers, mirroring the analyzer's three walks:
  *
  *  - Trace-ring mechanics: capacity, wrap, oldest-first ordering, and
- *    the wrapped-window contract runCellTraced surfaces as
+ *    the wrapped-window contract a traced runCell surfaces as
  *    traceWrapped.
  *  - Hand-built micro-programs whose bottleneck is known by
  *    construction: the attribution walk must telescope exactly (the
@@ -35,6 +35,16 @@ namespace {
 
 const SetupFn noSetup = [](Emulator &) {};
 
+/** The critical-path summary of one traced runCell. */
+CritPathSummary
+traceCell(const Program &p, const PreparedMg *prep, const SimConfig &cfg,
+          const SetupFn &setup)
+{
+    CritPathSummary s;
+    runCell(p, prep, cfg, setup, nullptr, &s);
+    return s;
+}
+
 /** Traced baseline analysis of an assembled micro-program. */
 CritPathSummary
 analyzeAsm(const char *src, const std::string &whatIf = "")
@@ -43,7 +53,7 @@ analyzeAsm(const char *src, const std::string &whatIf = "")
     SimConfig cfg = SimConfig::baseline();
     cfg.critpath = true;
     cfg.whatIf = whatIf;
-    return runCellTraced(p, nullptr, cfg, noSetup);
+    return traceCell(p, nullptr, cfg, noSetup);
 }
 
 std::uint64_t
@@ -262,8 +272,8 @@ TEST(CritPath, BreakdownTelescopesOnRefKernels)
 {
     // The attribution identity must hold on real kernels under both
     // machine shapes (the mini-graph config exercises the handle/mg
-    // edges), and a traced re-run must never perturb the timing
-    // model: its stats stay bit-identical to the untraced cell.
+    // edges), and tracing must never perturb the timing model: the
+    // traced run's stats are bit-identical to the untraced cell's.
     for (const char *name : {"gzip", "adpcm.dec", "crc"}) {
         BoundKernel bk = bindKernel(findKernel(name));
         for (SimConfig cfg :
@@ -281,22 +291,23 @@ TEST(CritPath, BreakdownTelescopesOnRefKernels)
                 prep = &prepStore;
             }
             plain = runCell(*bk.program, prep, cfg, bk.setup);
-            CritPathSummary s =
-                runCellTraced(*bk.program, prep, cfg, bk.setup);
+            CritPathSummary s;
+            CoreStats traced = runCell(*bk.program, prep, cfg, bk.setup,
+                                       nullptr, &s);
+            EXPECT_EQ(traced, plain) << name << "/" << cfg.name
+                                     << ": tracing perturbed the run";
             ASSERT_TRUE(s.present) << name << "/" << cfg.name;
             EXPECT_TRUE(s.error.empty()) << s.error;
             EXPECT_EQ(breakdownSum(s), s.actualCycles)
                 << name << "/" << cfg.name;
             // actualCycles is the first-fetch-to-last-commit span:
             // it excludes only the cold-start prologue before the
-            // first fetch (icache refill), never exceeds the run's
-            // cycle count, and tracks it closely — a drift here means
-            // the traced run perturbed the timing model.
+            // first fetch (icache refill), so it never exceeds the
+            // run's cycle count and tracks it closely.
             EXPECT_LE(s.actualCycles, plain.cycles)
                 << name << "/" << cfg.name;
             EXPECT_LE(plain.cycles - s.actualCycles, 1000u)
-                << name << "/" << cfg.name
-                << ": traced span drifted from the untraced run";
+                << name << "/" << cfg.name;
             EXPECT_EQ(s.tracedSlots, plain.committedSlots);
             EXPECT_EQ(s.tracedWork, plain.committedWork);
             EXPECT_GT(s.modeledCycles, 0u);
@@ -315,8 +326,7 @@ TEST(CritPath, BoundedRingAnalyzesTheNewestWindow)
     SimConfig cfg = SimConfig::baseline();
     cfg.critpath = true;
     cfg.traceDepth = 2048;
-    CritPathSummary s = runCellTraced(*bk.program, nullptr, cfg,
-                                      bk.setup);
+    CritPathSummary s = traceCell(*bk.program, nullptr, cfg, bk.setup);
     ASSERT_TRUE(s.present);
     EXPECT_TRUE(s.traceWrapped);
     EXPECT_EQ(s.tracedSlots, 2048u);
@@ -338,8 +348,7 @@ TEST_P(CritPathDifferential, ForwardModelWithinTwoPercent)
     BoundKernel bk = bindKernel(findKernel(GetParam()));
     SimConfig cfg = SimConfig::baseline();
     cfg.critpath = true;
-    CritPathSummary s = runCellTraced(*bk.program, nullptr, cfg,
-                                      bk.setup);
+    CritPathSummary s = traceCell(*bk.program, nullptr, cfg, bk.setup);
     ASSERT_TRUE(s.present);
     double err = std::abs(static_cast<double>(s.modeledCycles) -
                           static_cast<double>(s.actualCycles)) /
@@ -385,8 +394,7 @@ TEST(CritPathWhatIf, IdentitySpecReproducesRecordedCycles)
         ",sched=" + std::to_string(c.schedulerCycles) +
         ",l1dlat=" + std::to_string(c.mem.l1dLat);
     cfg.whatIf = identity;
-    CritPathSummary s = runCellTraced(*bk.program, nullptr, cfg,
-                                      bk.setup);
+    CritPathSummary s = traceCell(*bk.program, nullptr, cfg, bk.setup);
     ASSERT_TRUE(s.present);
     EXPECT_TRUE(s.error.empty()) << s.error;
     EXPECT_EQ(s.whatIf, identity);
@@ -405,16 +413,14 @@ TEST(CritPathWhatIf, MonotoneUnderWideningAndNarrowing)
     auto whatIfCycles = [&](const std::string &spec) {
         SimConfig c = cfg;
         c.whatIf = spec;
-        CritPathSummary s = runCellTraced(*bk.program, nullptr, c,
-                                          bk.setup);
+        CritPathSummary s = traceCell(*bk.program, nullptr, c, bk.setup);
         EXPECT_TRUE(s.present && s.error.empty())
             << spec << ": " << s.error;
         return s.whatIfCycles;
     };
 
     SimConfig base = cfg;
-    CritPathSummary rec = runCellTraced(*bk.program, nullptr, base,
-                                        bk.setup);
+    CritPathSummary rec = traceCell(*bk.program, nullptr, base, bk.setup);
     ASSERT_TRUE(rec.present);
 
     // regreadlat is the bypass overlap a consumer hides under its

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/cli.hh"
 #include "engine/engine.hh"
 #include "engine/fingerprint.hh"
 #include "workloads/suites.hh"
@@ -99,6 +100,47 @@ TEST(Engine, ArtifactsComputedOncePerFingerprint)
     EXPECT_EQ(c2.prepareComputes, c.prepareComputes);
     EXPECT_EQ(c2.runComputes, c.runComputes);
     EXPECT_GT(c2.runHits, c.runHits);
+}
+
+TEST(Engine, CritpathSweepSimulatesEachCellOnce)
+{
+    // The critical-path trace rides in each cell's only timing run:
+    // one run compute per timing cell, cell stats bit-identical to the
+    // clean sweep's, and the analysis served from that run's cache
+    // entry.
+    SweepSpec spec = testSpec();
+    SweepResult clean = ExperimentEngine(2).sweep(spec);
+    for (SweepColumn &c : spec.columns) {
+        c.config.critpath = true;
+        c.config.whatIf = "robsize=256";
+    }
+    ExperimentEngine engine(2);
+    SweepResult traced = engine.sweep(spec);
+
+    EXPECT_EQ(engine.counters().runComputes, traced.cells.size());
+    ASSERT_EQ(clean.cells.size(), traced.cells.size());
+    for (std::size_t i = 0; i < clean.cells.size(); ++i) {
+        EXPECT_EQ(clean.cells[i].stats, traced.cells[i].stats)
+            << "cell " << i;
+        EXPECT_TRUE(traced.cells[i].critpath.present) << "cell " << i;
+    }
+    TimedStats hit =
+        engine.cellTimed(spec.workloads[0], spec.columns[0].config);
+    EXPECT_EQ(hit.critpath, traced.cells[0].critpath);
+    EXPECT_EQ(engine.counters().runComputes, traced.cells.size());
+}
+
+TEST(Engine, CritpathRejectsSampling)
+{
+    // A critical-path breakdown needs every cycle simulated, so the
+    // analysis flags refuse enabled sampling; --full re-enables them.
+    const char *sampled[] = {"bench", "--whatif", "robsize=256",
+                             "--sample-interval", "1000"};
+    EXPECT_EXIT(parseCli(5, const_cast<char **>(sampled)),
+                ::testing::ExitedWithCode(1), "full simulation");
+    const char *full[] = {"bench", "--critpath", "--sample-interval",
+                          "1000", "--full"};
+    EXPECT_TRUE(parseCli(5, const_cast<char **>(full)).critpath);
 }
 
 TEST(Engine, UntimedColumnsPrepareWithoutRunning)

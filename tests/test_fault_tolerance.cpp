@@ -1,17 +1,16 @@
 /**
  * @file
- * Fault-tolerance battery: the failure-domain, retry/timeout, crash
+ * Fault-tolerance battery: the failure-domain, timeout, crash
  * journal, and fault-injection layers of the sweep engine.
  *
  * Four layers, innermost out:
  *  - primitives: FailSoftGate latching, SweepCell serialization round
  *    trips, ThreadPool exception containment (a throwing task must
  *    not kill its worker or be silently swallowed);
- *  - the deterministic fault injector: seeded arming, per-key firing
- *    counts, stall cancellation;
- *  - per-cell failure domains: injected transient faults retry to a
- *    bit-identical cell, permanent faults and timeouts cost exactly
- *    one cell, and the sweep always completes;
+ *  - the deterministic fault injector: seeded arming, key matching,
+ *    stall cancellation;
+ *  - per-cell failure domains: injected faults and timeouts cost
+ *    exactly one cell, and the sweep always completes;
  *  - the crash-safe journal: resume skips finished cells and
  *    converges to the uninterrupted sweep, torn tails and corrupt
  *    records truncate instead of poisoning, only Ok cells replay.
@@ -89,17 +88,6 @@ testSpec()
     return spec;
 }
 
-/** Fast-retry policy so backoff doesn't dominate test wall-clock. */
-FaultPolicy
-fastRetry(double timeoutS = 0, int retries = 2)
-{
-    FaultPolicy p;
-    p.cellTimeoutS = timeoutS;
-    p.cellRetries = retries;
-    p.backoffMs = 1;
-    return p;
-}
-
 void
 expectCellsEqual(const SweepResult &a, const SweepResult &b)
 {
@@ -130,7 +118,6 @@ makeCell(std::uint64_t seed)
     c.wallSeconds = 0.5 + static_cast<double>(seed);
     c.workPerSec = 1e6 + static_cast<double>(seed);
     c.outcome = CellOutcome::Ok;
-    c.retries = static_cast<std::uint32_t>(seed % 3);
     return c;
 }
 
@@ -203,7 +190,6 @@ TEST(FailSoft, SweepCellRoundTripsThroughSerialization)
         EXPECT_EQ(in.workPerSec, out.workPerSec);
         EXPECT_EQ(in.outcome, out.outcome);
         EXPECT_EQ(in.error, out.error);
-        EXPECT_EQ(in.retries, out.retries);
         EXPECT_FALSE(out.journalHit);   // runtime state, never travels
     }
 }
@@ -271,37 +257,26 @@ TEST(FaultInject, ArmingIsSeededAndDeterministic)
         std::set<int> armed;
         for (int k = 0; k < 32; ++k) {
             try {
-                FaultInjector::global().at(FaultSite::Cell,
+                FaultInjector::global().at(FaultSite::CellFail,
                                            "key" + std::to_string(k));
-            } catch (const TransientError &) {
+            } catch (const std::runtime_error &) {
                 armed.insert(k);
             }
         }
         return armed;
     };
-    std::set<int> a = armedSet("cell:p=0.5:seed=3:count=0");
-    std::set<int> b = armedSet("cell:p=0.5:seed=3:count=0");
-    std::set<int> c = armedSet("cell:p=0.5:seed=4:count=0");
+    std::set<int> a = armedSet("fail:p=0.5:seed=3");
+    std::set<int> b = armedSet("fail:p=0.5:seed=3");
+    std::set<int> c = armedSet("fail:p=0.5:seed=4");
     EXPECT_EQ(a, b);                    // same spec, same keys fault
     EXPECT_NE(a, c);                    // the seed picks the victims
     EXPECT_GT(a.size(), 0u);            // p=0.5 arms some...
     EXPECT_LT(a.size(), 32u);           // ...but not all
 }
 
-TEST(FaultInject, CountLimitsFiringsPerKeyThenHeals)
-{
-    FaultArm arm("cell:count=2");
-    FaultInjector &fi = FaultInjector::global();
-    EXPECT_THROW(fi.at(FaultSite::Cell, "k"), TransientError);
-    EXPECT_THROW(fi.at(FaultSite::Cell, "k"), TransientError);
-    EXPECT_NO_THROW(fi.at(FaultSite::Cell, "k"));   // healed
-    EXPECT_THROW(fi.at(FaultSite::Cell, "other"), TransientError);
-    EXPECT_EQ(fi.fired(), 3u);
-}
-
 TEST(FaultInject, MatchSelectsSitesAndKeys)
 {
-    FaultArm arm("fail@crc:count=0,alloc@bitcount:count=0");
+    FaultArm arm("fail@crc,alloc@bitcount");
     FaultInjector &fi = FaultInjector::global();
     EXPECT_THROW(fi.at(FaultSite::CellFail, "crc|baseline"),
                  std::runtime_error);
@@ -310,7 +285,7 @@ TEST(FaultInject, MatchSelectsSitesAndKeys)
                  std::bad_alloc);
     EXPECT_NO_THROW(fi.at(FaultSite::Alloc, "crc|baseline"));
     // Unarmed sites never fire regardless of key.
-    EXPECT_NO_THROW(fi.at(FaultSite::StoreRead, "crc|baseline"));
+    EXPECT_NO_THROW(fi.at(FaultSite::Stall, "crc|baseline"));
 }
 
 TEST(FaultInject, StallHonoursCancellation)
@@ -326,35 +301,16 @@ TEST(FaultInject, DisarmedInjectorIsFree)
 {
     FaultInjector &fi = FaultInjector::global();
     EXPECT_FALSE(fi.armed());
-    EXPECT_NO_THROW(faultPoint(FaultSite::Cell, "k"));
+    EXPECT_NO_THROW(faultPoint(FaultSite::CellFail, "k"));
 }
 
 // ------------------------------------------------------- failure domains
-
-TEST(FaultSweep, TransientFaultRetriesToBitIdenticalCells)
-{
-    SweepSpec spec = testSpec();
-    SweepResult clean = ExperimentEngine(2).sweep(spec);
-
-    FaultArm arm("cell");   // every cell faults once, then heals
-    ExperimentEngine engine(2);
-    engine.setFaultPolicy(fastRetry());
-    SweepResult faulted = engine.sweep(spec);
-
-    expectCellsEqual(clean, faulted);
-    for (const SweepCell &c : faulted.cells) {
-        EXPECT_EQ(c.outcome, CellOutcome::Ok);
-        EXPECT_EQ(c.retries, 1u);
-    }
-    EXPECT_EQ(FaultInjector::global().fired(), faulted.cells.size());
-}
 
 TEST(FaultSweep, PermanentFaultCostsOnlyItsCells)
 {
     SweepSpec spec = testSpec();
     FaultArm arm("fail@crc");
     ExperimentEngine engine(2);
-    engine.setFaultPolicy(fastRetry());
     SweepResult r = engine.sweep(spec);
 
     ASSERT_EQ(r.cells.size(), 4u);
@@ -365,7 +321,6 @@ TEST(FaultSweep, PermanentFaultCostsOnlyItsCells)
                 EXPECT_EQ(c.outcome, CellOutcome::Failed);
                 EXPECT_FALSE(c.error.empty());
                 EXPECT_FALSE(c.timed);   // no stats survive a failure
-                EXPECT_EQ(c.retries, 0u);   // permanent: not retried
             } else {
                 EXPECT_EQ(c.outcome, CellOutcome::Ok);
                 EXPECT_TRUE(c.timed);
@@ -382,7 +337,6 @@ TEST(FaultSweep, AllocFailureIsContained)
     SweepSpec spec = testSpec();
     FaultArm arm("alloc@bitcount|int-mem");
     ExperimentEngine engine(2);
-    engine.setFaultPolicy(fastRetry());
     SweepResult r = engine.sweep(spec);
 
     int failed = 0;
@@ -391,19 +345,6 @@ TEST(FaultSweep, AllocFailureIsContained)
     EXPECT_EQ(failed, 1);
     EXPECT_EQ(r.at(1, 1).outcome, CellOutcome::Failed);
     EXPECT_NE(r.at(1, 1).error.find("bad_alloc"), std::string::npos);
-}
-
-TEST(FaultSweep, ExhaustedRetriesFail)
-{
-    SweepSpec spec = testSpec();
-    FaultArm arm("cell@crc|baseline:count=0");   // never heals
-    ExperimentEngine engine(1);
-    engine.setFaultPolicy(fastRetry(0, 2));
-    SweepResult r = engine.sweep(spec);
-
-    EXPECT_EQ(r.at(0, 0).outcome, CellOutcome::Failed);
-    EXPECT_EQ(r.at(0, 0).retries, 2u);   // used every attempt
-    EXPECT_EQ(r.at(0, 1).outcome, CellOutcome::Ok);
 }
 
 TEST(FaultSweep, StallTimesOutUnderDeadline)
@@ -415,13 +356,11 @@ TEST(FaultSweep, StallTimesOutUnderDeadline)
     // finish inside it — including under TSan's ~10x slowdown (the
     // stalled cells still cancel ~2ms past the deadline, so the test
     // pays the deadline, not the 10s stall).
-    engine.setFaultPolicy(fastRetry(1.0));
+    engine.setFaultPolicy(FaultPolicy{1.0});
     SweepResult r = engine.sweep(spec);
 
-    for (std::size_t col = 0; col < r.columns.size(); ++col) {
+    for (std::size_t col = 0; col < r.columns.size(); ++col)
         EXPECT_EQ(r.at(0, col).outcome, CellOutcome::TimedOut);
-        EXPECT_EQ(r.at(0, col).retries, 0u);   // timeouts never retry
-    }
     EXPECT_EQ(r.at(1, 0).outcome, CellOutcome::Ok);
 }
 
@@ -437,7 +376,7 @@ TEST(FaultSweep, DeadlineCancelsARealSimulation)
         workload(bindKernel(findKernel("crc"), Scale::Long))};
     spec.columns = {{"baseline", SimConfig::baseline(), true}};
     ExperimentEngine engine(1);
-    engine.setFaultPolicy(fastRetry(0.01));
+    engine.setFaultPolicy(FaultPolicy{0.01});
     SweepResult r = engine.sweep(spec);
 
     ASSERT_EQ(r.cells.size(), 1u);
@@ -451,11 +390,9 @@ TEST(FaultSweep, UnfiredPolicyIsByteIdenticalToNoPolicy)
     SweepResult plain = ExperimentEngine(2).sweep(spec);
 
     ExperimentEngine engine(2);
-    engine.setFaultPolicy(fastRetry(600));   // generous: never fires
+    engine.setFaultPolicy(FaultPolicy{600});   // generous: never fires
     SweepResult guarded = engine.sweep(spec);
     expectCellsEqual(plain, guarded);
-    for (const SweepCell &c : guarded.cells)
-        EXPECT_EQ(c.retries, 0u);
 }
 
 TEST(FaultSweep, FaultFieldsReachTheJsonOnlyWhenFaulted)
@@ -467,9 +404,8 @@ TEST(FaultSweep, FaultFieldsReachTheJsonOnlyWhenFaulted)
     std::string cleanPath = dir.str() + "/clean.json";
     ASSERT_EQ(writeSweepJson(clean, "fault", cleanPath), cleanPath);
 
-    FaultArm arm("fail@crc,cell@bitcount");
+    FaultArm arm("fail@crc");
     ExperimentEngine engine(2);
-    engine.setFaultPolicy(fastRetry());
     SweepResult faulted = engine.sweep(spec);
     std::string faultPath = dir.str() + "/faulted.json";
     ASSERT_EQ(writeSweepJson(faulted, "fault", faultPath), faultPath);
@@ -481,16 +417,14 @@ TEST(FaultSweep, FaultFieldsReachTheJsonOnlyWhenFaulted)
     };
     std::string cleanJson = slurp(cleanPath);
     EXPECT_EQ(cleanJson.find("\"outcome\""), std::string::npos);
-    EXPECT_EQ(cleanJson.find("\"retries\""), std::string::npos);
     EXPECT_EQ(cleanJson.find("\"journal\""), std::string::npos);
 
     std::string faultJson = slurp(faultPath);
     EXPECT_NE(faultJson.find("\"outcome\": \"failed\""),
               std::string::npos);
     EXPECT_NE(faultJson.find("\"error\""), std::string::npos);
-    EXPECT_NE(faultJson.find("\"retries\": 1"), std::string::npos);
-    // Healed cells carry retries but no outcome ("ok" is implied by
-    // absence, and must never be emitted).
+    // Ok cells carry no outcome ("ok" is implied by absence, and must
+    // never be emitted).
     EXPECT_EQ(faultJson.find("\"outcome\": \"ok\""), std::string::npos);
 }
 
@@ -648,9 +582,8 @@ TEST(Journal, OnlyOkCellsJournalSoFailuresRetryOnResume)
 
     {
         // First run: crc permanently fails, bitcount succeeds.
-        FaultArm arm("fail@crc:count=0");
+        FaultArm arm("fail@crc");
         ExperimentEngine engine(2);
-        engine.setFaultPolicy(fastRetry());
         engine.setJournalDir(dir.str());
         SweepResult r = engine.sweep(spec);
         EXPECT_EQ(r.journalRecorded, 2u);   // the two Ok cells only
