@@ -1,7 +1,12 @@
 #include "engine/checkpoint_store.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
 
@@ -18,59 +23,164 @@ namespace {
 constexpr std::uint32_t storeMagic = 0x4b43474d;   // "MGCK"
 constexpr const char *storeExt = ".mgck";
 
-/** Zero-run-length encode: 0x00 becomes 0x00 + run length (1-255);
- *  other bytes pass through. Cache tag arrays and sparse pages are
- *  zero-heavy, so this typically shrinks records several-fold at
- *  memcpy-like speed. */
-std::vector<std::uint8_t>
-rleEncode(const std::vector<std::uint8_t> &in)
+/** Per-process sequence for temp-file names (with the pid, unique
+ *  across every writer that can share a directory). */
+std::atomic<std::uint64_t> tmpSeq{0};
+
+std::uint64_t
+load64(const std::uint8_t *p)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(in.size() / 2 + 16);
-    for (std::size_t i = 0; i < in.size();) {
-        std::uint8_t b = in[i];
-        if (b != 0) {
-            out.push_back(b);
-            ++i;
-            continue;
-        }
-        std::size_t run = 1;
-        while (run < 255 && i + run < in.size() && in[i + run] == 0)
-            ++run;
-        out.push_back(0);
-        out.push_back(static_cast<std::uint8_t>(run));
-        i += run;
-    }
-    return out;
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    return w;
 }
 
-/** @return false when the stream is malformed or decodes past
- *  @p expect bytes. */
+void
+store64(std::uint8_t *p, std::uint64_t w)
+{
+    std::memcpy(p, &w, 8);
+}
+
+/** 0x80 in every zero byte of @p w, 0x00 in every other (exact: the
+ *  per-byte sums below cannot carry across bytes). */
+constexpr std::uint64_t
+zeroMask(std::uint64_t w)
+{
+    constexpr std::uint64_t low7 = 0x7f7f7f7f7f7f7f7full;
+    return ~(((w & low7) + low7) | w | low7);
+}
+
+/** Bytes before the first flagged byte of a zeroMask-style @p mask
+ *  (8 when none is flagged). */
+unsigned
+bytesBeforeFlag(std::uint64_t mask)
+{
+    return mask ? static_cast<unsigned>(std::countr_zero(mask)) / 8 : 8;
+}
+
+} // namespace
+
+void
+rleEncode(const std::uint8_t *in, std::size_t n,
+          std::vector<std::uint8_t> &out)
+{
+    // Worst case is alternating 00 xx (every zero costs two bytes),
+    // plus slack for the speculative stores below.
+    std::size_t at = out.size();
+    out.resize(at + n + n / 2 + 2 + 8);
+    std::uint8_t *o = out.data() + at;
+    // The pending zero run stays below 255: a run is emitted as soon
+    // as it reaches 255, which splits long runs exactly as a greedy
+    // byte-wise encoder does.
+    unsigned zeros = 0;
+    auto flush = [&] {
+        o[0] = 0;
+        o[1] = static_cast<std::uint8_t>(zeros);
+        o += zeros ? 2 : 0;
+        zeros = 0;
+    };
+    // One byte without branches: the run header and the literal are
+    // stored unconditionally and kept by advancing the cursor.
+    auto put = [&](std::uint8_t v) {
+        bool lit = v != 0;
+        o[0] = 0;
+        o[1] = static_cast<std::uint8_t>(zeros);
+        o += lit && zeros ? 2 : 0;
+        *o = v;
+        o += lit;
+        zeros = lit ? 0 : zeros + 1;
+        bool full = zeros == 255;
+        o[0] = 0;
+        o[1] = 255;
+        o += full ? 2 : 0;
+        zeros = full ? 0 : zeros;
+    };
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t w = load64(in + i);
+        if (w == 0) {
+            zeros += 8;
+            if (zeros >= 255) {
+                o[0] = 0;
+                o[1] = 255;
+                o += 2;
+                zeros -= 255;
+            }
+        } else if (zeroMask(w) == 0) {
+            flush();
+            store64(o, w);
+            o += 8;
+        } else {
+            for (int b = 0; b < 8; ++b)
+                put(static_cast<std::uint8_t>(w >> (8 * b)));
+        }
+    }
+    for (; i < n; ++i)
+        put(in[i]);
+    flush();
+    out.resize(static_cast<std::size_t>(o - out.data()));
+}
+
 bool
 rleDecode(const std::uint8_t *in, std::size_t len,
           std::vector<std::uint8_t> &out, std::size_t expect)
 {
-    out.clear();
-    out.reserve(expect);
+    // Slack for whole-word literal stores, trimmed on success.
+    out.resize(expect + 8);
+    std::uint8_t *o = out.data();
+    std::size_t pos = 0;
     for (std::size_t i = 0; i < len;) {
-        std::uint8_t b = in[i++];
-        if (b != 0) {
-            out.push_back(b);
-        } else {
-            if (i >= len)
+        if (in[i] == 0) {
+            if (i + 1 >= len)
                 return false;
-            std::uint8_t run = in[i++];
-            if (run == 0 || out.size() + run > expect)
+            std::size_t run = in[i + 1];
+            if (run == 0 || run > expect - pos)
                 return false;
-            out.insert(out.end(), run, 0);
+            std::memset(o + pos, 0, run);
+            pos += run;
+            i += 2;
+            continue;
         }
-        if (out.size() > expect)
-            return false;
+        // A literal run: whole words up to the next zero byte.
+        while (i + 8 <= len) {
+            std::uint64_t w = load64(in + i);
+            unsigned lit = bytesBeforeFlag(zeroMask(w));
+            if (lit > expect - pos)
+                return false;
+            store64(o + pos, w);
+            pos += lit;
+            i += lit;
+            if (lit < 8)
+                break;
+        }
+        if (i + 8 > len) {
+            for (; i < len && in[i] != 0; ++i) {
+                if (pos == expect)
+                    return false;
+                o[pos++] = in[i];
+            }
+        }
     }
-    return out.size() == expect;
+    out.resize(expect);
+    return pos == expect;
 }
 
-} // namespace
+std::uint64_t
+recordChecksum(const void *data, std::size_t len)
+{
+    constexpr std::uint64_t prime = 0x100000001b3ull;
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    std::uint64_t h = 0xcbf29ce484222325ull ^ len;
+    std::size_t i = 0;
+    for (; i + 8 <= len; i += 8)
+        h = std::rotl((h ^ load64(p + i)) * prime, 29);
+    if (i < len) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, p + i, len - i);
+        h = std::rotl((h ^ w) * prime, 29);
+    }
+    return h;
+}
 
 CheckpointStore::CheckpointStore(CheckpointStoreConfig cfg)
     : cfg_(std::move(cfg))
@@ -129,95 +239,127 @@ CheckpointStore::pathOf(const std::string &key) const
     return cfg_.dir + "/" + name + storeExt;
 }
 
+namespace {
+
+/** parseRecord's verdict on a well-formed record of another key (a
+ *  file-name collision). */
+constexpr const char *foreignKey = "foreign key";
+
+/** Decode and verify a record file's bytes for @p key.
+ *  @return nullptr when @p payload holds the verified payload,
+ *          foreignKey, or why the record is defective. */
+const char *
+parseRecord(const std::vector<std::uint8_t> &raw, const std::string &key,
+            std::vector<std::uint8_t> &payload)
+{
+    SerialReader r(raw);
+    if (r.u32() != storeMagic)
+        return "bad magic";
+    if (r.u32() != CheckpointStore::formatVersion)
+        return "stale format version";
+    std::uint8_t encoding = r.u8();
+    std::string storedKey = r.str();
+    std::uint64_t payloadLen = r.u64();
+    std::uint64_t checksum = r.u64();
+    if (!r.ok())
+        return "truncated header";
+    if (storedKey != key)
+        return foreignKey;
+    if (encoding == 1) {
+        // A two-byte run decodes to at most 255 bytes: a larger length
+        // is a corrupt header, not an allocation to attempt.
+        if (payloadLen / 128 > r.remaining())
+            return "truncated payload";
+        if (!rleDecode(raw.data() + r.pos(), r.remaining(), payload,
+                       static_cast<std::size_t>(payloadLen)))
+            return "truncated payload";
+    } else if (encoding == 0) {
+        if (r.remaining() != payloadLen)
+            return "truncated payload";
+        payload.assign(raw.begin() +
+                           static_cast<std::ptrdiff_t>(r.pos()),
+                       raw.end());
+    } else {
+        return "unknown encoding";
+    }
+    if (recordChecksum(payload.data(), payload.size()) != checksum)
+        return "checksum mismatch";
+    return nullptr;
+}
+
+/** Read the whole of @p f into @p raw. */
+bool
+readAll(std::FILE *f, std::vector<std::uint8_t> &raw)
+{
+    if (std::fseek(f, 0, SEEK_END) != 0)
+        return false;
+    long size = std::ftell(f);
+    if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0)
+        return false;
+    raw.resize(static_cast<std::size_t>(size));
+    return std::fread(raw.data(), 1, raw.size(), f) == raw.size();
+}
+
+} // namespace
+
 bool
 CheckpointStore::load(const std::string &key,
                       std::vector<std::uint8_t> &payload)
 {
     if (!dirOk_)
         return false;
-    std::lock_guard<std::mutex> lock(mu_);
     std::string path = pathOf(key);
 
+    // Read, decode and verify without the lock: records are replaced
+    // by rename, so an open file is one writer's complete record.
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
+        std::lock_guard<std::mutex> lock(mu_);
         ++ctr_.misses;
         return false;
     }
     std::vector<std::uint8_t> raw;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        raw.insert(raw.end(), buf, buf + n);
-    bool readOk = !std::ferror(f);
+    bool readOk = readAll(f, raw);
     std::fclose(f);
+    const char *why =
+        readOk ? parseRecord(raw, key, payload) : "read error";
 
-    auto reject = [&](const char *why) {
-        ++ctr_.corrupt;
+    if (why == foreignKey) {
+        // Not our record. Leave it alone (it is valid for its own
+        // key); the next store() for our key overwrites it — last
+        // writer wins.
+        std::lock_guard<std::mutex> lock(mu_);
         ++ctr_.misses;
+        return false;
+    }
+    if (why) {
+        // Unlink the defective record so a writeback heals it.
         warn("checkpoint store: rejecting '%s' (%s); recomputing",
              path.c_str(), why);
         std::error_code ec;
         fs::remove(path, ec);
+        std::lock_guard<std::mutex> lock(mu_);
+        ++ctr_.corrupt;
+        ++ctr_.misses;
         auto it = index_.find(path);
         if (it != index_.end()) {
             totalBytes_ -= std::min(totalBytes_, it->second.size);
             index_.erase(it);
         }
         return false;
-    };
-
-    if (!readOk)
-        return reject("read error");
-    SerialReader r(raw);
-    if (r.u32() != storeMagic)
-        return reject("bad magic");
-    if (r.u32() != formatVersion)
-        return reject("stale format version");
-    std::uint8_t encoding = r.u8();
-    std::string storedKey = r.str();
-    std::uint64_t payloadLen = r.u64();
-    std::uint64_t checksum = r.u64();
-    if (!r.ok())
-        return reject("truncated header");
-    if (storedKey != key) {
-        // A different key hashed to this file name: not our record.
-        // Leave it alone (it is valid for its own key); the next
-        // store() for our key overwrites it — last writer wins.
-        ++ctr_.misses;
-        return false;
     }
-    if (encoding == 1) {
-        if (!rleDecode(raw.data() + r.pos(), r.remaining(), payload,
-                       static_cast<std::size_t>(payloadLen)))
-            return reject("truncated payload");
-    } else if (encoding == 0) {
-        if (r.remaining() != payloadLen)
-            return reject("truncated payload");
-        payload.assign(raw.begin() +
-                           static_cast<std::ptrdiff_t>(r.pos()),
-                       raw.end());
-    } else {
-        return reject("unknown encoding");
-    }
-    if (fnv1a64(payload.data(), payload.size()) != checksum)
-        return reject("checksum mismatch");
 
-    ++ctr_.hits;
-    touch(path);
-    return true;
-}
-
-void
-CheckpointStore::touch(const std::string &path)
-{
-    auto it = index_.find(path);
-    if (it != index_.end())
-        it->second.stamp = ++stampSeq_;
     // Refresh the on-disk mtime so cross-session eviction order sees
     // this use; best-effort (recency is an optimization, not
     // correctness).
     std::error_code ec;
     fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++ctr_.hits;
+    auto it = index_.find(path);
+    if (it != index_.end())
+        it->second.stamp = ++stampSeq_;
+    return true;
 }
 
 void
@@ -236,30 +378,28 @@ CheckpointStore::store(const std::string &key,
 {
     if (!dirOk_ || !writeGate_.ok())
         return;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!writeGate_.ok())
-        return;
     std::string path = pathOf(key);
-    std::string tmp = path + ".tmp";
+    std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                      std::to_string(tmpSeq.fetch_add(1));
 
+    // Build, write and publish the record without the lock; only the
+    // index update below touches shared state.
     SerialWriter hdr;
     hdr.u32(storeMagic);
     hdr.u32(formatVersion);
     hdr.u8(1);   // zero-RLE payload
     hdr.str(key);
     hdr.u64(payload.size());
-    hdr.u64(fnv1a64(payload.data(), payload.size()));
-    std::vector<std::uint8_t> body = rleEncode(payload);
+    hdr.u64(recordChecksum(payload.data(), payload.size()));
+    std::vector<std::uint8_t> rec = hdr.take();
+    rleEncode(payload.data(), payload.size(), rec);
 
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
         writeFailed("open", tmp);
         return;
     }
-    bool ok =
-        std::fwrite(hdr.data().data(), 1, hdr.size(), f) == hdr.size() &&
-        (body.empty() ||
-         std::fwrite(body.data(), 1, body.size(), f) == body.size());
+    bool ok = std::fwrite(rec.data(), 1, rec.size(), f) == rec.size();
     ok = std::fclose(f) == 0 && ok;
     if (!ok) {
         writeFailed("write", tmp);
@@ -272,13 +412,13 @@ CheckpointStore::store(const std::string &key,
         return;
     }
 
-    std::uint64_t size = hdr.size() + body.size();
+    std::lock_guard<std::mutex> lock(mu_);
     auto [it, inserted] = index_.try_emplace(path);
     if (!inserted)
         totalBytes_ -= std::min(totalBytes_, it->second.size);
-    it->second.size = size;
+    it->second.size = rec.size();
     it->second.stamp = ++stampSeq_;
-    totalBytes_ += size;
+    totalBytes_ += rec.size();
     ++ctr_.writebacks;
     evictUnderLock();
 }

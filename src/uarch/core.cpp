@@ -1543,6 +1543,7 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
     WarmStoreIf *ws = sp.warmThrough ? warmStore : nullptr;
     const std::uint64_t seedHash = violSeedHash(seedViol);
     std::vector<std::uint8_t> wsBytes;
+    SerialWriter wsRecord;   // writeback buffer, reused across chunks
     SampledStats out;
     out.totalWork = std::min(sum.totalWork, maxWork);
 
@@ -1878,9 +1879,9 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
                 if (warmStart > emu.dynWork())
                     fastForward(warmStart, sp.ffWarm > 0, lastIpc);
                 if (ws && !emu.halted()) {
-                    SerialWriter w;
-                    serializeWarm(w);
-                    ws->storeWarm(ch->start, seedHash, w.data());
+                    wsRecord.clear();
+                    serializeWarm(wsRecord);
+                    ws->storeWarm(ch->start, seedHash, wsRecord.data());
                     ++out.ckptWritebacks;
                 }
             }

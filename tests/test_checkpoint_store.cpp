@@ -6,6 +6,9 @@
  *  - serialization round trips for every warmable structure (the
  *    functional oracle, the cache hierarchy, the branch predictor,
  *    the store sets), including geometry/shape-mismatch rejection;
+ *  - the record codec: golden writer bytes, zero-RLE output pinned
+ *    byte for byte to a reference byte-wise encoder, the word-wise
+ *    payload checksum;
  *  - the on-disk store's file format defenses: truncation, flipped
  *    bytes, stale version headers, hash-slot collisions, LRU
  *    eviction, unusable directories, and mid-session write failures
@@ -160,6 +163,37 @@ TEST(StoreSerial, PrimitivesRoundTripAndTruncationLatches)
     }
 }
 
+TEST(StoreSerial, WriterGoldenBytes)
+{
+    SerialWriter w;
+    w.u32(0x11223344);
+    w.u64(0x0102030405060708ull);
+    w.vec(std::vector<std::uint64_t>{0xa1a2a3a4a5a6a7a8ull});
+    w.vec(std::vector<std::int32_t>{-2});
+    w.str("ab");
+    const std::vector<std::uint8_t> golden = {
+        0x44, 0x33, 0x22, 0x11,                            // u32
+        0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,    // u64
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,    // vec len
+        0xa8, 0xa7, 0xa6, 0xa5, 0xa4, 0xa3, 0xa2, 0xa1,    //   [0]
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,    // vec len
+        0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,    //   [0] = -2
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,    // str len
+        'a', 'b',
+    };
+    EXPECT_EQ(w.data(), golden);
+
+    SerialReader r(golden);
+    EXPECT_EQ(r.u32(), 0x11223344u);
+    EXPECT_EQ(r.u64(), 0x0102030405060708ull);
+    EXPECT_EQ(r.vec<std::uint64_t>(),
+              std::vector<std::uint64_t>{0xa1a2a3a4a5a6a7a8ull});
+    EXPECT_EQ(r.vec<std::int32_t>(), std::vector<std::int32_t>{-2});
+    EXPECT_EQ(r.str(), "ab");
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.remaining(), 0u);
+}
+
 TEST(StoreSerial, EmuCheckpointRoundTripContinuesIdentically)
 {
     BoundKernel bk = bindKernel(findKernel("crc"));
@@ -299,6 +333,136 @@ TEST(StoreSerial, StoreSetsRoundTripAndShapeGuard)
     EXPECT_FALSE(StoreSets().stateCompatible(bad));
 }
 
+// ----------------------------------------------------------- codec layer
+
+namespace {
+
+/** The byte-at-a-time zero-RLE encoder the store shipped with: the
+ *  reference the word-wise rleEncode must match byte for byte (record
+ *  sizes, and so the store's disk footprint, must not move). */
+std::vector<std::uint8_t>
+referenceRleEncode(const std::vector<std::uint8_t> &in)
+{
+    std::vector<std::uint8_t> out;
+    for (std::size_t i = 0; i < in.size();) {
+        if (in[i] != 0) {
+            out.push_back(in[i++]);
+            continue;
+        }
+        std::size_t run = 1;
+        while (run < 255 && i + run < in.size() && in[i + run] == 0)
+            ++run;
+        out.push_back(0);
+        out.push_back(static_cast<std::uint8_t>(run));
+        i += run;
+    }
+    return out;
+}
+
+std::vector<std::uint8_t>
+encode(const std::vector<std::uint8_t> &in)
+{
+    std::vector<std::uint8_t> out;
+    rleEncode(in.data(), in.size(), out);
+    return out;
+}
+
+/** @p zeros zero bytes between two literals. */
+std::vector<std::uint8_t>
+zeroRun(std::size_t zeros)
+{
+    std::vector<std::uint8_t> v(zeros + 2, 0);
+    v.front() = 0x11;
+    v.back() = 0x22;
+    return v;
+}
+
+} // namespace
+
+TEST(StoreCodec, RleMatchesReferenceEncoderAndRoundTrips)
+{
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases =
+        {{"empty", {}},
+         {"single zero", {0}},
+         {"all zeros", std::vector<std::uint8_t>(1000, 0)},
+         {"no zeros", std::vector<std::uint8_t>(77, 0xee)},
+         {"run 254", zeroRun(254)},
+         {"run 255", zeroRun(255)},
+         {"run 256", zeroRun(256)},
+         {"run 511", zeroRun(511)},
+         {"trailing zero", {1, 2, 3, 4, 5, 6, 7, 8, 9, 0}}};
+    std::vector<std::uint8_t> alternating;
+    for (int i = 0; i < 301; ++i)
+        alternating.push_back(i % 2 ? static_cast<std::uint8_t>(i) : 0);
+    cases.emplace_back("alternating 00 xx", alternating);
+    // Word-boundary mix: tag-array-like u64s with short literal heads.
+    std::vector<std::uint8_t> words;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        std::uint64_t w = i % 7 ? 0x400000 + i * 64 : 0;
+        for (int b = 0; b < 8; ++b)
+            words.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
+    }
+    cases.emplace_back("tag words", words);
+
+    for (const auto &[name, in] : cases) {
+        std::vector<std::uint8_t> enc = encode(in);
+        EXPECT_EQ(enc, referenceRleEncode(in)) << name;
+        EXPECT_LE(enc.size(), in.size() * 3 / 2 + 2) << name;
+        std::vector<std::uint8_t> dec;
+        ASSERT_TRUE(rleDecode(enc.data(), enc.size(), dec, in.size()))
+            << name;
+        EXPECT_EQ(dec, in) << name;
+    }
+    // The worst case really is 3n/2: every zero costs two bytes.
+    EXPECT_EQ(encode(alternating).size(), 301u / 2 + 301u + 1);
+
+    // rleEncode appends after whatever the buffer already holds.
+    std::vector<std::uint8_t> out = {9, 9};
+    std::vector<std::uint8_t> in = zeroRun(3);
+    rleEncode(in.data(), in.size(), out);
+    EXPECT_EQ(out, (std::vector<std::uint8_t>{9, 9, 0x11, 0, 3, 0x22}));
+}
+
+TEST(StoreCodec, RleDecodeRejectsMalformedStreams)
+{
+    auto rejects = [](std::vector<std::uint8_t> enc, std::size_t expect) {
+        std::vector<std::uint8_t> out;
+        return !rleDecode(enc.data(), enc.size(), out, expect);
+    };
+    EXPECT_TRUE(rejects({0}, 1));           // run byte missing
+    EXPECT_TRUE(rejects({0, 0}, 0));        // zero-length run
+    EXPECT_TRUE(rejects({0, 5}, 4));        // run overshoots
+    EXPECT_TRUE(rejects({1, 2, 3}, 2));     // literals overshoot
+    EXPECT_TRUE(rejects({1, 0, 2}, 4));     // decodes short
+    EXPECT_FALSE(rejects({1, 0, 2}, 3));
+}
+
+TEST(StoreCodec, RecordChecksumCatchesWordAndHighBitFlips)
+{
+    std::vector<std::uint8_t> p(1003);
+    for (std::size_t i = 0; i < p.size(); ++i)
+        p[i] = static_cast<std::uint8_t>(i * 37 + 1);
+    const std::uint64_t base = recordChecksum(p.data(), p.size());
+    EXPECT_EQ(recordChecksum(p.data(), p.size()), base);
+    // Length is mixed in: a zero-padded tail is not the same payload.
+    std::vector<std::uint8_t> padded = p;
+    padded.push_back(0);
+    EXPECT_NE(recordChecksum(padded.data(), padded.size()), base);
+    // Every single-byte change, head, middle, and partial tail word.
+    for (std::size_t at : {std::size_t(0), std::size_t(500),
+                           p.size() - 1}) {
+        std::vector<std::uint8_t> q = p;
+        q[at] ^= 0x01;
+        EXPECT_NE(recordChecksum(q.data(), q.size()), base) << at;
+    }
+    // The top bit of two words flipped together: a bare FNV-prime
+    // multiply only carries bits upward, so these would cancel.
+    std::vector<std::uint8_t> q = p;
+    q[7] ^= 0x80;
+    q[8 * 40 + 7] ^= 0x80;
+    EXPECT_NE(recordChecksum(q.data(), q.size()), base);
+}
+
 // ------------------------------------------------------------ file layer
 
 TEST(StoreFiles, RoundTripCountersAndPersistence)
@@ -382,6 +546,65 @@ TEST(StoreFiles, StaleVersionHeaderRejected)
 
     std::vector<std::uint8_t> out;
     EXPECT_FALSE(s.load("warm|v|p0", out));
+    EXPECT_EQ(s.counters().corrupt, 1u);
+}
+
+TEST(StoreFiles, CorruptLengthFieldIsRejectedWithoutAllocating)
+{
+    ScratchDir dir("hugelen");
+    CheckpointStore s({dir.str()});
+    const std::string key = "warm|len|p0";
+    s.store(key, std::vector<std::uint8_t>(256, 4));
+    auto files = recordFiles(dir.path);
+    ASSERT_EQ(files.size(), 1u);
+    {
+        // The decoded-length field follows magic, version, encoding
+        // and the length-prefixed key.
+        std::fstream f(files[0],
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(4 + 4 + 1 + 8 + key.size()));
+        for (int i = 0; i < 8; ++i)
+            f.put(static_cast<char>(0x7f));
+    }
+    std::vector<std::uint8_t> out;
+    EXPECT_FALSE(s.load(key, out));
+    EXPECT_EQ(s.counters().corrupt, 1u);
+}
+
+TEST(StoreFiles, FormatVersionOneRecordIsStaleAndHealed)
+{
+    ScratchDir dir("v1");
+    CheckpointStore s({dir.str()});
+    const std::string key = "warm|v1|p0";
+    std::vector<std::uint8_t> payload(300, 0);
+    payload[10] = 5;
+    s.store(key, payload);
+    auto files = recordFiles(dir.path);
+    ASSERT_EQ(files.size(), 1u);
+
+    // Replace the record with a well-formed version-1 record of the
+    // same key: byte-wise FNV-1a checksum, raw (unencoded) payload.
+    SerialWriter v1;
+    v1.u32(0x4b43474d);   // "MGCK"
+    v1.u32(1);
+    v1.u8(0);
+    v1.str(key);
+    v1.u64(payload.size());
+    v1.u64(fnv1a64(payload.data(), payload.size()));
+    v1.bytes(payload.data(), payload.size());
+    {
+        std::ofstream out(files[0], std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(v1.data().data()),
+                  static_cast<std::streamsize>(v1.size()));
+    }
+
+    std::vector<std::uint8_t> out;
+    EXPECT_FALSE(s.load(key, out));
+    EXPECT_EQ(s.counters().corrupt, 1u);
+    EXPECT_TRUE(recordFiles(dir.path).empty());
+    s.store(key, payload);
+    ASSERT_TRUE(s.load(key, out));
+    EXPECT_EQ(out, payload);
     EXPECT_EQ(s.counters().corrupt, 1u);
 }
 

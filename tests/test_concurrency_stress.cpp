@@ -4,8 +4,9 @@
  * to run under ThreadSanitizer (ctest -L analysis in the MG_TSAN
  * build). Each test hammers one shared structure from many threads at
  * once — ThreadPool::parallelFor, ArtifactCache memoisation, the
- * sweep journal, the checkpoint store (including its fail-soft write
- * gate, whose warn-once latch is read outside the store lock), and
+ * sweep journal, the checkpoint store (whose writes and reads run
+ * outside its lock, and whose fail-soft write gate's warn-once latch
+ * is read there too), and
  * FailSoftGate itself. The assertions check the determinism contract
  * (once-per-key computes, exact aggregate sums, warn-once latching);
  * TSan checks the memory model underneath.
@@ -214,6 +215,46 @@ TEST(StressCheckpointStore, ConcurrentStoreLoadRoundTrips)
         EXPECT_EQ(got, payloadFor(i));
     }
     EXPECT_EQ(store.counters().writebacks, n);
+}
+
+TEST(StressCheckpointStore, SameKeyWritersAndReadersNeverCollide)
+{
+    // Writers build and rename records outside the store lock, each
+    // through its own temp file; readers decode outside it too. Every
+    // load that hits must see a complete record, and no writer may
+    // truncate or strand another's temp file.
+    ScratchDir dir("samekey");
+    CheckpointStore store({dir.str(), 64ull << 20});
+    ASSERT_TRUE(store.enabled());
+    std::vector<std::uint8_t> payload(64 * 1024);
+    for (std::size_t b = 0; b < payload.size(); ++b)
+        payload[b] = b % 9 ? 0 : static_cast<std::uint8_t>(b * 13);
+    constexpr std::size_t stores = 64;
+    constexpr std::size_t loads = 64;
+    std::atomic<std::uint64_t> badLoads{0};
+    ThreadPool::parallelFor(kJobs, stores + loads, [&](std::size_t i) {
+        if (i % 2 == 0 && i / 2 < stores) {
+            store.store("warm|same", payload);
+        } else {
+            std::vector<std::uint8_t> got;
+            if (store.load("warm|same", got) && got != payload)
+                badLoads.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+    EXPECT_EQ(badLoads.load(), 0u);
+    std::vector<std::uint8_t> got;
+    ASSERT_TRUE(store.load("warm|same", got));
+    EXPECT_EQ(got, payload);
+    CheckpointStoreCounters c = store.counters();
+    EXPECT_EQ(c.writebacks, stores);
+    EXPECT_EQ(c.corrupt, 0u);
+    std::size_t records = 0;
+    for (const auto &e : fs::directory_iterator(dir.path)) {
+        std::string name = e.path().filename().string();
+        EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
+        records += e.path().extension() == ".mgck";
+    }
+    EXPECT_EQ(records, 1u);
 }
 
 TEST(StressCheckpointStore, WriteGateLatchRacesAreBenign)
