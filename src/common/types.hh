@@ -11,17 +11,6 @@
 
 namespace mg {
 
-/**
- * Footprint-curve granularity shared by the sampled-simulation layers:
- * the functional pre-pass (SampleSummary::footLines), the hierarchy's
- * jump-mode first-touch tracking, and Core::runSampled's surprise
- * accounting all count data lines at this size — a machine-independent
- * proxy for cache lines, which are a timing-model property the
- * functional pre-pass must not know. The three counters are compared
- * against each other, so they must share one constant.
- */
-constexpr int sampleFootLineBytes = 64;
-
 /** Byte address in the simulated machine's address space. */
 using Addr = std::uint64_t;
 

@@ -448,21 +448,6 @@ Emulator::checkpoint() const
 }
 
 void
-Emulator::restore(const EmuCheckpoint &c)
-{
-    if (c.regs.size() != regs.size())
-        fatal("checkpoint register file size %zu does not match the "
-              "emulator's %zu", c.regs.size(), regs.size());
-    std::copy(c.regs.begin(), c.regs.end(), regs.begin());
-    pc_ = c.pc;
-    halted_ = c.halted;
-    count_ = c.slots;
-    work_ = c.work;
-    prof = c.profile;
-    mem = c.mem;
-}
-
-void
 Emulator::restore(EmuCheckpoint &&c)
 {
     if (c.regs.size() != regs.size())

@@ -122,11 +122,8 @@ class Emulator
     /** Capture the complete functional state. */
     EmuCheckpoint checkpoint() const;
 
-    /** Restore state captured by checkpoint() (same program). */
-    void restore(const EmuCheckpoint &c);
-
-    /** Move-restore: adopts the checkpoint's memory image without the
-     *  deep copy (warm-state restores discard the parsed temporary). */
+    /** Restore state captured by checkpoint() (same program), adopting
+     *  the checkpoint's memory image without a deep copy. */
     void restore(EmuCheckpoint &&c);
 
     /** Append the live functional state to @p w — byte-identical to

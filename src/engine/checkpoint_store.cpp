@@ -333,19 +333,7 @@ CheckpointStore::load(const std::string &key,
         return false;
     }
     if (why) {
-        // Unlink the defective record so a writeback heals it.
-        warn("checkpoint store: rejecting '%s' (%s); recomputing",
-             path.c_str(), why);
-        std::error_code ec;
-        fs::remove(path, ec);
-        std::lock_guard<std::mutex> lock(mu_);
-        ++ctr_.corrupt;
-        ++ctr_.misses;
-        auto it = index_.find(path);
-        if (it != index_.end()) {
-            totalBytes_ -= std::min(totalBytes_, it->second.size);
-            index_.erase(it);
-        }
+        rejectPath(path, why, false);
         return false;
     }
 
@@ -444,6 +432,33 @@ CheckpointStore::evictUnderLock()
         totalBytes_ -= std::min(totalBytes_, it->second.size);
         index_.erase(it);
         ++ctr_.evictions;
+    }
+}
+
+void
+CheckpointStore::reject(const std::string &key, const char *why)
+{
+    if (dirOk_)
+        rejectPath(pathOf(key), why, true);
+}
+
+void
+CheckpointStore::rejectPath(const std::string &path, const char *why,
+                            bool wasHit)
+{
+    // Unlink the defective record so a writeback heals it.
+    warn("checkpoint store: rejecting '%s' (%s); recomputing",
+         path.c_str(), why);
+    std::error_code ec;
+    fs::remove(path, ec);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++ctr_.corrupt;
+    ++ctr_.misses;
+    ctr_.hits -= wasHit;
+    auto it = index_.find(path);
+    if (it != index_.end()) {
+        totalBytes_ -= std::min(totalBytes_, it->second.size);
+        index_.erase(it);
     }
 }
 

@@ -108,6 +108,11 @@ class CheckpointStore
     void store(const std::string &key,
                const std::vector<std::uint8_t> &payload);
 
+    /** Reject the record for @p key, which load() returned but the
+     *  caller could not parse (@p why): unlink it so a writeback heals
+     *  it, and count it corrupt and the load a miss, not a hit. */
+    void reject(const std::string &key, const char *why);
+
     /** False when the directory was unusable at construction. */
     bool enabled() const { return dirOk_; }
 
@@ -126,6 +131,10 @@ class CheckpointStore
     };
 
     std::string pathOf(const std::string &key) const;
+    /** Unlink a defective record and count it corrupt and its load a
+     *  miss (@p wasHit: withdrawing the hit load() counted). */
+    void rejectPath(const std::string &path, const char *why,
+                    bool wasHit);
     void scanDir();
     void evictUnderLock();
     void writeFailed(const char *what, const std::string &path);

@@ -10,13 +10,10 @@
  * per period; enables sampling), `--sample-period N` (work between
  * measurement starts, default 12× interval), `--warmup N` (detailed
  * pre-measurement warmup work), `--no-ss-shadow` (disable store-set
- * shadow training during fast-forward), `--no-warm-through` (restore
- * checkpoint-jump fast-forward instead of the default warm-through
- * mode — faster, but inaccurate on footprint-bound kernels), and
- * `--full` (force full cycle-accurate simulation, overriding the
- * sampling flags). Warm-through sampled runs get an on-disk
- * warm-checkpoint store: `--checkpoint-dir PATH` overrides its
- * location (default `$MG_CHECKPOINT_DIR`, else
+ * shadow training during fast-forward), and `--full` (force full
+ * cycle-accurate simulation, overriding the sampling flags). Sampled
+ * runs get an on-disk warm-checkpoint store: `--checkpoint-dir PATH`
+ * overrides its location (default `$MG_CHECKPOINT_DIR`, else
  * `.mg-cache/checkpoints`), `--checkpoint-cap-mb N` its LRU size cap,
  * and `--no-checkpoint-store` disables it.
  *
@@ -65,8 +62,6 @@ struct CliOptions
     std::uint64_t samplePeriod = 0;     ///< --sample-period N (0 = 12×)
     std::uint64_t sampleWarmup = ~0ull; ///< --warmup N (~0 = default)
     bool ssShadow = true;       ///< --no-ss-shadow clears it
-    bool warmThrough = true;    ///< --no-warm-through restores
-                                ///< checkpoint-jump fast-forward
     bool full = false;                  ///< --full wins over sampling
     bool noThroughput = false;  ///< --no-throughput: omit the
                                 ///< nondeterministic wall-clock fields
@@ -116,12 +111,11 @@ struct CliOptions
 
     /**
      * Attach the on-disk warm-checkpoint store to @p engine when these
-     * flags call for one: sampling must be enabled in warm-through
-     * mode and --no-checkpoint-store must be absent. The directory is
+     * flags call for one: sampling must be enabled and
+     * --no-checkpoint-store must be absent. The directory is
      * --checkpoint-dir, else $MG_CHECKPOINT_DIR, else
-     * ".mg-cache/checkpoints". Full-simulation and jump-mode runs
-     * never get a store, so their reports stay byte-identical to
-     * store-less builds.
+     * ".mg-cache/checkpoints". Full-simulation runs never get a store,
+     * so their reports stay byte-identical to store-less builds.
      */
     void configureStore(ExperimentEngine &engine) const;
 

@@ -197,14 +197,12 @@ class ExperimentEngine
     bool dryRun() const { return dryRun_; }
 
     /**
-     * Attach an on-disk warm-checkpoint store. Sampled warm-through
-     * cells then persist (and restore) their sample summaries,
-     * per-chunk warm state, and discovered violation-pair seeds across
-     * processes, and run the two-pass violation-seeded scheme (see
-     * runCellSampled's store overload). Full-simulation cells,
-     * jump-mode cells, and engines without a store are unaffected —
-     * their results stay bit-identical to a store-less engine. Null
-     * (the default) detaches.
+     * Attach an on-disk warm-checkpoint store. Sampled cells then
+     * persist (and restore) their sample summaries, per-chunk warm
+     * state, and discovered violation-pair seeds across processes
+     * (see runCellSampled). The store only memoizes: every cell's
+     * results stay bit-identical to a store-less engine's. Null (the
+     * default) detaches.
      */
     void
     setCheckpointStore(std::shared_ptr<CheckpointStore> s)

@@ -122,7 +122,10 @@ addSampling(Fingerprint &fp, const SamplingParams &s)
         .add("sCi", static_cast<std::uint64_t>(s.targetCi * 1e6))
         .add("sDuty", static_cast<std::uint64_t>(s.maxDuty * 1e6))
         .add("sShad", s.ssShadow)
-        .add("sWt", s.warmThrough);
+        // Fixed token of the deleted fast-forward mode switch, kept so
+        // keys (and the phase salt hashed from them) match
+        // byte-for-byte.
+        .add("sWt", true);
 }
 
 } // namespace

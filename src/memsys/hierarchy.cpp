@@ -27,7 +27,6 @@ Hierarchy::dramAccess(Cycle start)
 MemAccess
 Hierarchy::dataAccess(Addr addr, bool write, Cycle now)
 {
-    noteFootprint(addr);
     MemAccess out;
     CacheResult r1 = l1dCache.access(addr, write);
     out.l1Hit = r1.hit;
@@ -74,7 +73,6 @@ Hierarchy::instAccess(Addr addr, Cycle now)
 void
 Hierarchy::warmData(Addr addr, bool write)
 {
-    noteFootprint(addr);
     if (!l1dCache.access(addr, write).hit)
         l2Cache.access(addr, false);
 }

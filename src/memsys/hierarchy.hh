@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 
 #include "common/types.hh"
 #include "memsys/cache.hh"
@@ -46,9 +45,7 @@ struct MemAccess
 
 /**
  * Complete warm state of the hierarchy: all three tag arrays plus the
- * bus backlog and DRAM counter. The footprint tracker is *not* part
- * of it — footprint tracking is a jump-mode diagnostic and the
- * checkpoint store only operates in warm-through mode.
+ * bus backlog and DRAM counter.
  */
 struct HierarchyState
 {
@@ -113,20 +110,6 @@ class Hierarchy
     /** Replace the warm state with @p s (requires stateCompatible). */
     void adoptState(const HierarchyState &s);
 
-    /**
-     * Data-footprint tracking (off by default; zero cost when off).
-     * While enabled, every data access — timed or warming — records
-     * its line (sampleFootLineBytes, the shared machine-independent
-     * granularity of SampleSummary::footLines) and first touches
-     * count as "surprises". A checkpoint-jump sampled run compares the
-     * surprises inside a measurement interval against the functional
-     * pre-pass's expected new lines for that chunk: any excess is
-     * working-set state the jumps skipped and warming failed to
-     * restore (the footprint-blindness diagnostic).
-     */
-    void trackFootprint(bool on) { footTrack = on; }
-    std::uint64_t footSurprises() const { return footSurprises_; }
-
   private:
     HierarchyConfig cfg;
     Cache l1iCache;
@@ -134,18 +117,6 @@ class Hierarchy
     Cache l2Cache;
     Cycle busFreeAt = 0;
     std::uint64_t dramCount = 0;
-    bool footTrack = false;
-    std::unordered_set<Addr> footSeen;
-    std::uint64_t footSurprises_ = 0;
-
-    void
-    noteFootprint(Addr addr)
-    {
-        if (footTrack &&
-            footSeen.insert(addr / static_cast<Addr>(sampleFootLineBytes))
-                .second)
-            ++footSurprises_;
-    }
 
     /** Charge a DRAM access beginning no earlier than @p start. */
     Cycle dramAccess(Cycle start);

@@ -255,17 +255,6 @@ sweepJson(const SweepResult &r, const std::string &bench)
                                       c.sampled.ffWork));
                     rec += ", \"ipc_ci95_rel\": " +
                            jsonNum(c.sampled.ipcRelCi95);
-                    // Machine-detectable footprint blindness: emitted
-                    // only when a checkpoint jump outran its warm
-                    // budget, so consumers can key on its presence.
-                    if (c.sampled.footprintWarning) {
-                        rec += strfmt(", \"footprint_warning\": true, "
-                                      "\"footprint_skipped_lines\": "
-                                      "%llu",
-                                      static_cast<unsigned long long>(
-                                          c.sampled
-                                              .footprintSkippedLines));
-                    }
                     if (r.storeAttached) {
                         rec += strfmt(", \"ckpt_restores\": %u, "
                                       "\"ckpt_writebacks\": %u",
@@ -389,8 +378,6 @@ serializeSweepCell(const SweepCell &c, SerialWriter &w)
     w.f64(c.sampled.ipcHat);
     w.f64(c.sampled.ipcRelCi95);
     w.u8(c.sampled.exact ? 1 : 0);
-    w.u8(c.sampled.footprintWarning ? 1 : 0);
-    w.u64(c.sampled.footprintSkippedLines);
     w.u32(c.sampled.ckptRestores);
     w.u32(c.sampled.ckptWritebacks);
     w.f64(c.wallSeconds);
@@ -440,8 +427,6 @@ deserializeSweepCell(SerialReader &r, SweepCell &c)
     c.sampled.ipcHat = r.f64();
     c.sampled.ipcRelCi95 = r.f64();
     c.sampled.exact = r.u8() != 0;
-    c.sampled.footprintWarning = r.u8() != 0;
-    c.sampled.footprintSkippedLines = r.u64();
     c.sampled.ckptRestores = r.u32();
     c.sampled.ckptWritebacks = r.u32();
     c.wallSeconds = r.f64();

@@ -2,9 +2,7 @@
 
 #include <array>
 #include <cmath>
-#include <map>
 #include <memory>
-#include <unordered_set>
 
 #include "cfg/liveness.hh"
 #include "common/failsoft.hh"
@@ -152,21 +150,11 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
             sampleSigDims);
 
     const std::uint64_t period = sp.period;
-    const std::uint64_t prefixChunks = sp.prefixChunks();
     std::vector<std::array<double, sampleSigDims>> leaders;
-    std::vector<std::uint32_t> postCount;   ///< post-prefix chunks seen
     std::array<std::uint64_t, sampleSigDims> sig{};
     std::uint64_t sigSlots = 0;
     std::uint64_t chunkIdx = 0;
     std::uint64_t chunkStart = 0;
-    // Checkpoints are captured tentatively at every chunk's jump
-    // target and kept only if the finished chunk turns out to be one
-    // of its cluster's first two post-prefix members.
-    std::map<std::uint64_t, EmuCheckpoint> pending;
-    std::uint64_t nextCkptChunk = 1;
-    // First-touch data-footprint curve (64-byte proxy lines): how many
-    // unique lines the run has touched by each chunk boundary.
-    std::unordered_set<Addr> footSeen;
 
     auto finishChunk = [&](std::uint64_t endWork) {
         std::array<double, sampleSigDims> norm{};
@@ -187,22 +175,8 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
         if (!found) {
             cid = static_cast<std::uint32_t>(leaders.size());
             leaders.push_back(norm);
-            postCount.push_back(0);
         }
         sum.chunks.push_back({chunkStart, endWork - chunkStart, cid});
-        sum.footLines.push_back(footSeen.size());
-        bool post = chunkIdx >= prefixChunks;
-        auto it = pending.find(chunkIdx);
-        // Keep the checkpoint for every chunk the sampled run might
-        // measure: the first two of each cluster always, later
-        // occurrences (adaptive refinement) while the budget lasts.
-        if (post && it != pending.end() &&
-            (postCount[cid] < 2 || sum.ckpts.size() < 48))
-            sum.ckpts.push_back(std::move(it->second));
-        if (it != pending.end())
-            pending.erase(it);
-        if (post)
-            ++postCount[cid];
         sig.fill(0);
         sigSlots = 0;
         ++chunkIdx;
@@ -215,24 +189,8 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
         std::uint64_t w = emu.dynWork();
         while (w >= (chunkIdx + 1) * period)
             finishChunk((chunkIdx + 1) * period);
-        // Once the retention budget is full, only a brand-new cluster
-        // could still keep a checkpoint; stop paying for the deep
-        // copies and let such rare chunks fast-forward functionally.
-        // Warm-through runs never jump, so their summaries skip the
-        // captures (and their deep memory copies) entirely.
-        if (!sp.warmThrough &&
-            nextCkptChunk >= prefixChunks && sum.ckpts.size() < 48 &&
-            w >= sp.jumpTarget(nextCkptChunk) &&
-            sp.jumpTarget(nextCkptChunk) > 0)
-            pending.emplace(nextCkptChunk, emu.checkpoint());
-        while (w >= sp.jumpTarget(nextCkptChunk) ||
-               sp.jumpTarget(nextCkptChunk) == 0)
-            ++nextCkptChunk;
         if (!emu.step(&rec))
             break;
-        if (rec.isMem)
-            footSeen.insert(rec.memAddr /
-                            static_cast<Addr>(sampleFootLineBytes));
         if (rec.insn && prog.validPc(rec.pc)) {
             sig[bucket[prog.indexOf(rec.pc)]] +=
                 emu.dynWork() - w;
@@ -245,17 +203,6 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
     sum.totalSlots = emu.dynInsns();
     sum.clusters = static_cast<std::uint32_t>(leaders.size());
     return sum;
-}
-
-SampledStats
-runCellSampled(const Program &prog, const PreparedMg *prep,
-               const SimConfig &cfg, const SetupFn &setup,
-               const SampleSummary &sum,
-               const std::atomic<bool> *cancel)
-{
-    return runCellSampled(prog, prep, cfg, setup, sum,
-                          static_cast<CellCheckpointClient *>(nullptr),
-                          cancel);
 }
 
 SampledStats
@@ -275,18 +222,18 @@ runCellSampled(const Program &prog, const PreparedMg *prep,
         return core;
     };
 
-    // The store only composes with warm-through sampling; degenerate
-    // parameters run exactly and have no fast-forward gaps to serve.
-    if (!store || !sp.warmThrough || sp.degenerate())
+    // Degenerate parameters run exactly and have no fast-forward gaps
+    // to serve or seed.
+    if (sp.degenerate())
         return freshCore()->runSampled(sp, sum, cfg.runBudget);
 
-    // Violation-pair seed: stored once per cell by the first session's
-    // discovery pass and never updated (a frozen seed is what makes
-    // every session's returned stats identical).
+    // Violation-pair seed: the store memoizes the discovery pass's
+    // output, written once per cell and never updated, so a session
+    // that loads it seeds exactly the pairs a storeless run discovers.
     std::vector<std::pair<Addr, Addr>> pairs;
-    bool havePairs = sp.ssShadow && store->loadViolPairs(pairs);
+    bool havePairs = sp.ssShadow && store && store->loadViolPairs(pairs);
     if (!havePairs) {
-        // Discovery pass: the storeless trajectory (seed generation
+        // Discovery pass: the unseeded trajectory (seed generation
         // h(empty)), restoring and writing back under that
         // generation's keys.
         auto core = freshCore();
@@ -295,11 +242,17 @@ runCellSampled(const Program &prog, const PreparedMg *prep,
         if (!sp.ssShadow)
             return discovery;   // pairs cannot seed anything
         pairs = core->violPairsSorted();
-        store->storeViolPairs(pairs);
+        if (store)
+            store->storeViolPairs(pairs);
         // No violations discovered (or the run degraded to exact):
         // the discovery pass *is* the final pass, and later sessions
         // load the empty set and reproduce it under the same keys.
         if (pairs.empty() || discovery.exact)
+            return discovery;
+        // Often the seeded pass would retrace discovery exactly; a
+        // storeless run then skips it (a cold store session runs it
+        // anyway, for the warm records later sessions restore).
+        if (!store && freshCore()->seededRunRetraces(*core, pairs))
             return discovery;
     } else if (pairs.empty()) {
         // A previous session discovered no violations: a single
@@ -308,7 +261,7 @@ runCellSampled(const Program &prog, const PreparedMg *prep,
     }
     // Final pass, seeded with the full discovered violation set: the
     // store-set shadow trains every learned dependence across every
-    // fast-forward gap from work position zero.
+    // fast-forward gap.
     return freshCore()->runSampled(sp, sum, cfg.runBudget, store,
                                    &pairs);
 }
@@ -325,10 +278,6 @@ serializeSampleSummary(const SampleSummary &sum, SerialWriter &w)
         w.u64(c.work);
         w.u32(c.cluster);
     }
-    w.vec(sum.footLines);
-    // Checkpoints deliberately elided: a persisted summary only ever
-    // serves warm-through runs (enforced by the engine's key), and
-    // those never jump.
 }
 
 bool
@@ -351,8 +300,9 @@ deserializeSampleSummary(SerialReader &r, SampleSummary &sum)
         c.cluster = r.u32();
         sum.chunks.push_back(c);
     }
-    sum.footLines = r.vec<std::uint64_t>();
-    return r.ok();
+    // An exact-length record: trailing bytes (an older layout) are
+    // malformed, not ignored.
+    return r.ok() && r.remaining() == 0;
 }
 
 CoreStats

@@ -81,8 +81,8 @@ CritPathSummary runCellTraced(const Program &prog, const PreparedMg *prep,
 /**
  * Functional pre-pass for sampled cells: run the executed binary (the
  * rewritten program for a mini-graph config) to completion once,
- * recording total work/slots and capturing an EmuCheckpoint at every
- * fast-forward grid position of @p sp. The result depends only on the
+ * recording total work/slots and clustering the @p sp grid's chunks
+ * by phase. The result depends only on the
  * binary, the inputs, and the sampling grid — never on the machine
  * configuration — so the engine shares it across all sweep columns
  * that execute the same binary.
@@ -93,18 +93,6 @@ SampleSummary collectSampleSummary(const Program &prog, const MgTable *mgt,
                                    std::uint64_t maxWork = ~0ull,
                                    const std::atomic<bool> *cancel =
                                        nullptr);
-
-/**
- * Sampled counterpart of runCell: alternate checkpoint-jump /
- * functionally-warmed fast-forward with cycle-accurate measurement
- * intervals and extrapolate whole-run statistics (see
- * Core::runSampled). @p sum must come from collectSampleSummary for
- * the same binary, inputs, and sampling grid.
- */
-SampledStats runCellSampled(const Program &prog, const PreparedMg *prep,
-                            const SimConfig &cfg, const SetupFn &setup,
-                            const SampleSummary &sum,
-                            const std::atomic<bool> *cancel = nullptr);
 
 /**
  * A cell's view of the warm-checkpoint store: the per-chunk warm
@@ -129,43 +117,42 @@ class CellCheckpointClient : public WarmStoreIf
 };
 
 /**
- * Store-backed runCellSampled: two-pass violation-seeded sampling.
+ * Sampled counterpart of runCell: two-pass violation-seeded sampling
+ * (see Core::runSampled for the interval scheme). @p sum must come
+ * from collectSampleSummary for the same binary, inputs, and sampling
+ * grid.
  *
- * The documented accuracy failure of warm-through sampling
- * (reed@long/int-mem, ~26% IPC error) is duty-limited store-set
- * discovery: ordering violations are only observable inside detailed
- * intervals, so the predictor state the fast-forwarded majority of
- * the run carries is permanently under-trained. With a store
- * attached, the cell first runs a *discovery* pass (identical to the
- * storeless run) to collect the violating pair set V, persists V,
- * and — when V is nonempty — reruns with the shadow seeded by V.
- * Seeded pairs start dormant and wake at their first functionally
+ * Ordering violations are only observable inside detailed intervals,
+ * so a single pass leaves the store-set state the fast-forwarded
+ * majority of the run carries under-trained (reed@long/int-mem:
+ * ~25% IPC error). The cell therefore first runs a *discovery* pass
+ * to collect the violating pair set V and — when V is nonempty and
+ * the run did not degrade to exact — reruns with the shadow seeded by
+ * V. Seeded pairs start dormant and wake at their first functionally
  * observed RAW opportunity (Core::ffAliasScan), so fast-forward gaps
  * train each learned dependence from the position where it first
  * becomes violable — not from work zero, which would serialize
- * program phases that predate the dependence. Warm sessions load
- * V directly and run the seeded pass alone, restoring per-chunk warm
- * records instead of re-warming: cold and warm sessions return
- * bit-identical stats (the warm pass replays the exact states the
- * cold pass wrote).
+ * program phases that predate the dependence.
  *
- * A null @p store (or jump-mode / degenerate / shadowless sampling
- * parameters) reproduces the storeless overload bit-exactly.
+ * @p store only memoizes: it persists V, the warm records of both
+ * passes and (engine-side) the summary. A session that finds V loads
+ * it and runs the final pass alone, restoring per-chunk warm records
+ * instead of re-warming. A storeless run skips the final pass when
+ * Core::seededRunRetraces proves it would repeat discovery. Storeless,
+ * cold-store and warm-store runs return bit-identical stats.
  */
 SampledStats runCellSampled(const Program &prog, const PreparedMg *prep,
                             const SimConfig &cfg, const SetupFn &setup,
                             const SampleSummary &sum,
-                            CellCheckpointClient *store,
+                            CellCheckpointClient *store = nullptr,
                             const std::atomic<bool> *cancel = nullptr);
 
-/** Append @p sum — checkpoints elided — to @p w. Persisted summaries
- *  serve warm-through runs only, which never consult the checkpoint
- *  list; the engine keys them by a fingerprint that includes the
- *  fast-forward mode, so a jump-mode run can never load one. */
+/** Append @p sum to @p w (the checkpoint store's summary record). */
 void serializeSampleSummary(const SampleSummary &sum, SerialWriter &w);
 
-/** Parse a serializeSampleSummary record. @return false (leaving
- *  @p sum unspecified) on malformed input. */
+/** Parse a serializeSampleSummary record that fills @p r exactly.
+ *  @return false (leaving @p sum unspecified) on malformed input,
+ *  trailing bytes included. */
 bool deserializeSampleSummary(SerialReader &r, SampleSummary &sum);
 
 /** One-call flow: returns the end-to-end stats for @p cfg. */

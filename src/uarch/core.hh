@@ -210,16 +210,12 @@ struct SampledStats
                                         ///< per-interval IPC
     bool exact = false;                 ///< degenerated to a full run;
                                         ///< est is bit-exact
-    /** Checkpoint-jump footprint blindness: some jump skipped more
-     *  first-touch unique data lines than the post-jump warm budget
-     *  (ffWarm + warmup) could possibly restore, so measurements ran
-     *  against a hierarchy missing long-lived working-set state and
-     *  the estimate is structurally suspect (rtr-style 25%+ errors).
-     *  Never set in warm-through mode, which skips nothing. */
-    bool footprintWarning = false;
-    /** Total unique lines the flagged jumps skipped beyond the warm
-     *  budget (the magnitude behind footprintWarning). */
-    std::uint64_t footprintSkippedLines = 0;
+    /** Constants for perfbench/mgperf.cpp, their only reader: no
+     *  fast-forward skips work, so there is no footprint blindness
+     *  to report. They go with that program's runCellTraced call in
+     *  the next benchmark change. */
+    static constexpr bool footprintWarning = false;
+    static constexpr std::uint64_t footprintSkippedLines = 0;
     /** Warm-checkpoint store traffic of this run: fast-forward gaps
      *  served by restoring a stored record vs gaps warmed through
      *  functionally and written back. Zero without a store. */
@@ -246,15 +242,13 @@ class Core
 
     /**
      * Sampled run (see uarch/sampling.hh for the interval scheme).
-     * @p sum supplies the extrapolation denominator and the grid
-     * checkpoints fast-forwards jump through; an empty checkpoint list
-     * is legal (every fast-forward then steps functionally).
-     * Degenerate parameters reproduce run() bit-exactly.
+     * @p sum supplies the extrapolation denominator and the phase
+     * clustering. Degenerate parameters reproduce run() bit-exactly.
      *
-     * @p warmStore (warm-through mode only) enables the restore-warm
-     * fast-forward path: each gap first tries to restore the stored
-     * warm state for the coming chunk, falling back to functional
-     * warming — and writing the result back — on a miss. Because a
+     * @p warmStore enables the restore-warm fast-forward path: each
+     * gap first tries to restore the stored warm state for the coming
+     * chunk, falling back to functional warming — and writing the
+     * result back — on a miss. Because a
      * restored record is exactly the state the writing run computed
      * at that position, a run served from the store is bit-identical
      * to the run that populated it.
@@ -279,6 +273,23 @@ class Core
     std::vector<std::pair<Addr, Addr>> violPairsSorted() const;
 
     /**
+     * Whether a run seeded with @p seed would retrace @p discovery —
+     * the unseeded, storeless sampled run that discovered @p seed —
+     * bit for bit. The two runs share every state until the seeded
+     * shadow re-merges a store-set pair the discovery run was not
+     * yet training (or trains the same pairs in another order), and
+     * the shadow trains only at fast-forwarded loads. So it suffices
+     * to replay the seeded shadow's bookkeeping over the functional
+     * stream, with the discovery run's fast-forward gaps and
+     * edge-discovery points, and compare the pairs both runs would
+     * train at every fast-forwarded load. Costs one functional pass
+     * at most. Call on a fresh core (oracle at its start, same
+     * program, setup and sampling parameters).
+     */
+    bool seededRunRetraces(const Core &discovery,
+                           const std::vector<std::pair<Addr, Addr>> &seed);
+
+    /**
      * Functionally execute the oracle until its constituent work
      * reaches @p workTarget (or it halts). The pipeline must be empty.
      * With @p warm, fetched lines touch the I-cache, memory accesses
@@ -292,12 +303,6 @@ class Core
      */
     void fastForward(std::uint64_t workTarget, bool warm,
                      double ipcEst = 0);
-
-    /**
-     * Jump the oracle to @p c (forward, pipeline empty): the
-     * checkpoint-restore fast path of a sampled run.
-     */
-    void restoreOracle(const EmuCheckpoint &c);
 
     /** Access the oracle (for architectural state checks in tests). */
     Emulator &oracle() { return emu; }
@@ -425,7 +430,7 @@ class Core
     // detailed intervals have already seen violate: during warm
     // fast-forward, a load whose PC is a known violator re-merges its
     // recorded store partner, carrying the learned dependence across
-    // checkpoint jumps and the predictor's periodic table clears.
+    // the predictor's periodic table clears.
     /** One edge of the violation graph: a store PC some load has
      *  violated against. Keeping the full partner set (not just the
      *  latest partner) matters: the predictor's trained behavior is
@@ -447,6 +452,9 @@ class Core
     {
         Addr storePc = 0;
         bool active = true;
+        /** Fast-forward gaps begun before an unseeded edge was
+         *  discovered: the edge trains from gap @c epoch on. */
+        std::uint32_t epoch = 0;
     };
     std::unordered_map<Addr, std::vector<FfPartner>> ffViolPairs;
     /** Store PCs appearing in some dormant seeded edge (scan gate). */
@@ -468,7 +476,13 @@ class Core
     /** Record a detailed-interval violation edge (new edges active;
      *  a dormant seeded edge the machine actually violated wakes). */
     void ffRecordViolation(Addr loadPc, Addr storePc);
+    /** Reset the shadow for a sampled run (@p on = ssShadow), seeding
+     *  @p seed (violPairsSorted() output, may be null) dormant. */
+    void ffSeed(bool on, const std::vector<std::pair<Addr, Addr>> *seed);
     bool ffShadow = false;      ///< set by runSampled from ssShadow
+    /** Work span [from, to) of every warm fast-forward of the last
+     *  sampled run (seededRunRetraces replays them). */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ffGaps;
 
     // --- pipeline stages (called youngest-stage-last each cycle) ---
     void doMemAndResolve();

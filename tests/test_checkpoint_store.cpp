@@ -10,9 +10,10 @@
  *    byte for byte to a reference byte-wise encoder, the word-wise
  *    payload checksum;
  *  - the on-disk store's file format defenses: truncation, flipped
- *    bytes, stale version headers, hash-slot collisions, LRU
- *    eviction, unusable directories, and mid-session write failures
- *    all degrade to misses — never crash, never return wrong data;
+ *    bytes, stale version headers, summary records with trailing
+ *    bytes, hash-slot collisions, LRU eviction, unusable directories,
+ *    and mid-session write failures all degrade to misses — never
+ *    crash, never return wrong data;
  *  - end-to-end: a cold sampled session populates the store, a warm
  *    session restores from it bit-identically; corrupting every
  *    record between the two sessions forces the warm session back
@@ -606,6 +607,59 @@ TEST(StoreFiles, FormatVersionOneRecordIsStaleAndHealed)
     ASSERT_TRUE(s.load(key, out));
     EXPECT_EQ(out, payload);
     EXPECT_EQ(s.counters().corrupt, 1u);
+}
+
+TEST(StoreFiles, SummaryRecordWithTrailingBytesIsRejectedAndRecomputed)
+{
+    ScratchDir dir("summ-tail");
+    EngineWorkload w = workload(bindKernel(findKernel("gzip")));
+    SimConfig sc = sampledSmall(SimConfig::intMemMg());
+    auto openStore = [&] {
+        return std::make_shared<CheckpointStore>(
+            CheckpointStoreConfig{dir.str()});
+    };
+    ExperimentEngine cold(1);
+    cold.setCheckpointStore(openStore());
+    SampledStats a = cold.cellSampled(w, sc);
+
+    // Rewrite the summary record with one byte appended to its
+    // payload: a well-formed record (valid checksum) holding a longer
+    // summary layout than this build writes, as an older build's
+    // record would. It must be rejected, not half-parsed.
+    std::string key;
+    for (const fs::path &f : recordFiles(dir.path)) {
+        if (recordKey(f).rfind("summ|", 0) == 0)
+            key = recordKey(f);
+    }
+    ASSERT_FALSE(key.empty());
+    {
+        CheckpointStore s({dir.str()});
+        std::vector<std::uint8_t> payload;
+        ASSERT_TRUE(s.load(key, payload));
+        payload.push_back(0);
+        s.store(key, payload);
+    }
+
+    ExperimentEngine warm(1);
+    warm.setCheckpointStore(openStore());
+    SampledStats b = warm.cellSampled(w, sc);
+    CheckpointStoreCounters c = warm.checkpointStore()->counters();
+    EXPECT_EQ(c.corrupt, 1u);
+    // The pre-pass reran and wrote the summary back; every warm
+    // record and the violation set still hit.
+    EXPECT_EQ(c.writebacks, 1u);
+    EXPECT_EQ(b.ckptWritebacks, 0u);
+    EXPECT_EQ(b.est, a.est);
+    EXPECT_EQ(b.intervals, a.intervals);
+    EXPECT_EQ(b.ipcHat, a.ipcHat);
+    EXPECT_EQ(b.ipcRelCi95, a.ipcRelCi95);
+
+    // The rewritten record is clean again.
+    ExperimentEngine healed(1);
+    healed.setCheckpointStore(openStore());
+    EXPECT_EQ(healed.cellSampled(w, sc).est, a.est);
+    EXPECT_EQ(healed.checkpointStore()->counters().corrupt, 0u);
+    EXPECT_EQ(healed.checkpointStore()->counters().writebacks, 0u);
 }
 
 TEST(StoreFiles, HashSlotHoldingAnotherKeyReadsAsMiss)

@@ -12,8 +12,10 @@
  *  - per-cell failure domains: injected faults and timeouts cost
  *    exactly one cell, and the sweep always completes;
  *  - the crash-safe journal: resume skips finished cells and
- *    converges to the uninterrupted sweep, torn tails and corrupt
- *    records truncate instead of poisoning, only Ok cells replay.
+ *    converges to the uninterrupted sweep (also when a storeless
+ *    journal is resumed with a checkpoint store), torn tails and
+ *    corrupt records truncate instead of poisoning, only Ok cells
+ *    replay.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -598,6 +601,60 @@ TEST(Journal, OnlyOkCellsJournalSoFailuresRetryOnResume)
     EXPECT_EQ(r.journalRecorded, 4u);
     EngineCounters ec = engine.counters();
     EXPECT_EQ(ec.profileComputes, 1u);   // crc's artifacts only
+}
+
+TEST(Journal, ResumingAStorelessJournalWithAStoreMatchesAStoreSweep)
+{
+    // reed's sampled int-mem cell discovers store-set violations, so
+    // it runs the seeded second pass; gzip's is a plain sampled cell.
+    // The journal key does not record whether a store was attached,
+    // so a sweep journaled storeless and resumed with a store mixes
+    // both kinds of cell — which is only sound because a store
+    // memoizes and never changes a result.
+    SweepSpec spec;
+    spec.title = "store modes";
+    for (const char *name : {"reed", "gzip"})
+        spec.workloads.push_back(workload(bindKernel(findKernel(name))));
+    SimConfig sc = SimConfig::intMemMg();
+    sc.sampling.enabled = true;
+    sc.sampling.interval = 200;
+    sc.sampling.period = 2400;
+    sc.sampling.warmup = 400;
+    sc.sampling.ffWarm = 400;
+    spec.columns = {{"int-mem", sc, true}};
+    auto attachStore = [](ExperimentEngine &e, const ScratchDir &d) {
+        e.setCheckpointStore(std::make_shared<CheckpointStore>(
+            CheckpointStoreConfig{d.str()}));
+    };
+
+    ScratchDir wholeJournal("modes-whole-journal");
+    ScratchDir wholeStore("modes-whole-store");
+    ExperimentEngine whole(2);
+    whole.setJournalDir(wholeJournal.str());
+    attachStore(whole, wholeStore);
+    SweepResult want = whole.sweep(spec);
+
+    ScratchDir journal("modes-journal");
+    {
+        // The storeless session dies on gzip: only reed is journaled.
+        FaultArm arm("fail@gzip");
+        ExperimentEngine storeless(2);
+        storeless.setJournalDir(journal.str());
+        EXPECT_EQ(storeless.sweep(spec).journalRecorded, 1u);
+    }
+    ScratchDir store("modes-store");
+    ExperimentEngine resumed(2);
+    resumed.setJournalDir(journal.str());
+    attachStore(resumed, store);
+    SweepResult got = resumed.sweep(spec);
+    EXPECT_EQ(resumed.counters().sampledComputes, 1u);   // gzip only
+
+    // Store traffic (the checkpoint_store block and per-cell
+    // ckpt_* counters) says how a result was reached — the resumed
+    // session computed one cell, not two — so it is set aside.
+    want.storeAttached = false;
+    got.storeAttached = false;
+    EXPECT_EQ(sweepJson(got, "modes"), sweepJson(want, "modes"));
 }
 
 TEST(Journal, DryRunReportsHitsWithoutTouchingTheJournal)

@@ -17,11 +17,12 @@
  * bit-identical memory, and the per-config retirement checksums
  * (work + final memory image) must agree across configurations.
  *
- * StoreBackedSamplingMatchesWarmThrough: the checkpoint-store
- * serialization leg. Random programs under random sampling grids run
- * storeless, store-cold, and store-warm; the warm session (which
- * restores serialized warm records instead of re-warming) must match
- * the cold session bit for bit.
+ * SampledStorelessColdAndWarmStoreAgree: the checkpoint-store leg.
+ * Random programs under random sampling grids run storeless,
+ * store-cold, and store-warm; all three must return the same sampled
+ * statistics bit for bit — the store only memoizes, and the warm
+ * session (which restores serialized warm records instead of
+ * re-warming) replays the cold one exactly.
  *
  * SweepUnderRandomFaultsMatchesFaultFree: the fault-containment leg.
  * Random engine sweeps run fault-free and again under a random
@@ -228,15 +229,15 @@ TEST_P(Fuzz, DifferentialConfigsAgree)
     }
 }
 
-TEST_P(Fuzz, StoreBackedSamplingMatchesWarmThrough)
+TEST_P(Fuzz, SampledStorelessColdAndWarmStoreAgree)
 {
-    // Serialization leg (every tenth seed): a random program, a
-    // random sampling grid (so warm-record chunk positions vary per
-    // seed), and three sampled runs — storeless, cold-store, and
-    // warm-store over the same directory. The cold and warm store
-    // sessions must agree bit for bit: the warm session replays
-    // serialized warm records instead of re-warming, so any drift
-    // here is a serialization or restore defect.
+    // Store leg (every tenth seed): a random program, a random
+    // sampling grid (so warm-record chunk positions vary per seed),
+    // and three sampled runs — storeless, cold-store, and warm-store
+    // over the same directory. All three must agree bit for bit: a
+    // storeless/cold drift means the store changed a result instead
+    // of memoizing it, a cold/warm drift is a serialization or
+    // restore defect.
     if (GetParam() % 10 != 3)
         return;
     Rng rng(0x5e71a1 + static_cast<unsigned>(GetParam()) * 887);
@@ -284,16 +285,18 @@ TEST_P(Fuzz, StoreBackedSamplingMatchesWarmThrough)
     EXPECT_GT(s1.ckptWritebacks, 0u);
     EXPECT_GT(s2.ckptRestores, 0u);
     EXPECT_EQ(s2.ckptWritebacks, 0u);
-    // The restore-warm session retires the cold session's stats
-    // exactly (est carries every counter, so == is a checksum of the
-    // whole run).
-    EXPECT_EQ(s2.est, s1.est);
-    EXPECT_EQ(s2.intervals, s1.intervals);
-    EXPECT_EQ(s2.ipcHat, s1.ipcHat);
-    EXPECT_EQ(s2.ipcRelCi95, s1.ipcRelCi95);
-    // And the storeless run shares the same functional ground truth:
-    // identical totals even where the store path reruns seeded.
-    EXPECT_EQ(s1.totalWork, s0.totalWork);
+    // est carries every counter, so == is a checksum of the whole run.
+    for (const SampledStats *s : {&s1, &s2}) {
+        const char *who = s == &s1 ? "cold store" : "warm store";
+        EXPECT_EQ(s->est, s0.est) << who;
+        EXPECT_EQ(s->totalWork, s0.totalWork) << who;
+        EXPECT_EQ(s->intervals, s0.intervals) << who;
+        EXPECT_EQ(s->ipcHat, s0.ipcHat) << who;
+        EXPECT_EQ(s->ipcRelCi95, s0.ipcRelCi95) << who;
+        EXPECT_EQ(s->exact, s0.exact) << who;
+        EXPECT_EQ(s->ffWork, s0.ffWork) << who;
+        EXPECT_EQ(s->detailedWork, s0.detailedWork) << who;
+    }
 }
 
 TEST_P(Fuzz, SweepUnderRandomFaultsMatchesFaultFree)

@@ -2,14 +2,13 @@
  * @file
  * Sampled-vs-full accuracy bound on the long-workload tier (label:
  * long), now covering the complete 23-kernel corpus. Every long
- * kernel runs full and sampled (default warm-through parameters)
- * under the baseline and integer-memory machines; the battery pins
- * the measured accuracy envelope (median, quiet-cell cap, CI
- * announcement for loud cells), the aggregate wall-clock win, and
- * the jump-mode footprint warning. The store-backed battery pins the
- * warm-checkpoint store's accuracy rescue of the one loud cell
- * (reed/int-mem) and its cross-session determinism contract. The
- * measured figures behind these bounds are tabulated in
+ * kernel runs full and sampled (default parameters) under the
+ * baseline and integer-memory machines; the battery pins the measured
+ * accuracy envelope (median, quiet-cell cap, CI announcement for loud
+ * cells) and the aggregate wall-clock win. The store-backed battery
+ * pins violation seeding's accuracy on the historically loud cell
+ * (reed/int-mem) and the storeless == cold store == warm store
+ * contract. The measured figures behind these bounds are tabulated in
  * docs/EXPERIMENTS.md.
  */
 
@@ -49,26 +48,26 @@ TEST(LongSampling, AccuracyEnvelopeAndAggregateSpeedup)
                 full.stats.ipc();
             // Quiet cells stay tight (measured worst 2.1%,
             // gzip/int-mem); anything beyond must announce itself
-            // through the error bound. The one known loud cell is
-            // reed/int-mem (~26% at a ~11% CI): its store-set
+            // through the error bound. The loudest cells are reed's
+            // mini-graph columns (up to ~7% storeless): its store-set
             // serialization onset is discovered at detailed-work
-            // rate, a duty-limited process no functional warming can
-            // accelerate. A checkpoint store fixes this (two-pass
-            // violation seeding, pinned by StoreBackedReedAccuracy
-            // below); this battery runs storeless on purpose to keep
-            // pinning the announced-error contract of the default
-            // path — see docs/EXPERIMENTS.md.
+            // rate, and two-pass violation seeding (pinned by
+            // StoreBackedReedAccuracy below) trains it through the
+            // fast-forward gaps but not perfectly. This battery runs
+            // storeless, which seeds exactly like a store-backed
+            // session — see docs/EXPERIMENTS.md.
             if (err > 0.025) {
                 EXPECT_LE(err, 2.5 * samp.stats.ipcRelCi95)
                     << w.id << "/" << cfg.name << " quiet error: sampled "
                     << samp.stats.est.ipc() << " vs full "
                     << full.stats.ipc();
             }
-            // Hard absolute backstop above the known reed outlier: a
+            // Hard absolute backstop above the worst seeded cell: a
             // CI-covered error is announced, not unbounded — a
             // regression that inflates both the error and its
-            // self-reported CI must still trip.
-            EXPECT_LE(err, 0.35) << w.id << "/" << cfg.name;
+            // self-reported CI (or loses the seeding, ~25% on reed)
+            // must still trip.
+            EXPECT_LE(err, 0.10) << w.id << "/" << cfg.name;
             EXPECT_FALSE(samp.stats.exact)
                 << w.id << " degraded to exact: not a long workload?";
             errs.push_back(err);
@@ -90,15 +89,15 @@ TEST(LongSampling, AccuracyEnvelopeAndAggregateSpeedup)
 
 TEST(LongSampling, StoreBackedReedAccuracyAndCrossSessionDeterminism)
 {
-    // The loud cell of the storeless battery above, with the
-    // warm-checkpoint store attached. The two-pass violation seeding
-    // must pull reed/int-mem from ~26% IPC error to inside 4%
-    // (measured 1.87% under salted placement — the bound leaves room
-    // for placement drift, not for a regression of the mechanism),
-    // and a second session
-    // against the same store directory must reproduce the first
-    // session's stats bit for bit while restoring — not recomputing
-    // — its warm state.
+    // The historically loud cell, reed/int-mem: two-pass violation
+    // seeding must pull it from ~25% IPC error (a single unseeded
+    // pass) to inside 4% (measured 1.87% under salted placement — the
+    // bound leaves room for placement drift, not for a regression of
+    // the mechanism). A cold store session must return the storeless
+    // engine's stats bit for bit (the store memoizes, it never
+    // changes a result), and a second session against the same
+    // store directory must reproduce them too while restoring — not
+    // recomputing — its warm state.
     namespace fs = std::filesystem;
     fs::path dir = fs::temp_directory_path() /
         ("mg-long-store-" + std::to_string(::getpid()));
@@ -111,6 +110,9 @@ TEST(LongSampling, StoreBackedReedAccuracyAndCrossSessionDeterminism)
     SimConfig sc = cfg;
     sc.sampling.enabled = true;
 
+    SampledStats none = ExperimentEngine(1).cellSampled(w, sc);
+    EXPECT_EQ(none.ckptRestores + none.ckptWritebacks, 0u);
+
     ExperimentEngine cold(1);
     cold.setCheckpointStore(std::make_shared<CheckpointStore>(
         CheckpointStoreConfig{dir.string()}));
@@ -119,6 +121,12 @@ TEST(LongSampling, StoreBackedReedAccuracyAndCrossSessionDeterminism)
         << "store-backed reed/int-mem error regressed (sampled "
         << a.est.ipc() << " vs full " << full << ")";
     EXPECT_GT(a.ckptWritebacks, 0u);
+    EXPECT_EQ(a.est, none.est);
+    EXPECT_EQ(a.intervals, none.intervals);
+    EXPECT_EQ(a.ipcHat, none.ipcHat);
+    EXPECT_EQ(a.ipcRelCi95, none.ipcRelCi95);
+    EXPECT_EQ(a.ffWork, none.ffWork);
+    EXPECT_EQ(a.detailedWork, none.detailedWork);
 
     ExperimentEngine warm(1);
     warm.setCheckpointStore(std::make_shared<CheckpointStore>(
@@ -164,82 +172,6 @@ TEST(LongSampling, StoreBackedWorstCellStaysInsideDocumentedBound)
            "worst: sampled " << s.est.ipc() << " vs full " << full;
 
     fs::remove_all(dir);
-}
-
-TEST(LongSampling, CheckpointJumpModeStillFlagsItsErrors)
-{
-    // The checkpoint-jump fast path (--no-warm-through) is allowed to
-    // be wrong on footprint-bound kernels — rtr misses its whole-run
-    // cache ramp — but it must say so: the reported 95% CI has to
-    // cover the real error (the honest-flagging contract CI checks).
-    ExperimentEngine eng(0);
-    BoundKernel bk = bindKernel(findKernel("rtr"), Scale::Long);
-    EngineWorkload w = workload(bk);
-    SimConfig cfg = SimConfig::baseline();
-    double full = eng.cell(w, cfg).ipc();
-    SimConfig sc = cfg;
-    sc.sampling.enabled = true;
-    sc.sampling.warmThrough = false;
-    SampledStats jump = eng.cellSampled(w, sc);
-    double err = std::abs(jump.est.ipc() - full) / full;
-    EXPECT_LE(err, 2.5 * jump.ipcRelCi95)
-        << "jump-mode error " << err << " not covered by CI "
-        << jump.ipcRelCi95;
-
-    // And the default warm-through run must beat it on this kernel.
-    sc.sampling.warmThrough = true;
-    SampledStats wt = eng.cellSampled(w, sc);
-    EXPECT_LT(std::abs(wt.est.ipc() - full) / full, err);
-}
-
-TEST(LongSampling, JumpModeFootprintWarningFiresExactlyWhereItShould)
-{
-    // Machine-detectable footprint blindness: when checkpoint jumps
-    // skip more working-set first-touch history than the warm budget
-    // restores *persistently* (the rtr signature — its cache-residency
-    // ramp gets stretched across every measurement), the cell must
-    // carry footprint_warning. A startup-transient kernel (mcf covers
-    // its node array within a few measurements) must NOT warn, and
-    // warm-through mode — which skips nothing — must never warn.
-    ExperimentEngine eng(0);
-    SimConfig cfg = SimConfig::baseline();
-
-    auto sampledAt = [&](const char *name, bool warmThrough) {
-        BoundKernel bk = bindKernel(findKernel(name), Scale::Long);
-        SimConfig sc = cfg;
-        sc.sampling.enabled = true;
-        sc.sampling.warmThrough = warmThrough;
-        return eng.cellSampled(workload(bk), sc);
-    };
-
-    SampledStats rtrJump = sampledAt("rtr", false);
-    EXPECT_TRUE(rtrJump.footprintWarning)
-        << "rtr@long jump mode must flag its footprint blindness";
-    EXPECT_GT(rtrJump.footprintSkippedLines, 0u);
-
-    SampledStats mcfJump = sampledAt("mcf", false);
-    EXPECT_FALSE(mcfJump.footprintWarning)
-        << "mcf@long covers its footprint within a few measurements";
-
-    EXPECT_FALSE(sampledAt("rtr", true).footprintWarning)
-        << "warm-through skips nothing and must never warn";
-
-    // The warning is a first-class JSON field, so rtr-style errors
-    // are machine-detectable from the report alone.
-    SweepSpec spec;
-    spec.title = "footprint warning";
-    spec.workloads = {
-        workload(bindKernel(findKernel("rtr"), Scale::Long))};
-    SimConfig sc = cfg;
-    sc.sampling.enabled = true;
-    sc.sampling.warmThrough = false;
-    spec.columns.push_back({"base-jump", sc, true});
-    SweepResult r = eng.sweep(spec);
-    std::string json = sweepJson(r, "footprint");
-    EXPECT_NE(json.find("\"footprint_warning\": true"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"footprint_skipped_lines\""),
-              std::string::npos);
 }
 
 TEST(LongSampling, SummarySharedAcrossScalesIsKeyedApart)

@@ -2,14 +2,17 @@
  * @file
  * Sampled simulation: checkpoint fidelity, the degenerate-parameter
  * bit-identity contract, the stated accuracy bound on the tier-1
- * kernel set, the speed proxy (detailed-work fraction), and the
- * engine's cross-config summary sharing.
+ * kernel set, the speed proxy (detailed-work fraction), the
+ * engine's cross-config summary sharing, and the proof that lets a
+ * storeless run skip a seeded pass.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "assembler/assembler.hh"
@@ -84,7 +87,7 @@ TEST(Sampling, CheckpointRoundTrip)
 
     Emulator b(*bk.program);
     bk.kernel->setup(b, 0);
-    b.restore(c);
+    b.restore(std::move(c));
     EXPECT_EQ(b.dynInsns(), 5000u);
     EmuResult endB = b.run();
 
@@ -299,4 +302,52 @@ TEST(Sampling, ExhaustedDutyBudgetFallsBackToWholeChunks)
     ASSERT_GT(fullIpc, 0.0);
     EXPECT_LE(std::abs(s.est.ipc() - fullIpc) / fullIpc, 0.025)
         << "sampled " << s.est.ipc() << " vs full " << fullIpc;
+}
+
+TEST(Sampling, SkippedSeededPassWouldRetraceDiscovery)
+{
+    // A storeless runCellSampled skips the seeded final pass when
+    // Core::seededRunRetraces proves it would repeat the discovery
+    // pass. Hold that proof against the seeded pass itself, on cells
+    // that go both ways.
+    int retraced = 0, diverged = 0;
+    for (const char *name : {"mcf", "gsm.lpc", "reed", "sha"}) {
+        BoundKernel bk = bindKernel(findKernel(name));
+        SimConfig cfg = sampled(SimConfig::intMemMg());
+        cfg.sampling.interval = 200;
+        cfg.sampling.period = 2400;
+        cfg.sampling.warmup = 400;
+        cfg.sampling.ffWarm = 400;
+        BlockProfile prof =
+            collectProfile(*bk.program, bk.setup, cfg.profileBudget);
+        PreparedMg prep = prepareMiniGraphs(*bk.program, prof, cfg.policy,
+                                            cfg.machine, cfg.compress);
+        SampleSummary sum = collectSampleSummary(
+            prep.program, &prep.table, bk.setup, cfg.sampling);
+        auto fresh = [&] {
+            auto c = std::make_unique<Core>(prep.program, &prep.table,
+                                            cfg.core);
+            bk.setup(c->oracle());
+            return c;
+        };
+        auto disc = fresh();
+        SampledStats d = disc->runSampled(cfg.sampling, sum);
+        std::vector<std::pair<Addr, Addr>> pairs = disc->violPairsSorted();
+        ASSERT_FALSE(d.exact) << name;
+        ASSERT_FALSE(pairs.empty()) << name << " discovers no violations";
+        SampledStats s =
+            fresh()->runSampled(cfg.sampling, sum, ~0ull, nullptr, &pairs);
+        if (!fresh()->seededRunRetraces(*disc, pairs)) {
+            ++diverged;
+            continue;
+        }
+        ++retraced;
+        EXPECT_EQ(s.est, d.est) << name;
+        EXPECT_EQ(s.intervals, d.intervals) << name;
+        EXPECT_EQ(s.ipcRelCi95, d.ipcRelCi95) << name;
+        EXPECT_EQ(s.ffWork, d.ffWork) << name;
+        EXPECT_EQ(s.detailedWork, d.detailedWork) << name;
+    }
+    EXPECT_GT(retraced, 0);
+    EXPECT_GT(diverged, 0);
 }
