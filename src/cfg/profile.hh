@@ -56,9 +56,6 @@ class BlockProfile
         }
     }
 
-    /** Dense per-block-leader counts (index = block-start text idx). */
-    const std::vector<std::uint64_t> &counts() const { return counts_; }
-
   private:
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Minimal binary serialization for the checkpoint store: fixed-width
- * little-endian primitives appended to a byte vector, and a
- * bounds-checked reader with an error latch. Both copy whole words,
- * never single bytes in a loop: a warm record is ~0.5 MB. Readers
- * never throw and never read past the end: the first malformed field
+ * Minimal binary serialization for the checkpoint store and the sweep
+ * journal: fixed-width little-endian primitives appended to a byte
+ * vector, and a bounds-checked reader with an error latch. Both copy
+ * whole words, never single bytes in a loop. Readers never throw and
+ * never read past the end: the first malformed field
  * trips ok() and every subsequent read returns zero, so callers can
  * parse a whole record into temporaries and check ok() once before
  * committing any state (the validate-before-mutate contract every
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace mg {
@@ -77,28 +76,6 @@ class SerialWriter
         u64(s.size());
         bytes(s.data(), s.size());
     }
-
-    /** Length-prefixed vector of a fixed-width integral type, each
-     *  element widened to a u64. */
-    template <typename T>
-    void
-    vec(const std::vector<T> &v)
-    {
-        u64(v.size());
-        if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
-            bytes(v.data(), v.size() * 8);
-        } else {
-            std::uint8_t *out = grow(v.size() * 8);
-            for (const T &x : v) {
-                auto w = static_cast<std::uint64_t>(x);
-                std::memcpy(out, &w, 8);
-                out += 8;
-            }
-        }
-    }
-
-    /** Empty the buffer, keeping its capacity for the next record. */
-    void clear() { buf.clear(); }
 
     const std::vector<std::uint8_t> &data() const { return buf; }
     std::vector<std::uint8_t> take() { return std::move(buf); }
@@ -184,28 +161,6 @@ class SerialReader
                       static_cast<std::size_t>(n));
         pos_ += static_cast<std::size_t>(n);
         return s;
-    }
-
-    /** Length-prefixed vector counterpart of SerialWriter::vec.
-     *  The length is sanity-capped against the remaining bytes so a
-     *  corrupt header cannot trigger a huge allocation. */
-    template <typename T>
-    std::vector<T>
-    vec()
-    {
-        std::uint64_t n = u64();
-        if (n > remaining() / 8) {
-            fail();
-            return {};
-        }
-        std::vector<T> v(static_cast<std::size_t>(n));
-        if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
-            bytes(v.data(), v.size() * 8);
-        } else {
-            for (T &x : v)
-                x = static_cast<T>(u64());
-        }
-        return v;
     }
 
     std::size_t remaining() const { return len_ - pos_; }

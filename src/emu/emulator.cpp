@@ -433,100 +433,6 @@ Emulator::step(ExecRecord *rec)
     return true;
 }
 
-EmuCheckpoint
-Emulator::checkpoint() const
-{
-    EmuCheckpoint c;
-    c.regs.assign(regs.begin(), regs.end());
-    c.pc = pc_;
-    c.halted = halted_;
-    c.slots = count_;
-    c.work = work_;
-    c.profile = prof;
-    c.mem = mem;
-    return c;
-}
-
-void
-Emulator::restore(EmuCheckpoint &&c)
-{
-    if (c.regs.size() != regs.size())
-        fatal("checkpoint register file size %zu does not match the "
-              "emulator's %zu", c.regs.size(), regs.size());
-    std::copy(c.regs.begin(), c.regs.end(), regs.begin());
-    pc_ = c.pc;
-    halted_ = c.halted;
-    count_ = c.slots;
-    work_ = c.work;
-    prof = std::move(c.profile);
-    mem = std::move(c.mem);
-}
-
-namespace {
-
-void
-serializeProfile(const BlockProfile &p, SerialWriter &w)
-{
-    w.vec(p.counts());
-}
-
-bool
-deserializeProfile(SerialReader &r, BlockProfile &p)
-{
-    std::vector<std::uint64_t> counts = r.vec<std::uint64_t>();
-    if (!r.ok())
-        return false;
-    p = BlockProfile();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        if (counts[i])
-            p.record(static_cast<InsnIdx>(i), counts[i]);
-    }
-    return true;
-}
-
-} // namespace
-
-void
-serializeCheckpoint(const EmuCheckpoint &c, SerialWriter &w)
-{
-    w.vec(c.regs);
-    w.u64(c.pc);
-    w.u8(c.halted ? 1 : 0);
-    w.u64(c.slots);
-    w.u64(c.work);
-    serializeProfile(c.profile, w);
-    c.mem.serialize(w);
-}
-
-bool
-deserializeCheckpoint(SerialReader &r, EmuCheckpoint &c)
-{
-    c.regs = r.vec<std::uint64_t>();
-    c.pc = r.u64();
-    c.halted = r.u8() != 0;
-    c.slots = r.u64();
-    c.work = r.u64();
-    if (!deserializeProfile(r, c.profile))
-        return false;
-    return c.mem.deserialize(r) && r.ok();
-}
-
-void
-Emulator::serializeState(SerialWriter &w) const
-{
-    // Same wire format as serializeCheckpoint(checkpoint(), w),
-    // without materializing the deep-copied checkpoint.
-    w.u64(regs.size());
-    for (std::uint64_t v : regs)
-        w.u64(v);
-    w.u64(pc_);
-    w.u8(halted_ ? 1 : 0);
-    w.u64(count_);
-    w.u64(work_);
-    serializeProfile(prof, w);
-    mem.serialize(w);
-}
-
 EmuResult
 Emulator::run(std::uint64_t maxInsns)
 {

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "cfg/profile.hh"
-#include "common/serial.hh"
 #include "common/types.hh"
 #include "isa/instruction.hh"
 #include "memsys/memory.hh"
@@ -53,37 +52,6 @@ struct ExecRecord
     int memBytes = 0;
     std::uint64_t memData = 0;  ///< value loaded or stored
 };
-
-/**
- * Snapshot of the complete functional state: architectural registers,
- * PC, the memory image, the dynamic counters, and the block profile
- * accumulated so far. Because functional execution is independent of
- * any timing model, a checkpoint captured at dynamic position N is
- * valid for *every* machine configuration that runs the same program
- * and inputs — which is what lets the experiment engine share
- * checkpoints across sweep columns (see docs/ARCHITECTURE.md).
- */
-struct EmuCheckpoint
-{
-    std::vector<std::uint64_t> regs;
-    Addr pc = 0;
-    bool halted = false;
-    std::uint64_t slots = 0;    ///< dynamic slots executed
-    std::uint64_t work = 0;     ///< constituent work executed
-    BlockProfile profile;
-    Memory mem;
-};
-
-/** Append @p c to @p w (the warm-checkpoint store's wire format). */
-void serializeCheckpoint(const EmuCheckpoint &c, SerialWriter &w);
-
-/**
- * Parse a checkpoint written by serializeCheckpoint (or by
- * Emulator::serializeState, which shares the format). On malformed
- * input returns false with @p c unspecified; callers check before
- * restoring it into an emulator.
- */
-bool deserializeCheckpoint(SerialReader &r, EmuCheckpoint &c);
 
 /** Result of a complete run. */
 struct EmuResult
@@ -118,26 +86,6 @@ class Emulator
 
     /** Run until halt or @p maxInsns dynamic slots. */
     EmuResult run(std::uint64_t maxInsns = ~0ull);
-
-    /** Capture the complete functional state. */
-    EmuCheckpoint checkpoint() const;
-
-    /** Restore state captured by checkpoint() (same program), adopting
-     *  the checkpoint's memory image without a deep copy. */
-    void restore(EmuCheckpoint &&c);
-
-    /** Append the live functional state to @p w — byte-identical to
-     *  serializing checkpoint(), minus the deep copies. */
-    void serializeState(SerialWriter &w) const;
-
-    /** True when @p c can be restored into this emulator (restore()
-     *  treats an incompatible checkpoint as fatal; deserialized ones
-     *  are validated through this first). */
-    bool
-    checkpointCompatible(const EmuCheckpoint &c) const
-    {
-        return c.regs.size() == regs.size();
-    }
 
     Addr pc() const { return pc_; }
     bool halted() const { return halted_; }

@@ -88,11 +88,6 @@ parseCli(int argc, char **argv)
             opt.checkpointDir = next(a, i);
         } else if (a == "--no-checkpoint-store") {
             opt.checkpointStore = false;
-        } else if (a == "--checkpoint-cap-mb") {
-            opt.checkpointCapMb = parseCount("--checkpoint-cap-mb",
-                                             next(a, i));
-            if (opt.checkpointCapMb == 0)
-                fatal("--checkpoint-cap-mb must be positive");
         } else if (a == "--cell-timeout-s") {
             const char *v = next(a, i);
             char *end = nullptr;
@@ -159,8 +154,6 @@ CliOptions::configureStore(ExperimentEngine &engine) const
         const char *env = std::getenv("MG_CHECKPOINT_DIR");
         cfg.dir = env && *env ? env : ".mg-cache/checkpoints";
     }
-    if (checkpointCapMb)
-        cfg.capBytes = checkpointCapMb << 20;
     engine.setCheckpointStore(
         std::make_shared<CheckpointStore>(std::move(cfg)));
 }

@@ -12,10 +12,11 @@
  * pre-measurement warmup work), `--no-ss-shadow` (disable store-set
  * shadow training during fast-forward), and `--full` (force full
  * cycle-accurate simulation, overriding the sampling flags). Sampled
- * runs get an on-disk warm-checkpoint store: `--checkpoint-dir PATH`
- * overrides its location (default `$MG_CHECKPOINT_DIR`, else
- * `.mg-cache/checkpoints`), `--checkpoint-cap-mb N` its LRU size cap,
- * and `--no-checkpoint-store` disables it.
+ * runs get an on-disk checkpoint store that memoizes each binary's
+ * sample summary and each cell's violation pairs across sessions:
+ * `--checkpoint-dir PATH` overrides its location (default
+ * `$MG_CHECKPOINT_DIR`, else `.mg-cache/checkpoints`) and
+ * `--no-checkpoint-store` disables it.
  *
  * Fault tolerance (see engine.hh FaultPolicy and engine/journal.hh):
  * `--cell-timeout-s S` caps each cell's wall clock (default scales
@@ -71,8 +72,6 @@ struct CliOptions
                                 ///< MG_CHECKPOINT_DIR, else
                                 ///< .mg-cache/checkpoints)
     bool checkpointStore = true;    ///< --no-checkpoint-store clears it
-    std::uint64_t checkpointCapMb = 0;  ///< --checkpoint-cap-mb N
-                                        ///< (0 = store default, 2 GiB)
     double cellTimeoutS = -1;   ///< --cell-timeout-s S (-1 = tier
                                 ///< default, 0 = no deadline)
     std::string journalDirOpt;  ///< --journal-dir PATH ("" = env
@@ -110,7 +109,7 @@ struct CliOptions
     void applyAnalysis(SweepSpec &spec) const;
 
     /**
-     * Attach the on-disk warm-checkpoint store to @p engine when these
+     * Attach the on-disk checkpoint store to @p engine when these
      * flags call for one: sampling must be enabled and
      * --no-checkpoint-store must be absent. The directory is
      * --checkpoint-dir, else $MG_CHECKPOINT_DIR, else

@@ -188,7 +188,7 @@ CheckpointStore *
 ExperimentEngine::storeFor(const SamplingParams &sp) const
 {
     // The store serves sampled runs only: degenerate parameters run
-    // exactly, and full simulation has nothing to warm.
+    // exactly, with no summary to share and no pairs to seed.
     if (store_ && store_->enabled() && !sp.degenerate())
         return store_.get();
     return nullptr;
@@ -270,10 +270,10 @@ ExperimentEngine::cellSampledTimed(const EngineWorkload &w,
             client = makeCellClient(*store_, key);
         // Measurement-phase salt, derived from the cell fingerprint on
         // an execution copy: deterministic across sessions (the same
-        // cell always measures the same spans, so warm-store records
-        // and journal replays stay coherent) without being part of the
-        // key itself — the mapping key -> salt is fixed, so keying it
-        // would be redundant. De-correlates measurement placement
+        // cell always measures the same spans, so stored violation
+        // pairs and journal replays stay coherent) without being part
+        // of the key itself — the mapping key -> salt is fixed, so
+        // keying it would be redundant. De-correlates measurement placement
         // from the period grid (the huge-tier jpeg.dct alias).
         SimConfig run = cfg;
         std::uint64_t salt = fnv1a64(key.data(), key.size());
@@ -460,7 +460,6 @@ ExperimentEngine::sweep(const SweepSpec &spec)
         out.storeMisses = d.misses;
         out.storeWritebacks = d.writebacks;
         out.storeCorrupt = d.corrupt;
-        out.storeEvictions = d.evictions;
     }
     if (journal) {
         out.journalAttached = true;

@@ -197,10 +197,10 @@ class ExperimentEngine
     bool dryRun() const { return dryRun_; }
 
     /**
-     * Attach an on-disk warm-checkpoint store. Sampled cells then
-     * persist (and restore) their sample summaries, per-chunk warm
-     * state, and discovered violation-pair seeds across processes
-     * (see runCellSampled). The store only memoizes: every cell's
+     * Attach an on-disk checkpoint store. Sampled cells then persist
+     * (and reload) their sample summaries and discovered
+     * violation-pair seeds across processes (see runCellSampled).
+     * The store only memoizes: every cell's
      * results stay bit-identical to a store-less engine's. Null (the
      * default) detaches.
      */

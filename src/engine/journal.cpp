@@ -20,7 +20,7 @@ namespace mg {
 namespace {
 
 constexpr std::uint32_t journalMagic = 0x4a53474d;   // "MGSJ"
-constexpr std::uint32_t journalVersion = 3;
+constexpr std::uint32_t journalVersion = 4;
 constexpr std::size_t headerBytes = 4 + 4 + 8;
 /** Sanity cap on a record's length field: a SweepCell record is a few
  *  hundred bytes; anything huge is corruption, not data. */

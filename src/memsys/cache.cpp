@@ -87,85 +87,4 @@ Cache::flush()
         l = Line();
 }
 
-void
-CacheState::serialize(SerialWriter &w) const
-{
-    w.u32(sets);
-    w.u32(assoc);
-    w.u64(useClock);
-    w.u64(hits);
-    w.u64(misses);
-    w.u64(flags.size());
-    w.bytes(flags.data(), flags.size());
-    w.vec(tags);
-    w.vec(lastUse);
-}
-
-bool
-CacheState::deserialize(SerialReader &r)
-{
-    sets = r.u32();
-    assoc = r.u32();
-    useClock = r.u64();
-    hits = r.u64();
-    misses = r.u64();
-    std::uint64_t n = r.u64();
-    if (n > r.remaining()) {
-        r.fail();
-        return false;
-    }
-    flags.resize(static_cast<std::size_t>(n));
-    if (!r.bytes(flags.data(), flags.size()))
-        return false;
-    tags = r.vec<Addr>();
-    lastUse = r.vec<std::uint64_t>();
-    return r.ok();
-}
-
-CacheState
-Cache::exportState() const
-{
-    CacheState s;
-    s.sets = geom.numSets();
-    s.assoc = geom.assoc;
-    s.useClock = useClock;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.flags.reserve(lines.size());
-    s.tags.reserve(lines.size());
-    s.lastUse.reserve(lines.size());
-    for (const Line &l : lines) {
-        s.flags.push_back(static_cast<std::uint8_t>(
-            (l.valid ? 1 : 0) | (l.dirty ? 2 : 0)));
-        s.tags.push_back(l.tag);
-        s.lastUse.push_back(l.lastUse);
-    }
-    return s;
-}
-
-bool
-Cache::stateCompatible(const CacheState &s) const
-{
-    return s.sets == geom.numSets() && s.assoc == geom.assoc &&
-        s.flags.size() == lines.size() && s.tags.size() == lines.size() &&
-        s.lastUse.size() == lines.size();
-}
-
-void
-Cache::adoptState(const CacheState &s)
-{
-    if (!stateCompatible(s))
-        panic("cache %s: adoptState of incompatible state",
-              name_.c_str());
-    useClock = s.useClock;
-    hits_ = s.hits;
-    misses_ = s.misses;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        lines[i].valid = (s.flags[i] & 1) != 0;
-        lines[i].dirty = (s.flags[i] & 2) != 0;
-        lines[i].tag = s.tags[i];
-        lines[i].lastUse = s.lastUse[i];
-    }
-}
-
 } // namespace mg

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serial.hh"
 #include "common/types.hh"
 
 namespace mg {
@@ -33,28 +32,6 @@ struct CacheResult
 {
     bool hit = false;
     bool writebackDirty = false;  ///< a dirty victim was evicted
-};
-
-/**
- * Complete replaceable state of one cache (tag array + LRU clock +
- * stats), the unit the warm-checkpoint store serializes. Line order
- * matches the internal set-major array; geometry travels with the
- * state so adoption into a differently-shaped cache is refused.
- */
-struct CacheState
-{
-    std::uint32_t sets = 0;
-    std::uint32_t assoc = 0;
-    std::vector<std::uint8_t> flags;     ///< bit0 valid, bit1 dirty
-    std::vector<Addr> tags;
-    std::vector<std::uint64_t> lastUse;
-    std::uint64_t useClock = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-
-    void serialize(SerialWriter &w) const;
-    /** @return false (leaving *this unspecified) on malformed input. */
-    bool deserialize(SerialReader &r);
 };
 
 /** Tag-array model of one cache level. */
@@ -87,16 +64,6 @@ class Cache
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-
-    /** Snapshot the full replacement state (checkpoint store). */
-    CacheState exportState() const;
-
-    /** @return true when @p s was produced by a cache of this
-     *  geometry and is internally consistent (adoptState precondition). */
-    bool stateCompatible(const CacheState &s) const;
-
-    /** Replace tags/LRU/stats with @p s (requires stateCompatible). */
-    void adoptState(const CacheState &s);
 
     double
     missRate() const

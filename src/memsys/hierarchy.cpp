@@ -93,54 +93,4 @@ Hierarchy::flush()
     busFreeAt = 0;
 }
 
-void
-HierarchyState::serialize(SerialWriter &w) const
-{
-    l1i.serialize(w);
-    l1d.serialize(w);
-    l2.serialize(w);
-    w.u64(busFreeAt);
-    w.u64(dramCount);
-}
-
-bool
-HierarchyState::deserialize(SerialReader &r)
-{
-    if (!l1i.deserialize(r) || !l1d.deserialize(r) ||
-        !l2.deserialize(r))
-        return false;
-    busFreeAt = r.u64();
-    dramCount = r.u64();
-    return r.ok();
-}
-
-HierarchyState
-Hierarchy::exportState() const
-{
-    HierarchyState s;
-    s.l1i = l1iCache.exportState();
-    s.l1d = l1dCache.exportState();
-    s.l2 = l2Cache.exportState();
-    s.busFreeAt = busFreeAt;
-    s.dramCount = dramCount;
-    return s;
-}
-
-bool
-Hierarchy::stateCompatible(const HierarchyState &s) const
-{
-    return l1iCache.stateCompatible(s.l1i) &&
-        l1dCache.stateCompatible(s.l1d) && l2Cache.stateCompatible(s.l2);
-}
-
-void
-Hierarchy::adoptState(const HierarchyState &s)
-{
-    l1iCache.adoptState(s.l1i);
-    l1dCache.adoptState(s.l1d);
-    l2Cache.adoptState(s.l2);
-    busFreeAt = s.busFreeAt;
-    dramCount = s.dramCount;
-}
-
 } // namespace mg

@@ -43,22 +43,6 @@ struct MemAccess
     bool l2Hit = false;
 };
 
-/**
- * Complete warm state of the hierarchy: all three tag arrays plus the
- * bus backlog and DRAM counter.
- */
-struct HierarchyState
-{
-    CacheState l1i;
-    CacheState l1d;
-    CacheState l2;
-    Cycle busFreeAt = 0;
-    std::uint64_t dramCount = 0;
-
-    void serialize(SerialWriter &w) const;
-    bool deserialize(SerialReader &r);
-};
-
 /** Timed two-level hierarchy. */
 class Hierarchy
 {
@@ -100,15 +84,6 @@ class Hierarchy
 
     /** Total DRAM accesses (for stats). */
     std::uint64_t dramAccesses() const { return dramCount; }
-
-    /** Snapshot the full warm state (checkpoint store). */
-    HierarchyState exportState() const;
-
-    /** @return true when every cache of @p s matches this geometry. */
-    bool stateCompatible(const HierarchyState &s) const;
-
-    /** Replace the warm state with @p s (requires stateCompatible). */
-    void adoptState(const HierarchyState &s);
 
   private:
     HierarchyConfig cfg;

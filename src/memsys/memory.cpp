@@ -1,19 +1,8 @@
 #include "memsys/memory.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace mg {
-
-void
-Memory::copyPages(const Memory &other)
-{
-    pages.reserve(other.pages.size());
-    // mglint:allow(unordered-iter): deep copy map-to-map, order-free
-    for (const auto &[idx, page] : other.pages)
-        pages.emplace(idx, std::make_unique<Page>(*page));
-}
 
 const Memory::Page *
 Memory::findPageSlow(Addr addr) const
@@ -76,49 +65,6 @@ Memory::readBlock(Addr addr, std::size_t len) const
     for (std::size_t i = 0; i < len; ++i)
         out[i] = readByte(addr + i);
     return out;
-}
-
-void
-Memory::serialize(SerialWriter &w) const
-{
-    // Sorted page order: the byte stream (and any checksum over it)
-    // is a canonical function of the image, not of hash-map layout.
-    std::vector<Addr> idxs;
-    idxs.reserve(pages.size());
-    // mglint:allow(unordered-iter): keys copied then sorted below
-    for (const auto &[idx, page] : pages)
-        idxs.push_back(idx);
-    std::sort(idxs.begin(), idxs.end());
-    w.u64(idxs.size());
-    for (Addr idx : idxs) {
-        w.u64(idx);
-        w.bytes(pages.at(idx)->data(), pageBytes);
-    }
-}
-
-bool
-Memory::deserialize(SerialReader &r)
-{
-    clear();
-    std::uint64_t n = r.u64();
-    if (n > r.remaining() / pageBytes + 1) {
-        r.fail();
-        return false;
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Addr idx = r.u64();
-        auto page = std::make_unique<Page>();
-        if (!r.bytes(page->data(), pageBytes)) {
-            clear();
-            return false;
-        }
-        pages[idx] = std::move(page);
-    }
-    if (!r.ok()) {
-        clear();
-        return false;
-    }
-    return true;
 }
 
 } // namespace mg

@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/serial.hh"
 #include "common/types.hh"
 
 namespace mg {
@@ -35,27 +34,6 @@ class Memory
           cachedPage(other.cachedPage)
     {
         other.invalidateCache();
-    }
-    Memory &
-    operator=(Memory &&other) noexcept
-    {
-        pages = std::move(other.pages);
-        cachedIdx = other.cachedIdx;
-        cachedPage = other.cachedPage;
-        other.invalidateCache();
-        return *this;
-    }
-    /** Deep copies (checkpoint capture/restore duplicate the image). */
-    Memory(const Memory &other) { copyPages(other); }
-    Memory &
-    operator=(const Memory &other)
-    {
-        if (this != &other) {
-            pages.clear();
-            invalidateCache();
-            copyPages(other);
-        }
-        return *this;
     }
 
     /** Read @p bytes (1,2,4,8) little-endian at @p addr.
@@ -136,20 +114,6 @@ class Memory
         invalidateCache();
     }
 
-    /** Append the full image to @p w (sorted pages, raw bytes; the
-     *  checkpoint store compresses whole records, so pages need no
-     *  encoding of their own). */
-    void serialize(SerialWriter &w) const;
-
-    /**
-     * Replace the image with one written by serialize(). On any
-     * malformed input the reader's error latch trips and this memory
-     * is left *empty* (never partially populated); callers check
-     * @p r `.ok()` before trusting the result.
-     * @return r.ok()
-     */
-    bool deserialize(SerialReader &r);
-
   private:
     using Page = std::array<std::uint8_t, pageBytes>;
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;
@@ -203,7 +167,6 @@ class Memory
     Page &getPageSlow(Addr addr);
     std::uint64_t readSlow(Addr addr, int bytes) const;
     void writeSlow(Addr addr, std::uint64_t value, int bytes);
-    void copyPages(const Memory &other);
 };
 
 } // namespace mg

@@ -209,12 +209,11 @@ sweepJson(const SweepResult &r, const std::string &bench)
     if (r.storeAttached) {
         out += strfmt("  \"checkpoint_store\": {\"hits\": %llu, "
                       "\"misses\": %llu, \"writebacks\": %llu, "
-                      "\"corrupt\": %llu, \"evictions\": %llu},\n",
+                      "\"corrupt\": %llu},\n",
                       static_cast<unsigned long long>(r.storeHits),
                       static_cast<unsigned long long>(r.storeMisses),
                       static_cast<unsigned long long>(r.storeWritebacks),
-                      static_cast<unsigned long long>(r.storeCorrupt),
-                      static_cast<unsigned long long>(r.storeEvictions));
+                      static_cast<unsigned long long>(r.storeCorrupt));
     }
     // Journal block only when one was attached, and only its
     // resume-invariant total — a resumed run and an uninterrupted run
@@ -255,12 +254,6 @@ sweepJson(const SweepResult &r, const std::string &bench)
                                       c.sampled.ffWork));
                     rec += ", \"ipc_ci95_rel\": " +
                            jsonNum(c.sampled.ipcRelCi95);
-                    if (r.storeAttached) {
-                        rec += strfmt(", \"ckpt_restores\": %u, "
-                                      "\"ckpt_writebacks\": %u",
-                                      c.sampled.ckptRestores,
-                                      c.sampled.ckptWritebacks);
-                    }
                 }
                 // Critical-path block only when the cell ran the
                 // analyzer (--critpath), so clean-config reports stay
@@ -378,8 +371,6 @@ serializeSweepCell(const SweepCell &c, SerialWriter &w)
     w.f64(c.sampled.ipcHat);
     w.f64(c.sampled.ipcRelCi95);
     w.u8(c.sampled.exact ? 1 : 0);
-    w.u32(c.sampled.ckptRestores);
-    w.u32(c.sampled.ckptWritebacks);
     w.f64(c.wallSeconds);
     w.f64(c.workPerSec);
     w.u8(static_cast<std::uint8_t>(c.outcome));
@@ -427,8 +418,6 @@ deserializeSweepCell(SerialReader &r, SweepCell &c)
     c.sampled.ipcHat = r.f64();
     c.sampled.ipcRelCi95 = r.f64();
     c.sampled.exact = r.u8() != 0;
-    c.sampled.ckptRestores = r.u32();
-    c.sampled.ckptWritebacks = r.u32();
     c.wallSeconds = r.f64();
     c.workPerSec = r.f64();
     std::uint8_t o = r.u8();

@@ -101,7 +101,7 @@ struct SweepResult
      *  (wall-clock is inherently nondeterministic); the benches turn
      *  it on unless invoked with --no-throughput. */
     bool emitThroughput = false;
-    /** Warm-checkpoint-store activity during this sweep (counter
+    /** Checkpoint-store activity during this sweep (counter
      *  deltas the engine snapshots around the cell matrix). Absent —
      *  and absent from the JSON, keeping store-less reports
      *  byte-identical — unless a store was attached. */
@@ -110,7 +110,6 @@ struct SweepResult
     std::uint64_t storeMisses = 0;
     std::uint64_t storeWritebacks = 0;
     std::uint64_t storeCorrupt = 0;
-    std::uint64_t storeEvictions = 0;
     /** Sweep-journal presence and its resume-invariant total: how many
      *  cells the journal holds after this sweep. Replay/append splits
      *  are deliberately absent — they differ between a resumed and an

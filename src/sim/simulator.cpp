@@ -233,12 +233,9 @@ runCellSampled(const Program &prog, const PreparedMg *prep,
     std::vector<std::pair<Addr, Addr>> pairs;
     bool havePairs = sp.ssShadow && store && store->loadViolPairs(pairs);
     if (!havePairs) {
-        // Discovery pass: the unseeded trajectory (seed generation
-        // h(empty)), restoring and writing back under that
-        // generation's keys.
+        // Discovery pass: the unseeded trajectory.
         auto core = freshCore();
-        SampledStats discovery =
-            core->runSampled(sp, sum, cfg.runBudget, store);
+        SampledStats discovery = core->runSampled(sp, sum, cfg.runBudget);
         if (!sp.ssShadow)
             return discovery;   // pairs cannot seed anything
         pairs = core->violPairsSorted();
@@ -246,24 +243,23 @@ runCellSampled(const Program &prog, const PreparedMg *prep,
             store->storeViolPairs(pairs);
         // No violations discovered (or the run degraded to exact):
         // the discovery pass *is* the final pass, and later sessions
-        // load the empty set and reproduce it under the same keys.
+        // load the empty set and reproduce it.
         if (pairs.empty() || discovery.exact)
             return discovery;
-        // Often the seeded pass would retrace discovery exactly; a
-        // storeless run then skips it (a cold store session runs it
-        // anyway, for the warm records later sessions restore).
-        if (!store && freshCore()->seededRunRetraces(*core, pairs))
+        // Often the seeded pass would retrace discovery exactly; skip
+        // it then (a later session that loads the pairs runs it and
+        // gets the same stats).
+        if (freshCore()->seededRunRetraces(*core, pairs))
             return discovery;
     } else if (pairs.empty()) {
         // A previous session discovered no violations: a single
-        // unseeded pass replays its records bit-exactly.
-        return freshCore()->runSampled(sp, sum, cfg.runBudget, store);
+        // unseeded pass reproduces it.
+        return freshCore()->runSampled(sp, sum, cfg.runBudget);
     }
     // Final pass, seeded with the full discovered violation set: the
     // store-set shadow trains every learned dependence across every
     // fast-forward gap.
-    return freshCore()->runSampled(sp, sum, cfg.runBudget, store,
-                                   &pairs);
+    return freshCore()->runSampled(sp, sum, cfg.runBudget, &pairs);
 }
 
 void

@@ -13,6 +13,7 @@
 
 #include "analysis/critpath.hh"
 #include "cfg/profile.hh"
+#include "common/serial.hh"
 #include "mg/rewriter.hh"
 #include "sim/config.hh"
 #include "uarch/core.hh"
@@ -95,15 +96,16 @@ SampleSummary collectSampleSummary(const Program &prog, const MgTable *mgt,
                                        nullptr);
 
 /**
- * A cell's view of the warm-checkpoint store: the per-chunk warm
- * records Core::runSampled exchanges (the WarmStoreIf base) plus the
- * cell's discovered store-set violation pairs. The engine implements
- * this over the on-disk CheckpointStore with keys derived from the
- * cell fingerprint.
+ * A cell's view of the checkpoint store: the cell's discovered
+ * store-set violation pairs. The engine implements this over the
+ * on-disk CheckpointStore with a key derived from the cell
+ * fingerprint.
  */
-class CellCheckpointClient : public WarmStoreIf
+class CellCheckpointClient
 {
   public:
+    virtual ~CellCheckpointClient() = default;
+
     /** Fetch the cell's discovery-pass violation pairs (sorted).
      *  @return true when a stored (possibly empty) set exists. */
     virtual bool
@@ -114,6 +116,21 @@ class CellCheckpointClient : public WarmStoreIf
      *  the same generation and reproduces the same stats. */
     virtual void
     storeViolPairs(const std::vector<std::pair<Addr, Addr>> &pairs) = 0;
+
+    /** The store holds no warm records: a load always misses and a
+     *  write is dropped. Kept only for perfbench/mgperf.cpp's
+     *  TimedClient, which overrides them; they go with it in the next
+     *  benchmark change. */
+    virtual bool
+    loadWarm(std::uint64_t, std::uint64_t, std::vector<std::uint8_t> &)
+    {
+        return false;
+    }
+    virtual void
+    storeWarm(std::uint64_t, std::uint64_t,
+              const std::vector<std::uint8_t> &)
+    {
+    }
 };
 
 /**
@@ -134,12 +151,11 @@ class CellCheckpointClient : public WarmStoreIf
  * becomes violable — not from work zero, which would serialize
  * program phases that predate the dependence.
  *
- * @p store only memoizes: it persists V, the warm records of both
- * passes and (engine-side) the summary. A session that finds V loads
- * it and runs the final pass alone, restoring per-chunk warm records
- * instead of re-warming. A storeless run skips the final pass when
- * Core::seededRunRetraces proves it would repeat discovery. Storeless,
- * cold-store and warm-store runs return bit-identical stats.
+ * The final pass is skipped when Core::seededRunRetraces proves it
+ * would repeat discovery. @p store only memoizes: it persists V (and,
+ * engine-side, the summary), and a session that finds V loads it and
+ * runs the final pass alone. Storeless, cold-store and warm-store runs
+ * return bit-identical stats.
  */
 SampledStats runCellSampled(const Program &prog, const PreparedMg *prep,
                             const SimConfig &cfg, const SetupFn &setup,

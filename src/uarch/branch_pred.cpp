@@ -2,8 +2,6 @@
 
 #include <cstddef>
 
-#include "common/logging.hh"
-
 namespace mg {
 
 BranchPredictor::BranchPredictor(const BranchPredConfig &c) : cfg(c)
@@ -127,127 +125,6 @@ BranchPredictor::popReturn()
         return 0;
     --rasTop;
     return ras[reduce(rasTop, rasMask, cfg.rasEntries)];
-}
-
-namespace {
-
-void
-putU8Vec(SerialWriter &w, const std::vector<std::uint8_t> &v)
-{
-    w.u64(v.size());
-    w.bytes(v.data(), v.size());
-}
-
-bool
-getU8Vec(SerialReader &r, std::vector<std::uint8_t> &v)
-{
-    std::uint64_t n = r.u64();
-    if (n > r.remaining()) {
-        r.fail();
-        return false;
-    }
-    v.resize(static_cast<std::size_t>(n));
-    return r.bytes(v.data(), v.size());
-}
-
-} // namespace
-
-void
-BranchPredState::serialize(SerialWriter &w) const
-{
-    putU8Vec(w, bimodal);
-    putU8Vec(w, gshare);
-    putU8Vec(w, chooser);
-    w.u64(history);
-    putU8Vec(w, btbValid);
-    w.vec(btbTag);
-    w.vec(btbTarget);
-    w.vec(btbLastUse);
-    w.u64(btbClock);
-    w.vec(ras);
-    w.u32(rasTop);
-    w.u64(lookups);
-    w.u64(mispredicts);
-}
-
-bool
-BranchPredState::deserialize(SerialReader &r)
-{
-    if (!getU8Vec(r, bimodal) || !getU8Vec(r, gshare) ||
-        !getU8Vec(r, chooser))
-        return false;
-    history = r.u64();
-    if (!getU8Vec(r, btbValid))
-        return false;
-    btbTag = r.vec<Addr>();
-    btbTarget = r.vec<Addr>();
-    btbLastUse = r.vec<std::uint64_t>();
-    btbClock = r.u64();
-    ras = r.vec<Addr>();
-    rasTop = r.u32();
-    lookups = r.u64();
-    mispredicts = r.u64();
-    return r.ok();
-}
-
-BranchPredState
-BranchPredictor::exportState() const
-{
-    BranchPredState s;
-    s.bimodal = bimodal;
-    s.gshare = gshare;
-    s.chooser = chooser;
-    s.history = history;
-    s.btbValid.reserve(btb.size());
-    s.btbTag.reserve(btb.size());
-    s.btbTarget.reserve(btb.size());
-    s.btbLastUse.reserve(btb.size());
-    for (const BtbEntry &e : btb) {
-        s.btbValid.push_back(e.valid ? 1 : 0);
-        s.btbTag.push_back(e.tag);
-        s.btbTarget.push_back(e.target);
-        s.btbLastUse.push_back(e.lastUse);
-    }
-    s.btbClock = btbClock;
-    s.ras = ras;
-    s.rasTop = rasTop;
-    s.lookups = lookups_;
-    s.mispredicts = mispredicts_;
-    return s;
-}
-
-bool
-BranchPredictor::stateCompatible(const BranchPredState &s) const
-{
-    return s.bimodal.size() == bimodal.size() &&
-        s.gshare.size() == gshare.size() &&
-        s.chooser.size() == chooser.size() &&
-        s.btbValid.size() == btb.size() &&
-        s.btbTag.size() == btb.size() &&
-        s.btbTarget.size() == btb.size() &&
-        s.btbLastUse.size() == btb.size() && s.ras.size() == ras.size();
-}
-
-void
-BranchPredictor::adoptState(const BranchPredState &s)
-{
-    if (!stateCompatible(s))
-        panic("branch predictor: adoptState of incompatible state");
-    bimodal = s.bimodal;
-    gshare = s.gshare;
-    chooser = s.chooser;
-    history = s.history;
-    for (std::size_t i = 0; i < btb.size(); ++i) {
-        btb[i].valid = s.btbValid[i] != 0;
-        btb[i].tag = s.btbTag[i];
-        btb[i].target = s.btbTarget[i];
-        btb[i].lastUse = s.btbLastUse[i];
-    }
-    btbClock = s.btbClock;
-    ras = s.ras;
-    rasTop = s.rasTop;
-    lookups_ = s.lookups;
-    mispredicts_ = s.mispredicts;
 }
 
 } // namespace mg

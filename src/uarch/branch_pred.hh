@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/serial.hh"
 #include "common/types.hh"
 
 namespace mg {
@@ -31,31 +30,6 @@ struct BranchPredConfig
     std::uint32_t btbEntries = 2048;
     std::uint32_t btbAssoc = 4;
     std::uint32_t rasEntries = 16;
-};
-
-/**
- * Complete trained state of the predictor: direction tables, global
- * history, BTB contents (split into parallel arrays so the byte
- * layout is canonical), RAS, and the lookup/mispredict counters.
- */
-struct BranchPredState
-{
-    std::vector<std::uint8_t> bimodal;
-    std::vector<std::uint8_t> gshare;
-    std::vector<std::uint8_t> chooser;
-    std::uint64_t history = 0;
-    std::vector<std::uint8_t> btbValid;
-    std::vector<Addr> btbTag;
-    std::vector<Addr> btbTarget;
-    std::vector<std::uint64_t> btbLastUse;
-    std::uint64_t btbClock = 0;
-    std::vector<Addr> ras;
-    std::uint32_t rasTop = 0;
-    std::uint64_t lookups = 0;
-    std::uint64_t mispredicts = 0;
-
-    void serialize(SerialWriter &w) const;
-    bool deserialize(SerialReader &r);
 };
 
 /** Hybrid direction predictor + BTB + RAS. */
@@ -91,15 +65,6 @@ class BranchPredictor
 
     /** Record one resolved misprediction (kept here for reporting). */
     void countMispredict() { ++mispredicts_; }
-
-    /** Snapshot the full trained state (checkpoint store). */
-    BranchPredState exportState() const;
-
-    /** @return true when @p s matches this predictor's table sizes. */
-    bool stateCompatible(const BranchPredState &s) const;
-
-    /** Replace the trained state with @p s (requires stateCompatible). */
-    void adoptState(const BranchPredState &s);
 
   private:
     BranchPredConfig cfg;

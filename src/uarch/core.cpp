@@ -4,6 +4,7 @@
 
 #include "common/failsoft.hh"
 #include "common/logging.hh"
+#include "common/serial.hh"
 
 namespace mg {
 
@@ -1291,31 +1292,6 @@ Core::fastForward(std::uint64_t workTarget, bool warm, double ipcEst)
     lastFetchLine = ~Addr(0);   // fetch restarts on a cold line tracker
 }
 
-namespace {
-
-/** Generation hash of a violation-pair seed set: runs seeded with
- *  different sets follow different warm-state trajectories, so the
- *  hash namespaces their store records apart. A null or empty seed
- *  hashes to the FNV basis (the discovery generation). */
-std::uint64_t
-violSeedHash(const std::vector<std::pair<Addr, Addr>> *seed)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    if (!seed)
-        return h;
-    for (const auto &[loadPc, storePc] : *seed) {
-        std::uint8_t b[16];
-        for (int i = 0; i < 8; ++i) {
-            b[i] = static_cast<std::uint8_t>(loadPc >> (8 * i));
-            b[8 + i] = static_cast<std::uint8_t>(storePc >> (8 * i));
-        }
-        h = fnv1a64(b, sizeof b, h);
-    }
-    return h;
-}
-
-} // namespace
-
 std::vector<std::pair<Addr, Addr>>
 Core::violPairsSorted() const
 {
@@ -1486,133 +1462,13 @@ Core::ffAliasScan(const ExecRecord &rec)
     }
 }
 
-/** Layout version of serializeWarm records (independent of the store's
- *  file format version: this one tracks the core's state shape). */
-static constexpr std::uint32_t warmStateVersion = 1;
-
-void
-Core::serializeWarm(SerialWriter &w) const
-{
-    w.u32(warmStateVersion);
-    w.u64(now);
-    w.u64(nextSeq);
-    emu.serializeState(w);
-    mem.exportState().serialize(w);
-    bp.exportState().serialize(w);
-    ss.exportState().serialize(w);
-    // Shadow state of the violation-pair seeding: the graph edges
-    // (with activation bits) and the RAW-scan alias map. A restored
-    // record skips the fast-forward gap that built these, so they
-    // ride in the record; canonical sorted order keeps the bytes —
-    // and the store's checksums — session-independent.
-    std::vector<std::tuple<Addr, Addr, std::uint8_t>> edges;
-    // mglint:allow(unordered-iter): edges copied then sorted below
-    for (const auto &[loadPc, partners] : ffViolPairs) {
-        for (const FfPartner &p : partners)
-            edges.emplace_back(loadPc, p.storePc, p.active ? 1 : 0);
-    }
-    std::sort(edges.begin(), edges.end());
-    w.u64(edges.size());
-    for (const auto &[l, s, a] : edges) {
-        w.u64(l);
-        w.u64(s);
-        w.u8(a);
-    }
-    std::vector<std::pair<Addr, std::pair<Addr, std::uint64_t>>> alias(
-        ffAliasLast.begin(),   // mglint:allow(unordered-iter): sorted below
-        ffAliasLast.end());
-    std::sort(alias.begin(), alias.end());
-    w.u64(alias.size());
-    for (const auto &[wd, last] : alias) {
-        w.u64(wd);
-        w.u64(last.first);
-        w.u64(last.second);
-    }
-}
-
-bool
-Core::tryRestoreWarm(const std::vector<std::uint8_t> &bytes)
-{
-    if (!pipelineEmpty())
-        panic("tryRestoreWarm with a non-empty pipeline");
-    // Parse the whole record into temporaries and validate every
-    // piece before mutating anything: a truncated or incompatible
-    // record must leave the core exactly as it was (the caller then
-    // warms through functionally and the run stays correct).
-    SerialReader r(bytes);
-    if (r.u32() != warmStateVersion)
-        return false;
-    std::uint64_t now_ = r.u64();
-    std::uint64_t nextSeq_ = r.u64();
-    EmuCheckpoint ck;
-    if (!deserializeCheckpoint(r, ck))
-        return false;
-    HierarchyState hs;
-    BranchPredState bs;
-    StoreSetsState sss;
-    if (!hs.deserialize(r) || !bs.deserialize(r) ||
-        !sss.deserialize(r) || !r.ok())
-        return false;
-    std::uint64_t nEdges = r.u64();
-    if (nEdges > r.remaining() / 17)
-        return false;
-    std::unordered_map<Addr, std::vector<FfPartner>> edgesByLoad;
-    std::uint64_t dormant = 0;
-    std::unordered_set<Addr> partnerStores;
-    for (std::uint64_t i = 0; i < nEdges; ++i) {
-        Addr l = r.u64();
-        Addr s = r.u64();
-        std::uint8_t a = r.u8();
-        edgesByLoad[l].push_back({s, a != 0});
-        if (a == 0) {
-            ++dormant;
-            partnerStores.insert(s);
-        }
-    }
-    std::uint64_t nAlias = r.u64();
-    if (nAlias > r.remaining() / 24)
-        return false;
-    std::unordered_map<Addr, std::pair<Addr, std::uint64_t>> aliasByWord;
-    for (std::uint64_t i = 0; i < nAlias; ++i) {
-        Addr wd = r.u64();
-        Addr spc = r.u64();
-        std::uint64_t pos = r.u64();
-        aliasByWord[wd] = {spc, pos};
-    }
-    if (!r.ok())
-        return false;
-    if (!emu.checkpointCompatible(ck) || !mem.stateCompatible(hs) ||
-        !bp.stateCompatible(bs) || !ss.stateCompatible(sss))
-        return false;
-    // Records are keyed to positions ahead of the run; never move the
-    // oracle (or the clock) backwards.
-    if (ck.work < emu.dynWork() || now_ < now)
-        return false;
-
-    emu.restore(std::move(ck));
-    now = now_;
-    nextSeq = nextSeq_;
-    mem.adoptState(hs);
-    bp.adoptState(bs);
-    ss.adoptState(sss);
-    ffViolPairs = std::move(edgesByLoad);
-    ffPartnerStores = std::move(partnerStores);
-    ffAliasLast = std::move(aliasByWord);
-    ffDormantEdges = dormant;
-    lastFetchLine = ~Addr(0);
-    return true;
-}
-
 SampledStats
 Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
-                 std::uint64_t maxWork, WarmStoreIf *warmStore,
+                 std::uint64_t maxWork,
                  const std::vector<std::pair<Addr, Addr>> *seedViol)
 {
     stats_ = CoreStats();
     ffSeed(sp.ssShadow, seedViol);
-    const std::uint64_t seedHash = violSeedHash(seedViol);
-    std::vector<std::uint8_t> wsBytes;
-    SerialWriter wsRecord;   // writeback buffer, reused across chunks
     SampledStats out;
     out.totalWork = std::min(sum.totalWork, maxWork);
 
@@ -1890,39 +1746,14 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
         // Fast-forward to the measurement, warming through every
         // skipped instruction. Warmup is anchored at the chunk start,
         // not the salted measurement start: the offset gap is covered
-        // by detailed execution (see above), and warm-store records —
-        // keyed and serialized at ch->start − warmup — stay valid for
-        // every salt.
+        // by detailed execution (see above).
         std::uint64_t warmStart = ch->start > sp.warmup
             ? ch->start - sp.warmup : 0;
         if (warmStart > p) {
-            // Restore-warm fast path: a stored record at this chunk's
-            // start (same binary, config, position, and seed
-            // generation) is bit-for-bit the state warming through
-            // this gap would compute — restore it and skip the
-            // functional re-execution entirely. Misses (and corrupt
-            // or incompatible records, rejected by tryRestoreWarm)
-            // fall through to warming and write back the result.
-            bool restored = false;
-            if (warmStore &&
-                warmStore->loadWarm(ch->start, seedHash, wsBytes) &&
-                tryRestoreWarm(wsBytes)) {
-                restored = true;
-                ++out.ckptRestores;
-            }
-            if (!restored) {
-                // Emulate the whole gap with warming so cumulative
-                // cache/predictor state survives (footprint-bound
-                // kernels).
-                fastForward(warmStart, sp.ffWarm > 0, lastIpc);
-                if (warmStore && !emu.halted()) {
-                    wsRecord.clear();
-                    serializeWarm(wsRecord);
-                    warmStore->storeWarm(ch->start, seedHash,
-                                         wsRecord.data());
-                    ++out.ckptWritebacks;
-                }
-            }
+            // Emulate the whole gap with warming so cumulative
+            // cache/predictor state survives (footprint-bound
+            // kernels).
+            fastForward(warmStart, sp.ffWarm > 0, lastIpc);
             stats_.cycles = now;   // virtual advances stay unmeasured
         }
         out.ffWork = emu.dynWork() - stats_.committedWork;

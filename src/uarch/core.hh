@@ -216,11 +216,12 @@ struct SampledStats
      *  the next benchmark change. */
     static constexpr bool footprintWarning = false;
     static constexpr std::uint64_t footprintSkippedLines = 0;
-    /** Warm-checkpoint store traffic of this run: fast-forward gaps
-     *  served by restoring a stored record vs gaps warmed through
-     *  functionally and written back. Zero without a store. */
-    std::uint32_t ckptRestores = 0;
-    std::uint32_t ckptWritebacks = 0;
+    /** Constants for perfbench/mgperf.cpp, their only reader: the
+     *  store holds no warm records, so no gap is restored or written
+     *  back. They go with that program's TimedClient in the next
+     *  benchmark change. */
+    static constexpr std::uint32_t ckptRestores = 0;
+    static constexpr std::uint32_t ckptWritebacks = 0;
 };
 
 /** The core. */
@@ -245,26 +246,17 @@ class Core
      * @p sum supplies the extrapolation denominator and the phase
      * clustering. Degenerate parameters reproduce run() bit-exactly.
      *
-     * @p warmStore enables the restore-warm fast-forward path: each
-     * gap first tries to restore the stored warm state for the coming
-     * chunk, falling back to functional warming — and writing the
-     * result back — on a miss. Because a
-     * restored record is exactly the state the writing run computed
-     * at that position, a run served from the store is bit-identical
-     * to the run that populated it.
-     *
      * @p seedViol pre-seeds the store-set shadow with known
      * violating (load PC, store PC) pairs (sorted), so dependences a
      * previous discovery run learned are trained during fast-forward
      * instead of being duty-limited to detailed intervals. Each
      * seeded pair lies dormant until the functional stream first
      * shows it violable (a store->load RAW within a window-sized
-     * span), so training starts where the dependence starts. The
-     * seed set keys the store's record generation.
+     * span), so training starts where the dependence starts.
      */
     SampledStats runSampled(
         const SamplingParams &sp, const SampleSummary &sum,
-        std::uint64_t maxWork = ~0ull, WarmStoreIf *warmStore = nullptr,
+        std::uint64_t maxWork = ~0ull,
         const std::vector<std::pair<Addr, Addr>> *seedViol = nullptr);
 
     /** Violating (load PC, store PC) pairs the last sampled run's
@@ -274,7 +266,7 @@ class Core
 
     /**
      * Whether a run seeded with @p seed would retrace @p discovery —
-     * the unseeded, storeless sampled run that discovered @p seed —
+     * the unseeded sampled run that discovered @p seed —
      * bit for bit. The two runs share every state until the seeded
      * shadow re-merges a store-set pair the discovery run was not
      * yet training (or trains the same pairs in another order), and
@@ -461,9 +453,7 @@ class Core
     std::unordered_set<Addr> ffPartnerStores;
     /** 8-byte-word -> (partner store PC, work position) of the most
      *  recent partner store touching it; the load side of the RAW
-     *  scan reads this. Serialized with warm records: entries written
-     *  inside a fast-forward gap must survive a restore that skips
-     *  the gap. */
+     *  scan reads this. */
     std::unordered_map<Addr, std::pair<Addr, std::uint64_t>> ffAliasLast;
     std::uint64_t ffDormantEdges = 0;
     /** RAW span (work units) within which a seeded pair counts as
@@ -508,16 +498,6 @@ class Core
      * still accumulate (one bump per idle cycle, as in stepping).
      */
     Cycle idleSkipTarget(std::uint64_t **stallCounter);
-
-    // --- warm-checkpoint store plumbing ---
-    /** Serialize the complete warm state at a drained-pipeline
-     *  fast-forward boundary: clocks, the functional oracle, and the
-     *  trained hierarchy/predictor/store-set contents. */
-    void serializeWarm(SerialWriter &w) const;
-    /** Parse + validate a serializeWarm record and, only if every
-     *  piece is well-formed and compatible with this configuration,
-     *  atomically adopt it (never partially mutates on failure). */
-    bool tryRestoreWarm(const std::vector<std::uint8_t> &bytes);
 
     // --- helpers ---
     DynInst *pullOracle();

@@ -83,7 +83,7 @@ struct SamplingParams
      *  oscillation commensurate with the period, which read a
      *  systematic ~2% bias on huge-tier jpeg.dct. The engine derives
      *  the salt from the cell fingerprint, so it is stable across
-     *  sessions (warm-store records and resumed journals stay
+     *  sessions (stored violation pairs and resumed journals stay
      *  coherent) while de-correlating placement between cells. Not
      *  part of the cell fingerprint: the same cell key always maps to
      *  the same salt, so keying it would be redundant. */
@@ -121,37 +121,6 @@ struct SamplingParams
     }
 
     bool operator==(const SamplingParams &) const = default;
-};
-
-/**
- * Hook a sampled run uses to skip functional re-warming: before each
- * fast-forward gap, Core::runSampled asks for the warm-state record
- * captured at the coming chunk's start (a serialized CoreWarmState:
- * emulator checkpoint + cache/predictor/store-set contents + clocks);
- * on a miss it warms through functionally as always and offers the
- * state it computed for writeback. @p seedHash identifies the
- * violation-pair seeding generation (see docs/ARCHITECTURE.md): runs
- * seeded with different store-set violation sets follow different
- * state trajectories and must never share records.
- *
- * Implementations are engine-side adapters over the on-disk
- * CheckpointStore; a null WarmStoreIf reproduces the storeless run
- * bit-exactly.
- */
-class WarmStoreIf
-{
-  public:
-    virtual ~WarmStoreIf() = default;
-
-    /** Fetch the record for chunk-start @p pos, generation
-     *  @p seedHash. @return true and fill @p bytes on a verified hit. */
-    virtual bool loadWarm(std::uint64_t pos, std::uint64_t seedHash,
-                          std::vector<std::uint8_t> &bytes) = 0;
-
-    /** Persist @p bytes as the record for (@p pos, @p seedHash).
-     *  Must never fail the run (degrade internally). */
-    virtual void storeWarm(std::uint64_t pos, std::uint64_t seedHash,
-                           const std::vector<std::uint8_t> &bytes) = 0;
 };
 
 /** PC-signature sketch width for phase clustering. */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace mg {
 
 namespace {
@@ -105,71 +103,6 @@ StoreSets::recordViolation(Addr loadPc, Addr storePc)
         std::int32_t m = std::min(ls, ss);
         ls = ss = m;
     }
-}
-
-void
-StoreSetsState::serialize(SerialWriter &w) const
-{
-    w.u64(ssit.size());
-    for (std::int32_t v : ssit)
-        w.u32(static_cast<std::uint32_t>(v));
-    w.vec(lfst);
-    w.vec(lfstPc);
-    w.u64(accesses);
-    w.u64(violations);
-    w.u32(static_cast<std::uint32_t>(nextSet));
-}
-
-bool
-StoreSetsState::deserialize(SerialReader &r)
-{
-    std::uint64_t n = r.u64();
-    if (n > r.remaining() / 4) {
-        r.fail();
-        return false;
-    }
-    ssit.resize(static_cast<std::size_t>(n));
-    for (std::int32_t &v : ssit)
-        v = static_cast<std::int32_t>(r.u32());
-    lfst = r.vec<std::uint64_t>();
-    lfstPc = r.vec<Addr>();
-    accesses = r.u64();
-    violations = r.u64();
-    nextSet = static_cast<std::int32_t>(r.u32());
-    return r.ok();
-}
-
-StoreSetsState
-StoreSets::exportState() const
-{
-    StoreSetsState s;
-    s.ssit = ssit;
-    s.lfst = lfst;
-    s.lfstPc = lfstPc;
-    s.accesses = accesses;
-    s.violations = violations_;
-    s.nextSet = nextSet;
-    return s;
-}
-
-bool
-StoreSets::stateCompatible(const StoreSetsState &s) const
-{
-    return s.ssit.size() == ssit.size() && s.lfst.size() == lfst.size() &&
-        s.lfstPc.size() == lfstPc.size();
-}
-
-void
-StoreSets::adoptState(const StoreSetsState &s)
-{
-    if (!stateCompatible(s))
-        panic("store sets: adoptState of incompatible state");
-    ssit = s.ssit;
-    lfst = s.lfst;
-    lfstPc = s.lfstPc;
-    accesses = s.accesses;
-    violations_ = s.violations;
-    nextSet = s.nextSet;
 }
 
 } // namespace mg

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/serial.hh"
 #include "common/types.hh"
 
 namespace mg {
@@ -26,24 +25,6 @@ struct StoreSetsConfig
     std::uint32_t lfstEntries = 1024;
     /** Clear the tables every N accesses to bound stale pairings. */
     std::uint64_t clearInterval = 262144;
-};
-
-/**
- * Complete trained state of the predictor. LFST sequence numbers
- * reference the core's global sequence space, so the warm-checkpoint
- * record that carries this state also carries the core's nextSeq.
- */
-struct StoreSetsState
-{
-    std::vector<std::int32_t> ssit;
-    std::vector<std::uint64_t> lfst;
-    std::vector<Addr> lfstPc;
-    std::uint64_t accesses = 0;
-    std::uint64_t violations = 0;
-    std::int32_t nextSet = 0;
-
-    void serialize(SerialWriter &w) const;
-    bool deserialize(SerialReader &r);
 };
 
 /** The predictor. */
@@ -81,15 +62,6 @@ class StoreSets
     void recordViolation(Addr loadPc, Addr storePc);
 
     std::uint64_t violations() const { return violations_; }
-
-    /** Snapshot the full trained state (checkpoint store). */
-    StoreSetsState exportState() const;
-
-    /** @return true when @p s matches this predictor's table sizes. */
-    bool stateCompatible(const StoreSetsState &s) const;
-
-    /** Replace the trained state with @p s (requires stateCompatible). */
-    void adoptState(const StoreSetsState &s);
 
   private:
     StoreSetsConfig cfg;

@@ -186,7 +186,7 @@ TEST(StressJournal, ConcurrentRecordsAllSurviveReplay)
 TEST(StressCheckpointStore, ConcurrentStoreLoadRoundTrips)
 {
     ScratchDir dir("store");
-    CheckpointStore store({dir.str(), 64ull << 20});
+    CheckpointStore store({dir.str()});
     ASSERT_TRUE(store.enabled());
     constexpr std::size_t n = 128;
     auto payloadFor = [](std::size_t i) {
@@ -220,11 +220,11 @@ TEST(StressCheckpointStore, ConcurrentStoreLoadRoundTrips)
 TEST(StressCheckpointStore, SameKeyWritersAndReadersNeverCollide)
 {
     // Writers build and rename records outside the store lock, each
-    // through its own temp file; readers decode outside it too. Every
+    // through its own temp file; readers verify outside it too. Every
     // load that hits must see a complete record, and no writer may
     // truncate or strand another's temp file.
     ScratchDir dir("samekey");
-    CheckpointStore store({dir.str(), 64ull << 20});
+    CheckpointStore store({dir.str()});
     ASSERT_TRUE(store.enabled());
     std::vector<std::uint8_t> payload(64 * 1024);
     for (std::size_t b = 0; b < payload.size(); ++b)
@@ -234,16 +234,16 @@ TEST(StressCheckpointStore, SameKeyWritersAndReadersNeverCollide)
     std::atomic<std::uint64_t> badLoads{0};
     ThreadPool::parallelFor(kJobs, stores + loads, [&](std::size_t i) {
         if (i % 2 == 0 && i / 2 < stores) {
-            store.store("warm|same", payload);
+            store.store("viol|same", payload);
         } else {
             std::vector<std::uint8_t> got;
-            if (store.load("warm|same", got) && got != payload)
+            if (store.load("viol|same", got) && got != payload)
                 badLoads.fetch_add(1, std::memory_order_relaxed);
         }
     });
     EXPECT_EQ(badLoads.load(), 0u);
     std::vector<std::uint8_t> got;
-    ASSERT_TRUE(store.load("warm|same", got));
+    ASSERT_TRUE(store.load("viol|same", got));
     EXPECT_EQ(got, payload);
     CheckpointStoreCounters c = store.counters();
     EXPECT_EQ(c.writebacks, stores);
@@ -264,7 +264,7 @@ TEST(StressCheckpointStore, WriteGateLatchRacesAreBenign)
     // latch is intentionally read outside the store lock. TSan proves
     // the latch is well-ordered; the assertion proves it closed.
     ScratchDir dir("gate");
-    CheckpointStore store({dir.str(), 64ull << 20});
+    CheckpointStore store({dir.str()});
     ASSERT_TRUE(store.enabled());
     fs::remove_all(dir.path);
     constexpr std::size_t n = 256;

@@ -1,10 +1,9 @@
 /**
  * @file
- * Sampled simulation: checkpoint fidelity, the degenerate-parameter
- * bit-identity contract, the stated accuracy bound on the tier-1
- * kernel set, the speed proxy (detailed-work fraction), the
- * engine's cross-config summary sharing, and the proof that lets a
- * storeless run skip a seeded pass.
+ * Sampled simulation: the degenerate-parameter bit-identity contract,
+ * the stated accuracy bound on the tier-1 kernel set, the speed proxy
+ * (detailed-work fraction), the engine's cross-config summary sharing,
+ * and the proof that lets a run skip a seeded pass.
  */
 
 #include <gtest/gtest.h>
@@ -71,32 +70,6 @@ sbuf:   .space 2560
 const SetupFn noSetup = [](Emulator &) {};
 
 } // namespace
-
-TEST(Sampling, CheckpointRoundTrip)
-{
-    BoundKernel bk = bindKernel(findKernel("crc"));
-
-    Emulator a(*bk.program);
-    bk.kernel->setup(a, 0);
-    while (!a.halted() && a.dynInsns() < 5000)
-        a.step();
-    EmuCheckpoint c = a.checkpoint();
-    EXPECT_EQ(c.slots, 5000u);
-
-    EmuResult endA = a.run();
-
-    Emulator b(*bk.program);
-    bk.kernel->setup(b, 0);
-    b.restore(std::move(c));
-    EXPECT_EQ(b.dynInsns(), 5000u);
-    EmuResult endB = b.run();
-
-    EXPECT_EQ(endA.dynInsns, endB.dynInsns);
-    EXPECT_EQ(endA.dynWork, endB.dynWork);
-    EXPECT_EQ(a.pc(), b.pc());
-    for (RegId r = 0; r < numArchRegs; ++r)
-        EXPECT_EQ(a.reg(r), b.reg(r)) << "register " << int(r);
-}
 
 TEST(Sampling, WholeProgramIntervalBitIdentical)
 {
@@ -193,7 +166,7 @@ TEST(Sampling, SummarySharedAcrossConfigs)
 {
     // The functional summary depends on the binary, not the machine:
     // two different core configurations running the same program must
-    // share one summary artifact (and its checkpoints).
+    // share one summary artifact.
     BoundKernel bk = bindKernel(findKernel("bitcount"));
     ExperimentEngine eng(1);
     EngineWorkload w = workload(bk);
@@ -306,7 +279,7 @@ TEST(Sampling, ExhaustedDutyBudgetFallsBackToWholeChunks)
 
 TEST(Sampling, SkippedSeededPassWouldRetraceDiscovery)
 {
-    // A storeless runCellSampled skips the seeded final pass when
+    // runCellSampled skips the seeded final pass when
     // Core::seededRunRetraces proves it would repeat the discovery
     // pass. Hold that proof against the seeded pass itself, on cells
     // that go both ways.
@@ -336,7 +309,7 @@ TEST(Sampling, SkippedSeededPassWouldRetraceDiscovery)
         ASSERT_FALSE(d.exact) << name;
         ASSERT_FALSE(pairs.empty()) << name << " discovers no violations";
         SampledStats s =
-            fresh()->runSampled(cfg.sampling, sum, ~0ull, nullptr, &pairs);
+            fresh()->runSampled(cfg.sampling, sum, ~0ull, &pairs);
         if (!fresh()->seededRunRetraces(*disc, pairs)) {
             ++diverged;
             continue;
