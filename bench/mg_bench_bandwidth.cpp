@@ -57,7 +57,7 @@ addPair(std::vector<SweepColumn> &cols, const std::string &tag,
 int
 main(int argc, char **argv)
 {
-    CliOptions cli = parseCli(argc, argv);
+    CliOptions cli = parseCli(argc, argv, {"--sched"});
     bool schedOnly = cli.has("--sched");
     ExperimentEngine engine(cli.jobs);
     cli.configureStore(engine);
@@ -84,8 +84,6 @@ main(int argc, char **argv)
     cli.applySampling(spec);
     cli.applyAnalysis(spec);
     SweepResult r = engine.sweep(spec);
-    if (r.planOnly)
-        return 0;   // --dry-run: the plan has been printed
     printf("%s\n", sweepTable(r).c_str());
     printf("%s\n", throughputTable(r).c_str());
     std::string outcomes = outcomeSummary(r);

@@ -70,8 +70,6 @@ appSpecific(ExperimentEngine &engine, bool memory, const char *title,
                                 false});
     }
     SweepResult r = engine.sweep(spec);
-    if (r.planOnly)
-        return r;   // --dry-run: the plan has been printed
 
     printf("== %s ==\n", spec.title.c_str());
     TextTable t;
@@ -244,7 +242,7 @@ robustness(ExperimentEngine &engine, Scale scale)
 int
 main(int argc, char **argv)
 {
-    CliOptions cli = parseCli(argc, argv);
+    CliOptions cli = parseCli(argc, argv, {"--robustness"});
     ExperimentEngine engine(cli.jobs);
     cli.configureStore(engine);
     cli.configureFaultTolerance(engine);
@@ -252,8 +250,6 @@ main(int argc, char **argv)
         appSpecific(engine, false, "integer", cli.scale);
         SweepResult intMem =
             appSpecific(engine, true, "integer-memory", cli.scale);
-        if (intMem.planOnly)
-            return 0;   // --dry-run: plans printed, nothing simulated
         domainSpecific(engine, cli.scale);
         cli.applyReporting(intMem);
         std::string json = writeSweepJson(intMem, cli.benchName("coverage"),
@@ -261,8 +257,6 @@ main(int argc, char **argv)
         if (!json.empty())
             printf("wrote %s\n", json.c_str());
     }
-    if (cli.dryRun)
-        return 0;   // the non-sweep studies would simulate
     robustness(engine, cli.scale);
     return 0;
 }

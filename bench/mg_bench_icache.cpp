@@ -63,8 +63,6 @@ main(int argc, char **argv)
     cli.applySampling(spec);
     cli.applyAnalysis(spec);
     SweepResult r = engine.sweep(spec);
-    if (r.planOnly)
-        return 0;   // --dry-run: the plan has been printed
     // Mini-graph columns are measured against the baseline with the
     // matching icache (column 0 or 3) everywhere, JSON included.
     r.columnBaseline = {0, 0, 0, 3, 3, 3};

@@ -35,8 +35,6 @@ main(int argc, char **argv)
     cli.applySampling(spec);
     cli.applyAnalysis(spec);
     SweepResult r = engine.sweep(spec);
-    if (r.planOnly)
-        return 0;   // --dry-run: the plan has been printed
 
     // The figure annotates each bar group with int-mem's dynamic
     // coverage (the fraction of work executed inside handles).

@@ -43,8 +43,6 @@ main(int argc, char **argv)
     cli.applySampling(spec);
     cli.applyAnalysis(spec);
     SweepResult r = engine.sweep(spec);
-    if (r.planOnly)
-        return 0;   // --dry-run: the plan has been printed
     printf("%s\n", sweepTable(r).c_str());
     printf("%s\n", throughputTable(r).c_str());
     std::string outcomes = outcomeSummary(r);

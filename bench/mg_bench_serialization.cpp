@@ -42,7 +42,7 @@ makePolicy(bool memory, bool ext, bool inte, bool replay)
 int
 main(int argc, char **argv)
 {
-    CliOptions cli = parseCli(argc, argv);
+    CliOptions cli = parseCli(argc, argv, {"--best"});
     bool best = cli.has("--best");
     ExperimentEngine engine(cli.jobs);
     cli.configureStore(engine);
@@ -67,8 +67,6 @@ main(int argc, char **argv)
     cli.applySampling(spec);
     cli.applyAnalysis(spec);
     SweepResult r = engine.sweep(spec);
-    if (r.planOnly)
-        return 0;   // --dry-run: the plan has been printed
     std::vector<BenchRow> rows = benchRows(r);
     std::vector<double> bests;
     for (BenchRow &row : rows) {

@@ -69,8 +69,6 @@ main(int argc, char **argv)
     cli.configureFaultTolerance(engine);
     cli.applySampling(spec);
     SweepResult r = engine.sweep(spec);
-    if (r.planOnly)
-        return 0;   // --dry-run: the plan has been printed
 
     const SweepCell &base = r.at(0, 0);
     printf("baseline IPC %.3f over %llu cycles\n\n", base.stats.ipc(),

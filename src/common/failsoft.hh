@@ -11,8 +11,10 @@
  *
  * CellTimeout is what the timing loop throws when its cooperative
  * cancellation flag fires; the engine's per-cell failure domains
- * report it as a timed-out cell. Anything else that escapes a cell is
- * a failure of that cell alone.
+ * report it as a timed-out cell. Anything else that escapes a cell (a
+ * bug that throws, an exhausted allocator) is a failure of that cell
+ * alone. Both are reached only through a cell's own compute and
+ * inputs.
  */
 
 #ifndef MG_COMMON_FAILSOFT_HH

@@ -1,11 +1,13 @@
 #include "engine/cli.hh"
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 
 #include "common/logging.hh"
-#include "engine/fault_inject.hh"
 
 namespace mg {
 
@@ -31,12 +33,14 @@ namespace {
 std::uint64_t
 parseCount(const char *flag, const char *value)
 {
-    // strtoull would wrap negatives and accept empty strings.
+    // strtoull would wrap negatives, accept empty strings and clamp
+    // out-of-range values to ULLONG_MAX.
     if (!value || !*value || *value == '-' || *value == '+')
         fatal("bad %s value '%s'", flag, value ? value : "");
     char *end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(value, &end, 10);
-    if (!end || *end)
+    if (!end || *end || errno == ERANGE)
         fatal("bad %s value '%s'", flag, value);
     return v;
 }
@@ -44,7 +48,7 @@ parseCount(const char *flag, const char *value)
 } // namespace
 
 CliOptions
-parseCli(int argc, char **argv)
+parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
 {
     CliOptions opt;
     auto next = [&](const std::string &flag, int &i) -> const char * {
@@ -92,17 +96,15 @@ parseCli(int argc, char **argv)
             const char *v = next(a, i);
             char *end = nullptr;
             double s = std::strtod(v, &end);
-            if (!end || *end || s < 0)
+            // strtod also takes "inf", "nan" and 1e30, which no
+            // deadline can mean.
+            if (!end || *end || !std::isfinite(s) || s < 0)
                 fatal("bad --cell-timeout-s value '%s'", v);
             opt.cellTimeoutS = s;
         } else if (a == "--journal-dir") {
             opt.journalDirOpt = next(a, i);
         } else if (a == "--no-journal") {
             opt.journal = false;
-        } else if (a == "--fault-inject") {
-            opt.faultSpec = next(a, i);
-        } else if (a == "--dry-run") {
-            opt.dryRun = true;
         } else if (a == "--critpath") {
             opt.critpath = true;
         } else if (a == "--trace") {
@@ -114,6 +116,12 @@ parseCli(int argc, char **argv)
                 fatal("--whatif requires a key=val spec");
             opt.critpath = true;
         } else {
+            // A mistyped flag must not silently run a different sweep:
+            // only the bench's own flags and positional arguments pass.
+            if (a[0] == '-' && std::find(benchFlags.begin(),
+                                         benchFlags.end(),
+                                         a) == benchFlags.end())
+                fatal("unknown option '%s'", a.c_str());
             opt.rest.push_back(std::move(a));
         }
     }
@@ -189,17 +197,6 @@ CliOptions::configureFaultTolerance(ExperimentEngine &engine) const
     engine.setFaultPolicy(p);
 
     engine.setJournalDir(journalDir());
-    engine.setDryRun(dryRun);
-
-    std::string spec = faultSpec;
-    if (spec.empty()) {
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): read at startup only
-        const char *env = std::getenv("MG_FAULT_SPEC");
-        if (env)
-            spec = env;
-    }
-    if (!spec.empty())
-        FaultInjector::global().configure(spec);
 }
 
 void

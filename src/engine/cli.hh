@@ -19,14 +19,11 @@
  * `--no-checkpoint-store` disables it.
  *
  * Fault tolerance (see engine.hh FaultPolicy and engine/journal.hh):
- * `--cell-timeout-s S` caps each cell's wall clock (default scales
- * with the tier — 600s ref, 3600s long, 14400s huge; 0 disables),
+ * `--cell-timeout-s S` caps each cell's wall clock (S finite; the
+ * default scales with the tier — 600s ref, 3600s long, 14400s huge;
+ * 0 disables),
  * `--journal-dir PATH` enables the crash-safe sweep journal (default
- * `$MG_JOURNAL_DIR`, else off; `--no-journal` forces off),
- * `--fault-inject SPEC` arms the deterministic fault injector
- * (default `$MG_FAULT_SPEC`; see engine/fault_inject.hh for the rule
- * grammar), and `--dry-run` prints the sweep's cell plan — ids,
- * fingerprints, journal hit/miss — without simulating anything.
+ * `$MG_JOURNAL_DIR`, else off; `--no-journal` forces off).
  *
  * Critical-path analysis (see analysis/critpath.hh): `--critpath`
  * attaches a retired-event trace to every timing cell's only run and
@@ -37,8 +34,12 @@
  * cycle count under re-weighted edges (implies --critpath). All three
  * need full simulation: combined with enabled sampling they are
  * fatal. Without any of the three, no trace is attached and reports
- * are byte-identical to analyzer-less builds. Anything unrecognised
- * is passed through for bench-specific flags.
+ * are byte-identical to analyzer-less builds.
+ *
+ * A bench names its own flags (`--sched`, `--best`, `--robustness`)
+ * to parseCli; they and positional arguments pass through in
+ * CliOptions::rest. Any other unrecognised `-`-prefixed argument is
+ * fatal, so a mistyped flag never runs a different sweep.
  */
 
 #ifndef MG_ENGINE_CLI_HH
@@ -77,16 +78,13 @@ struct CliOptions
     std::string journalDirOpt;  ///< --journal-dir PATH ("" = env
                                 ///< MG_JOURNAL_DIR, else no journal)
     bool journal = true;        ///< --no-journal clears it
-    std::string faultSpec;      ///< --fault-inject SPEC ("" = env
-                                ///< MG_FAULT_SPEC, else disarmed)
-    bool dryRun = false;        ///< --dry-run: print the cell plan,
-                                ///< simulate nothing
     bool critpath = false;      ///< --critpath (also set by --trace /
                                 ///< --whatif)
     std::uint64_t traceDepth = 0;   ///< --trace N ring bound (0 =
                                     ///< default capacity)
     std::string whatIf;         ///< --whatif key=val[,...] ("" = none)
-    std::vector<std::string> rest;  ///< unconsumed arguments
+    std::vector<std::string> rest;  ///< bench flags and positional
+                                    ///< arguments
 
     /** @return true when @p flag appears among the leftover args. */
     bool has(const std::string &flag) const;
@@ -121,9 +119,8 @@ struct CliOptions
     /**
      * Apply the fault-tolerance flags to @p engine: install the
      * FaultPolicy (tier-scaled default deadline unless
-     * --cell-timeout-s overrides it), enable the sweep journal when a
-     * directory is configured, arm the global fault injector when a
-     * spec is, and propagate --dry-run. Call once per bench, right
+     * --cell-timeout-s overrides it) and enable the sweep journal
+     * when a directory is configured. Call once per bench, right
      * after configureStore.
      */
     void configureFaultTolerance(ExperimentEngine &engine) const;
@@ -139,9 +136,12 @@ struct CliOptions
     }
 };
 
-/** Parse argv; fatal() on malformed options. `--list-kernels` prints
- *  the registry (names, suites, supported scales) and exits. */
-CliOptions parseCli(int argc, char **argv);
+/** Parse argv; fatal() on malformed options and on unknown flags —
+ *  anything `-`-prefixed that is neither a common option nor one of
+ *  @p benchFlags. `--list-kernels` prints the registry (names,
+ *  suites, supported scales) and exits. */
+CliOptions parseCli(int argc, char **argv,
+                    const std::vector<std::string> &benchFlags = {});
 
 } // namespace mg
 

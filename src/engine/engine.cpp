@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -10,7 +9,6 @@
 #include "common/failsoft.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
-#include "engine/fault_inject.hh"
 #include "engine/fingerprint.hh"
 #include "engine/journal.hh"
 #include "engine/thread_pool.hh"
@@ -55,13 +53,22 @@ class DeadlineWatchdog
     std::uint64_t
     arm(std::atomic<bool> *flag, double seconds)
     {
+        using Clock = std::chrono::steady_clock;
         std::lock_guard<std::mutex> g(mu_);
         std::uint64_t id = ++seq_;
-        armed_[id] = {std::chrono::steady_clock::now() +
-                          std::chrono::duration_cast<
-                              std::chrono::steady_clock::duration>(
-                              std::chrono::duration<double>(seconds)),
-                      flag};
+        // Saturate: a deadline the clock cannot represent never fires
+        // (converting it to ticks would overflow into the past). Half
+        // the headroom keeps the double-to-tick rounding clear of it.
+        Clock::time_point now = Clock::now();
+        double room =
+            std::chrono::duration<double>(Clock::time_point::max() - now)
+                .count();
+        Clock::time_point deadline =
+            seconds < room / 2
+                ? now + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(seconds))
+                : Clock::time_point::max();
+        armed_[id] = {deadline, flag};
         cv_.notify_all();
         return id;
     }
@@ -327,8 +334,6 @@ ExperimentEngine::computeCell(const EngineWorkload &w,
 SweepCell
 ExperimentEngine::runOne(const EngineWorkload &w, const SweepColumn &col)
 {
-    // Fault-injection sites key on the cell's sweep identity.
-    const std::string cellKey = w.id + "|" + col.name;
     // Per-cell deadline: the watchdog sets the flag, the timing loop /
     // functional pre-pass polls it and throws CellTimeout. The flag
     // lives on this frame; the watchdog never touches it after
@@ -340,9 +345,6 @@ ExperimentEngine::runOne(const EngineWorkload &w, const SweepColumn &col)
         wdId = watchdog_->arm(&cancelFlag, policy_.cellTimeoutS);
     SweepCell out;
     try {
-        faultPoint(FaultSite::Stall, cellKey, &cancelFlag);
-        faultPoint(FaultSite::Alloc, cellKey);
-        faultPoint(FaultSite::CellFail, cellKey);
         out = computeCell(w, col, &cancelFlag);
     } catch (const CellTimeout &e) {
         out.outcome = CellOutcome::TimedOut;
@@ -381,7 +383,7 @@ ExperimentEngine::sweep(const SweepSpec &spec)
     // spec gets its own.
     std::vector<std::uint64_t> fps;
     std::unique_ptr<SweepJournal> journal;
-    if (!journalDir_.empty() || dryRun_) {
+    if (!journalDir_.empty()) {
         fps.resize(out.cells.size());
         std::uint64_t specFp =
             fnv1a64(spec.title.data(), spec.title.size());
@@ -394,44 +396,8 @@ ExperimentEngine::sweep(const SweepSpec &spec)
             fps[i] = fnv1a64(fp.data(), fp.size());
             specFp = fnv1a64(&fps[i], sizeof fps[i], specFp);
         }
-        if (!journalDir_.empty()) {
-            journal = std::make_unique<SweepJournal>();
-            journal->open(journalDir_, specFp);
-        }
-    }
-
-    if (dryRun_) {
-        // Plan only: report what would run and what the journal
-        // already holds; simulate nothing.
-        out.planOnly = true;
-        std::printf("== sweep plan: %s (%zu cells) ==\n",
-                    spec.title.c_str(), out.cells.size());
-        std::uint64_t hits = 0;
-        for (std::size_t i = 0; i < out.cells.size(); ++i) {
-            SweepCell &cell = out.cells[i];
-            cell.outcome = CellOutcome::Skipped;
-            std::string note;
-            if (journal) {
-                SweepCell j;
-                cell.journalHit = journal->lookup(fps[i], j);
-                hits += cell.journalHit;
-                note = cell.journalHit ? " journal=hit"
-                                       : " journal=miss";
-            }
-            if (!spec.columns[i % cols].timing)
-                note += " prepare-only";
-            std::printf("  %-16s %-24s fp=%016llx%s\n",
-                        spec.workloads[i / cols].id.c_str(),
-                        spec.columns[i % cols].name.c_str(),
-                        static_cast<unsigned long long>(fps[i]),
-                        note.c_str());
-        }
-        if (journal)
-            std::printf("  journal: %llu/%zu cells already recorded "
-                        "in %s\n",
-                        static_cast<unsigned long long>(hits),
-                        out.cells.size(), journal->path().c_str());
-        return out;
+        journal = std::make_unique<SweepJournal>();
+        journal->open(journalDir_, specFp);
     }
 
     CheckpointStoreCounters before;

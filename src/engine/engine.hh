@@ -9,6 +9,11 @@
  * of its (workload, config) key and results land in pre-assigned
  * row-major slots.
  *
+ * Each cell is its own failure domain: whatever its compute throws
+ * (including a workload setup that throws, or a cell overrunning its
+ * FaultPolicy deadline) becomes that cell's outcome, and every other
+ * cell is unaffected. The engine has no other way to fail a cell.
+ *
  * Concurrency contract (audited across emu/uarch/mg): a cell touches
  * only its own Emulator/Core plus shared *const* artifacts; the only
  * process-global mutable state in the library is the assembly cache in
@@ -92,7 +97,8 @@ struct TimedSampled
  */
 struct FaultPolicy
 {
-    /** Wall-clock deadline per cell in seconds; 0 disables. Enforced
+    /** Wall-clock deadline per cell in seconds; 0 disables, and one
+     *  past what the clock can represent never fires. Enforced
      *  cooperatively: a watchdog thread sets the cell's cancel flag,
      *  and the timing loop / functional pre-pass polls it and throws
      *  CellTimeout. */
@@ -171,8 +177,7 @@ class ExperimentEngine
      * becomes that cell's CellOutcome (Failed/TimedOut) and the sweep
      * always completes with every other cell intact. A configured
      * journal replays finished cells from a previous (possibly killed)
-     * run of the same spec and records each Ok cell as it completes;
-     * dry-run mode prints the cell plan and simulates nothing.
+     * run of the same spec and records each Ok cell as it completes.
      */
     SweepResult sweep(const SweepSpec &spec);
 
@@ -189,12 +194,6 @@ class ExperimentEngine
     void setJournalDir(std::string dir) { journalDir_ = std::move(dir); }
 
     const std::string &journalDir() const { return journalDir_; }
-
-    /** Plan-only sweeps: print each cell's identity, fingerprint, and
-     *  journal hit/miss, simulate nothing, return a planOnly result. */
-    void setDryRun(bool on) { dryRun_ = on; }
-
-    bool dryRun() const { return dryRun_; }
 
     /**
      * Attach an on-disk checkpoint store. Sampled cells then persist
@@ -233,7 +232,6 @@ class ExperimentEngine
     FaultPolicy policy_;
     std::unique_ptr<DeadlineWatchdog> watchdog_;
     std::string journalDir_;
-    bool dryRun_ = false;
     std::shared_ptr<CheckpointStore> store_;
     ArtifactCache<BlockProfile> profiles;
     ArtifactCache<PreparedMg> prepared;

@@ -168,7 +168,6 @@ SweepJournal::lookup(std::uint64_t cellFp, SweepCell &out) const
     if (it == cells_.end())
         return false;
     out = it->second;
-    out.journalHit = true;
     return true;
 }
 

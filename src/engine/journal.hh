@@ -66,8 +66,6 @@ class SweepJournal
      *  resume-variant, never reported). */
     std::uint64_t replayed() const;
 
-    const std::string &path() const { return path_; }
-
     SweepJournal() = default;
     ~SweepJournal();
     SweepJournal(const SweepJournal &) = delete;

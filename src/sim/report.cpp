@@ -14,7 +14,6 @@ cellOutcomeName(CellOutcome o)
       case CellOutcome::Ok: return "ok";
       case CellOutcome::Failed: return "failed";
       case CellOutcome::TimedOut: return "timed_out";
-      case CellOutcome::Skipped: return "skipped";
     }
     return "unknown";
 }
@@ -330,15 +329,15 @@ sweepJson(const SweepResult &r, const std::string &bench)
 std::string
 outcomeSummary(const SweepResult &r)
 {
-    std::uint64_t byOutcome[4] = {0, 0, 0, 0};
+    std::uint64_t byOutcome[3] = {0, 0, 0};
     for (const SweepCell &c : r.cells)
-        ++byOutcome[static_cast<std::size_t>(c.outcome) & 3];
+        ++byOutcome[static_cast<std::size_t>(c.outcome)];
     std::uint64_t ok = byOutcome[0];
     if (ok == r.cells.size())
         return "";
     std::string out = strfmt("cell outcomes: %llu ok",
                              static_cast<unsigned long long>(ok));
-    for (int o = 1; o < 4; ++o) {
+    for (int o = 1; o < 3; ++o) {
         if (byOutcome[o])
             out += strfmt(", %llu %s",
                           static_cast<unsigned long long>(byOutcome[o]),
@@ -421,7 +420,7 @@ deserializeSweepCell(SerialReader &r, SweepCell &c)
     c.wallSeconds = r.f64();
     c.workPerSec = r.f64();
     std::uint8_t o = r.u8();
-    if (o > 3) {
+    if (o > static_cast<std::uint8_t>(CellOutcome::TimedOut)) {
         r.fail();
         return false;
     }
@@ -447,10 +446,6 @@ std::string
 writeSweepJson(const SweepResult &r, const std::string &bench,
                const std::string &path)
 {
-    // A dry-run plan carries no results; refuse to overwrite a real
-    // report with skipped placeholders.
-    if (r.planOnly)
-        return "";
     std::string file = path.empty() ? "BENCH_" + bench + ".json" : path;
     std::string body = sweepJson(r, bench);
     FILE *f = std::fopen(file.c_str(), "w");

@@ -31,10 +31,9 @@ enum class CellOutcome : std::uint8_t
     Ok = 0,         ///< stats are valid
     Failed = 1,     ///< permanent error (error holds the message)
     TimedOut = 2,   ///< cancelled by the per-cell deadline watchdog
-    Skipped = 3,    ///< never executed (dry-run plan)
 };
 
-/** Stable lowercase name ("ok", "failed", "timed_out", "skipped"). */
+/** Stable lowercase name ("ok", "failed", "timed_out"). */
 const char *cellOutcomeName(CellOutcome o);
 
 /** One benchmark's results across a set of configurations. */
@@ -72,10 +71,6 @@ struct SweepCell
      *  to pre-fault-tolerance reports. */
     CellOutcome outcome = CellOutcome::Ok;
     std::string error;              ///< what ended a non-Ok cell
-    /** Replayed from the sweep journal instead of simulated. Runtime
-     *  state only — never serialized or reported, because it differs
-     *  between a resumed and an uninterrupted run. */
-    bool journalHit = false;
 };
 
 /**
@@ -117,9 +112,6 @@ struct SweepResult
      *  journal was attached. */
     bool journalAttached = false;
     std::uint64_t journalRecorded = 0;
-    /** Dry-run plan: cells are Skipped placeholders, nothing was
-     *  simulated, and writeSweepJson refuses to write a report. */
-    bool planOnly = false;
 
     const SweepCell &at(std::size_t row, std::size_t col) const;
 
@@ -163,9 +155,7 @@ std::string sweepJson(const SweepResult &r, const std::string &bench);
 /**
  * Write sweepJson to @p path, or to "BENCH_<bench>.json" in the
  * working directory when @p path is empty. @return the path written,
- * or "" on I/O failure (reported via warn()) or when @p r is a
- * dry-run plan (nothing was simulated, so there is nothing to
- * report).
+ * or "" on I/O failure (reported via warn()).
  */
 std::string writeSweepJson(const SweepResult &r, const std::string &bench,
                            const std::string &path = "");
@@ -178,7 +168,7 @@ std::string writeSweepJson(const SweepResult &r, const std::string &bench,
  */
 std::string outcomeSummary(const SweepResult &r);
 
-/** Append @p c to @p w (journal payloads; journalHit elided). */
+/** Append @p c to @p w (journal payloads). */
 void serializeSweepCell(const SweepCell &c, SerialWriter &w);
 
 /** Parse a serializeSweepCell record. @return false (leaving @p c

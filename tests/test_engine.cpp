@@ -143,6 +143,53 @@ TEST(Engine, CritpathRejectsSampling)
     EXPECT_TRUE(parseCli(5, const_cast<char **>(full)).critpath);
 }
 
+TEST(Engine, CellTimeoutMustBeFinite)
+{
+    // strtod takes "inf" and "nan"; neither names a deadline.
+    for (const char *v : {"inf", "nan"}) {
+        const char *argv[] = {"bench", "--cell-timeout-s", v};
+        EXPECT_EXIT(parseCli(3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(1), "bad --cell-timeout-s")
+            << v;
+    }
+    const char *huge[] = {"bench", "--cell-timeout-s", "1e30"};
+    EXPECT_EQ(parseCli(3, const_cast<char **>(huge)).cellTimeoutS, 1e30);
+}
+
+TEST(Engine, UnknownFlagsAreFatal)
+{
+    // A typo must not silently run a full, unsampled sweep, and
+    // retired flags must not silently run a different one.
+    const char *typo[] = {"bench", "--sample-intervall", "1000"};
+    EXPECT_EXIT(parseCli(3, const_cast<char **>(typo)),
+                ::testing::ExitedWithCode(1),
+                "unknown option '--sample-intervall'");
+    const char *dryRun[] = {"bench", "--dry-run"};
+    EXPECT_EXIT(parseCli(2, const_cast<char **>(dryRun)),
+                ::testing::ExitedWithCode(1), "unknown option '--dry-run'");
+    const char *inject[] = {"bench", "--fault-inject", "fail@gzip"};
+    EXPECT_EXIT(parseCli(3, const_cast<char **>(inject)),
+                ::testing::ExitedWithCode(1),
+                "unknown option '--fault-inject'");
+    // strtoull clamps an out-of-range count to ULLONG_MAX.
+    const char *overflow[] = {"bench", "--sample-interval",
+                              "99999999999999999999999"};
+    EXPECT_EXIT(parseCli(3, const_cast<char **>(overflow)),
+                ::testing::ExitedWithCode(1), "bad --sample-interval");
+}
+
+TEST(Engine, BenchFlagsAndPositionalsPassThrough)
+{
+    const char *argv[] = {"bench", "--sched", "crc", "--jobs", "2"};
+    CliOptions o = parseCli(5, const_cast<char **>(argv), {"--sched"});
+    EXPECT_TRUE(o.has("--sched"));
+    EXPECT_EQ(o.rest, (std::vector<std::string>{"--sched", "crc"}));
+    EXPECT_EQ(o.jobs, 2);
+    // One bench's flag is unknown to another.
+    EXPECT_EXIT(parseCli(5, const_cast<char **>(argv), {"--best"}),
+                ::testing::ExitedWithCode(1), "unknown option '--sched'");
+}
+
 TEST(Engine, UntimedColumnsPrepareWithoutRunning)
 {
     SweepSpec spec = testSpec();

@@ -1,16 +1,19 @@
 /**
  * @file
- * Fault-tolerance battery: the failure-domain, timeout, crash
- * journal, and fault-injection layers of the sweep engine.
+ * Fault-tolerance battery: the failure-domain, timeout, and crash
+ * journal layers of the sweep engine.
  *
- * Four layers, innermost out:
+ * Failures come from the cells' own inputs: a row whose workload
+ * setup throws (a runtime error, an allocation failure) or sleeps
+ * past the deadline stands in for a buggy, memory-starved or hung
+ * kernel.
+ *
+ * Three layers, innermost out:
  *  - primitives: FailSoftGate latching, SweepCell serialization round
  *    trips, ThreadPool exception containment (a throwing task must
  *    not kill its worker or be silently swallowed);
- *  - the deterministic fault injector: seeded arming, key matching,
- *    stall cancellation;
- *  - per-cell failure domains: injected faults and timeouts cost
- *    exactly one cell, and the sweep always completes;
+ *  - per-cell failure domains: a failing or hung row costs exactly
+ *    its own cells, and the sweep always completes;
  *  - the crash-safe journal: resume skips finished cells and
  *    converges to the uninterrupted sweep (also when a storeless
  *    journal is resumed with a checkpoint store), torn tails and
@@ -23,18 +26,19 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <set>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failsoft.hh"
 #include "common/serial.hh"
 #include "engine/engine.hh"
-#include "engine/fault_inject.hh"
 #include "engine/journal.hh"
 #include "engine/thread_pool.hh"
 #include "sim/report.hh"
@@ -64,17 +68,6 @@ struct ScratchDir
     std::string str() const { return path.string(); }
 };
 
-/** Arm the global injector for one test; disarm on scope exit so the
- *  process-wide singleton never leaks into the next test. */
-struct FaultArm
-{
-    explicit FaultArm(const std::string &spec)
-    {
-        FaultInjector::global().configure(spec);
-    }
-    ~FaultArm() { FaultInjector::global().configure(""); }
-};
-
 /** Small 2x2 matrix every engine test here sweeps. */
 SweepSpec
 testSpec()
@@ -88,6 +81,32 @@ testSpec()
     for (SweepColumn &c : spec.columns)
         c.config.runBudget = testBudget;
     spec.baselineColumn = 0;
+    return spec;
+}
+
+/** Setups that make a row fail for its own reasons. */
+void
+throwRuntimeError(Emulator &)
+{
+    throw std::runtime_error("input planting failed");
+}
+
+void
+throwBadAlloc(Emulator &)
+{
+    throw std::bad_alloc();
+}
+
+/** Replace the setup of @p spec's row named @p id. The row keeps its
+ *  id, so its journal key matches the healthy row's: a later sweep of
+ *  the unmodified spec resumes the same journal. */
+SweepSpec
+failingRow(SweepSpec spec, const std::string &id, SetupFn setup)
+{
+    for (EngineWorkload &w : spec.workloads) {
+        if (w.id == id)
+            w.setup = std::move(setup);
+    }
     return spec;
 }
 
@@ -193,7 +212,6 @@ TEST(FailSoft, SweepCellRoundTripsThroughSerialization)
         EXPECT_EQ(in.workPerSec, out.workPerSec);
         EXPECT_EQ(in.outcome, out.outcome);
         EXPECT_EQ(in.error, out.error);
-        EXPECT_FALSE(out.journalHit);   // runtime state, never travels
     }
 }
 
@@ -251,68 +269,11 @@ TEST(Pool, ParallelForRunsEveryIndexAndRethrowsLowest)
     }
 }
 
-// -------------------------------------------------------- fault injector
-
-TEST(FaultInject, ArmingIsSeededAndDeterministic)
-{
-    auto armedSet = [](const std::string &spec) {
-        FaultArm arm(spec);
-        std::set<int> armed;
-        for (int k = 0; k < 32; ++k) {
-            try {
-                FaultInjector::global().at(FaultSite::CellFail,
-                                           "key" + std::to_string(k));
-            } catch (const std::runtime_error &) {
-                armed.insert(k);
-            }
-        }
-        return armed;
-    };
-    std::set<int> a = armedSet("fail:p=0.5:seed=3");
-    std::set<int> b = armedSet("fail:p=0.5:seed=3");
-    std::set<int> c = armedSet("fail:p=0.5:seed=4");
-    EXPECT_EQ(a, b);                    // same spec, same keys fault
-    EXPECT_NE(a, c);                    // the seed picks the victims
-    EXPECT_GT(a.size(), 0u);            // p=0.5 arms some...
-    EXPECT_LT(a.size(), 32u);           // ...but not all
-}
-
-TEST(FaultInject, MatchSelectsSitesAndKeys)
-{
-    FaultArm arm("fail@crc,alloc@bitcount");
-    FaultInjector &fi = FaultInjector::global();
-    EXPECT_THROW(fi.at(FaultSite::CellFail, "crc|baseline"),
-                 std::runtime_error);
-    EXPECT_NO_THROW(fi.at(FaultSite::CellFail, "bitcount|baseline"));
-    EXPECT_THROW(fi.at(FaultSite::Alloc, "bitcount|baseline"),
-                 std::bad_alloc);
-    EXPECT_NO_THROW(fi.at(FaultSite::Alloc, "crc|baseline"));
-    // Unarmed sites never fire regardless of key.
-    EXPECT_NO_THROW(fi.at(FaultSite::Stall, "crc|baseline"));
-}
-
-TEST(FaultInject, StallHonoursCancellation)
-{
-    FaultArm arm("stall:ms=10000");
-    std::atomic<bool> cancel{true};   // deadline already fired
-    EXPECT_THROW(
-        FaultInjector::global().at(FaultSite::Stall, "k", &cancel),
-        CellTimeout);
-}
-
-TEST(FaultInject, DisarmedInjectorIsFree)
-{
-    FaultInjector &fi = FaultInjector::global();
-    EXPECT_FALSE(fi.armed());
-    EXPECT_NO_THROW(faultPoint(FaultSite::CellFail, "k"));
-}
-
 // ------------------------------------------------------- failure domains
 
 TEST(FaultSweep, PermanentFaultCostsOnlyItsCells)
 {
-    SweepSpec spec = testSpec();
-    FaultArm arm("fail@crc");
+    SweepSpec spec = failingRow(testSpec(), "crc", throwRuntimeError);
     ExperimentEngine engine(2);
     SweepResult r = engine.sweep(spec);
 
@@ -322,7 +283,7 @@ TEST(FaultSweep, PermanentFaultCostsOnlyItsCells)
             const SweepCell &c = r.at(row, col);
             if (r.rows[row] == "crc") {
                 EXPECT_EQ(c.outcome, CellOutcome::Failed);
-                EXPECT_FALSE(c.error.empty());
+                EXPECT_EQ(c.error, "input planting failed");
                 EXPECT_FALSE(c.timed);   // no stats survive a failure
             } else {
                 EXPECT_EQ(c.outcome, CellOutcome::Ok);
@@ -337,40 +298,45 @@ TEST(FaultSweep, PermanentFaultCostsOnlyItsCells)
 
 TEST(FaultSweep, AllocFailureIsContained)
 {
-    SweepSpec spec = testSpec();
-    FaultArm arm("alloc@bitcount|int-mem");
+    SweepSpec spec = failingRow(testSpec(), "bitcount", throwBadAlloc);
     ExperimentEngine engine(2);
     SweepResult r = engine.sweep(spec);
 
-    int failed = 0;
-    for (const SweepCell &c : r.cells)
-        failed += c.outcome == CellOutcome::Failed;
-    EXPECT_EQ(failed, 1);
-    EXPECT_EQ(r.at(1, 1).outcome, CellOutcome::Failed);
-    EXPECT_NE(r.at(1, 1).error.find("bad_alloc"), std::string::npos);
+    // A throwing setup fails both of its row's columns: the baseline
+    // run and the mini-graph column's profiling pass both plant the
+    // inputs.
+    for (std::size_t col = 0; col < r.columns.size(); ++col) {
+        EXPECT_EQ(r.at(0, col).outcome, CellOutcome::Ok);
+        EXPECT_EQ(r.at(1, col).outcome, CellOutcome::Failed);
+        EXPECT_NE(r.at(1, col).error.find("bad_alloc"),
+                  std::string::npos);
+    }
 }
 
 TEST(FaultSweep, StallTimesOutUnderDeadline)
 {
-    SweepSpec spec = testSpec();
-    FaultArm arm("stall@crc:ms=10000");
+    // crc's setup hangs past the deadline; the timing loop's first
+    // cancellation poll after it then ends the cell. The deadline must
+    // be long enough that the healthy cells always finish inside it,
+    // including under TSan's ~10x slowdown.
+    SweepSpec spec = failingRow(testSpec(), "crc", [](Emulator &) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    });
     ExperimentEngine engine(2);
-    // The deadline must be long enough that the healthy cells always
-    // finish inside it — including under TSan's ~10x slowdown (the
-    // stalled cells still cancel ~2ms past the deadline, so the test
-    // pays the deadline, not the 10s stall).
     engine.setFaultPolicy(FaultPolicy{1.0});
     SweepResult r = engine.sweep(spec);
 
-    for (std::size_t col = 0; col < r.columns.size(); ++col)
+    for (std::size_t col = 0; col < r.columns.size(); ++col) {
         EXPECT_EQ(r.at(0, col).outcome, CellOutcome::TimedOut);
-    EXPECT_EQ(r.at(1, 0).outcome, CellOutcome::Ok);
+        EXPECT_FALSE(r.at(0, col).timed);
+        EXPECT_EQ(r.at(1, col).outcome, CellOutcome::Ok);
+    }
 }
 
 TEST(FaultSweep, DeadlineCancelsARealSimulation)
 {
-    // No injection: a genuinely long cell must be cancelled by the
-    // cooperative poll inside the timing loop itself. The M-scale
+    // A genuinely long cell must be cancelled by the cooperative poll
+    // inside the timing loop itself. The M-scale
     // variant runs for hundreds of milliseconds, so a 10ms deadline
     // always fires mid-simulation.
     SweepSpec spec;
@@ -392,10 +358,15 @@ TEST(FaultSweep, UnfiredPolicyIsByteIdenticalToNoPolicy)
     SweepSpec spec = testSpec();
     SweepResult plain = ExperimentEngine(2).sweep(spec);
 
-    ExperimentEngine engine(2);
-    engine.setFaultPolicy(FaultPolicy{600});   // generous: never fires
-    SweepResult guarded = engine.sweep(spec);
-    expectCellsEqual(plain, guarded);
+    // 600 s is generous; 1e30 s is past what the clock can represent
+    // and must saturate to "never", not overflow into the past.
+    for (double timeout : {600.0, 1e30}) {
+        SCOPED_TRACE(timeout);
+        ExperimentEngine engine(2);
+        engine.setFaultPolicy(FaultPolicy{timeout});
+        SweepResult guarded = engine.sweep(spec);
+        expectCellsEqual(plain, guarded);
+    }
 }
 
 TEST(FaultSweep, FaultFieldsReachTheJsonOnlyWhenFaulted)
@@ -407,9 +378,9 @@ TEST(FaultSweep, FaultFieldsReachTheJsonOnlyWhenFaulted)
     std::string cleanPath = dir.str() + "/clean.json";
     ASSERT_EQ(writeSweepJson(clean, "fault", cleanPath), cleanPath);
 
-    FaultArm arm("fail@crc");
     ExperimentEngine engine(2);
-    SweepResult faulted = engine.sweep(spec);
+    SweepResult faulted =
+        engine.sweep(failingRow(spec, "crc", throwRuntimeError));
     std::string faultPath = dir.str() + "/faulted.json";
     ASSERT_EQ(writeSweepJson(faulted, "fault", faultPath), faultPath);
 
@@ -425,32 +396,11 @@ TEST(FaultSweep, FaultFieldsReachTheJsonOnlyWhenFaulted)
     std::string faultJson = slurp(faultPath);
     EXPECT_NE(faultJson.find("\"outcome\": \"failed\""),
               std::string::npos);
-    EXPECT_NE(faultJson.find("\"error\""), std::string::npos);
+    EXPECT_NE(faultJson.find("\"error\": \"input planting failed\""),
+              std::string::npos);
     // Ok cells carry no outcome ("ok" is implied by absence, and must
     // never be emitted).
     EXPECT_EQ(faultJson.find("\"outcome\": \"ok\""), std::string::npos);
-}
-
-// ------------------------------------------------------------ dry run
-
-TEST(DryRun, PlansWithoutSimulating)
-{
-    SweepSpec spec = testSpec();
-    ExperimentEngine engine(2);
-    engine.setDryRun(true);
-    SweepResult r = engine.sweep(spec);
-
-    EXPECT_TRUE(r.planOnly);
-    ASSERT_EQ(r.cells.size(), 4u);
-    for (const SweepCell &c : r.cells) {
-        EXPECT_EQ(c.outcome, CellOutcome::Skipped);
-        EXPECT_FALSE(c.timed);
-    }
-    EngineCounters ec = engine.counters();
-    EXPECT_EQ(ec.profileComputes, 0u);
-    EXPECT_EQ(ec.runComputes, 0u);
-    // A plan is not a report.
-    EXPECT_EQ(writeSweepJson(r, "plan", "/tmp/never-written.json"), "");
 }
 
 // ------------------------------------------------------------- journal
@@ -473,7 +423,6 @@ TEST(Journal, RecordsReplayAndLookup)
     EXPECT_EQ(j.replayed(), 2u);
     SweepCell c;
     ASSERT_TRUE(j.lookup(1, c));
-    EXPECT_TRUE(c.journalHit);
     EXPECT_EQ(c.stats, makeCell(1).stats);   // not the re-record
     EXPECT_FALSE(j.lookup(3, c));
 
@@ -584,16 +533,16 @@ TEST(Journal, OnlyOkCellsJournalSoFailuresRetryOnResume)
     SweepResult clean = ExperimentEngine(2).sweep(spec);
 
     {
-        // First run: crc permanently fails, bitcount succeeds.
-        FaultArm arm("fail@crc");
+        // First run: crc fails, bitcount succeeds.
         ExperimentEngine engine(2);
         engine.setJournalDir(dir.str());
-        SweepResult r = engine.sweep(spec);
+        SweepResult r =
+            engine.sweep(failingRow(spec, "crc", throwRuntimeError));
         EXPECT_EQ(r.journalRecorded, 2u);   // the two Ok cells only
     }
-    // The fault "was transient at machine scale": rerunning without it
-    // must re-simulate exactly the failed cells and converge to the
-    // fault-free sweep.
+    // The failure was the process's, not the cell's (say, memory
+    // exhaustion): rerunning with healthy inputs must re-simulate
+    // exactly the failed cells and converge to the fault-free sweep.
     ExperimentEngine engine(2);
     engine.setJournalDir(dir.str());
     SweepResult r = engine.sweep(spec);
@@ -636,11 +585,11 @@ TEST(Journal, ResumingAStorelessJournalWithAStoreMatchesAStoreSweep)
 
     ScratchDir journal("modes-journal");
     {
-        // The storeless session dies on gzip: only reed is journaled.
-        FaultArm arm("fail@gzip");
+        // The storeless session fails gzip: only reed is journaled.
         ExperimentEngine storeless(2);
         storeless.setJournalDir(journal.str());
-        EXPECT_EQ(storeless.sweep(spec).journalRecorded, 1u);
+        SweepSpec broken = failingRow(spec, "gzip", throwBadAlloc);
+        EXPECT_EQ(storeless.sweep(broken).journalRecorded, 1u);
     }
     ScratchDir store("modes-store");
     ExperimentEngine resumed(2);
@@ -655,26 +604,4 @@ TEST(Journal, ResumingAStorelessJournalWithAStoreMatchesAStoreSweep)
     want.storeAttached = false;
     got.storeAttached = false;
     EXPECT_EQ(sweepJson(got, "modes"), sweepJson(want, "modes"));
-}
-
-TEST(Journal, DryRunReportsHitsWithoutTouchingTheJournal)
-{
-    ScratchDir dir("plan");
-    SweepSpec spec = testSpec();
-    {
-        ExperimentEngine engine(2);
-        engine.setJournalDir(dir.str());
-        engine.sweep(spec);
-    }
-    std::uintmax_t size = fs::file_size(journalFile(dir));
-    ExperimentEngine engine(2);
-    engine.setJournalDir(dir.str());
-    engine.setDryRun(true);
-    SweepResult r = engine.sweep(spec);
-    EXPECT_TRUE(r.planOnly);
-    for (const SweepCell &c : r.cells) {
-        EXPECT_EQ(c.outcome, CellOutcome::Skipped);
-        EXPECT_TRUE(c.journalHit);
-    }
-    EXPECT_EQ(fs::file_size(journalFile(dir)), size);   // read-only
 }

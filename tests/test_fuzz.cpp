@@ -25,9 +25,10 @@
  * them) replays the cold one exactly.
  *
  * SweepUnderRandomFaultsMatchesFaultFree: the fault-containment leg.
- * Random engine sweeps run fault-free and again under a random
- * permanent-fault spec (seeded arming); the armed cells must fail
- * and every other cell must equal the fault-free sweep's.
+ * A random program is swept alone, and again next to a copy of
+ * itself whose setup throws (a runtime error or an allocation
+ * failure, at random); the broken row must fail and the clean row
+ * must equal the lone sweep's.
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +36,8 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <new>
+#include <stdexcept>
 #include <string>
 
 #include "assembler/assembler.hh"
@@ -42,7 +45,6 @@
 #include "common/rng.hh"
 #include "engine/checkpoint_store.hh"
 #include "engine/engine.hh"
-#include "engine/fault_inject.hh"
 #include "sim/simulator.hh"
 #include "uarch/core.hh"
 
@@ -307,10 +309,9 @@ TEST_P(Fuzz, SampledStorelessColdAndWarmStoreAgree)
 TEST_P(Fuzz, SweepUnderRandomFaultsMatchesFaultFree)
 {
     // Fault-containment leg (every tenth seed): a random program swept
-    // through the engine fault-free, then again under a random fault
-    // spec (site, arming fraction, seed, key filter). Every cell the
-    // spec arms must fail alone; every other cell must match the
-    // fault-free sweep bit for bit.
+    // through the engine alone, then beside a broken copy of itself
+    // (random exception, random row order). The broken row must fail
+    // alone; the clean row must match the lone sweep bit for bit.
     if (GetParam() % 10 != 6)
         return;
     Rng rng(0xfa017 + static_cast<unsigned>(GetParam()) * 769);
@@ -330,42 +331,33 @@ TEST_P(Fuzz, SweepUnderRandomFaultsMatchesFaultFree)
 
     SweepResult clean = ExperimentEngine(2).sweep(spec);
 
-    const char *const match[] = {"", "@baseline", "@int-mem"};
-    std::string faultSpec = strfmt(
-        "%s%s:p=0.%d:seed=%llu", rng.below(2) ? "fail" : "alloc",
-        match[rng.below(3)], static_cast<int>(3 + rng.below(7)),
-        static_cast<unsigned long long>(rng.below(1u << 16)));
-    FaultInjector::global().configure(faultSpec);
+    EngineWorkload broken = w;
+    broken.id += "-broken";
+    const bool alloc = rng.below(2) != 0;
+    broken.setup = [alloc](Emulator &) {
+        if (alloc)
+            throw std::bad_alloc();
+        throw std::runtime_error("fuzz input planting failed");
+    };
+    const std::size_t brokenRow = rng.below(2);
+    spec.workloads.insert(
+        spec.workloads.begin() + static_cast<std::ptrdiff_t>(brokenRow),
+        broken);
     SweepResult faulted = ExperimentEngine(2).sweep(spec);
-    // Arming is a pure function of (spec, site, key), so probing the
-    // injector with each cell's key names exactly the cells it hit.
-    std::vector<bool> armed;
-    for (const SweepColumn &col : spec.columns) {
-        std::string key = w.id + "|" + col.name;
-        bool hit = false;
-        try {
-            FaultInjector::global().at(FaultSite::CellFail, key);
-            FaultInjector::global().at(FaultSite::Alloc, key);
-        } catch (const std::exception &) {
-            hit = true;
-        }
-        armed.push_back(hit);
-    }
-    FaultInjector::global().configure("");
 
-    ASSERT_EQ(clean.cells.size(), faulted.cells.size());
-    for (std::size_t i = 0; i < clean.cells.size(); ++i) {
-        const SweepCell &a = clean.cells[i];
-        const SweepCell &b = faulted.cells[i];
-        if (armed[i]) {
-            EXPECT_EQ(b.outcome, CellOutcome::Failed)
-                << "spec " << faultSpec << " cell " << i;
-            EXPECT_FALSE(b.timed);
-            continue;
-        }
-        EXPECT_EQ(b.outcome, CellOutcome::Ok)
-            << "spec " << faultSpec << " cell " << i;
-        EXPECT_EQ(a.stats, b.stats) << "spec " << faultSpec;
+    const std::size_t cleanRow = 1 - brokenRow;
+    const char *what = alloc ? "bad_alloc" : "runtime_error";
+    ASSERT_EQ(faulted.cells.size(), 2 * clean.cells.size());
+    for (std::size_t col = 0; col < spec.columns.size(); ++col) {
+        const SweepCell &f = faulted.at(brokenRow, col);
+        EXPECT_EQ(f.outcome, CellOutcome::Failed)
+            << what << " row " << brokenRow << " col " << col;
+        EXPECT_FALSE(f.timed);
+
+        const SweepCell &a = clean.at(0, col);
+        const SweepCell &b = faulted.at(cleanRow, col);
+        EXPECT_EQ(b.outcome, CellOutcome::Ok) << what << " col " << col;
+        EXPECT_EQ(a.stats, b.stats) << what << " col " << col;
         EXPECT_EQ(a.timed, b.timed);
         EXPECT_EQ(a.staticCoverage, b.staticCoverage);
         EXPECT_EQ(a.templates, b.templates);
