@@ -1,7 +1,10 @@
 #include "analysis/critpath.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <vector>
 
@@ -63,9 +66,14 @@ applyWhatIf(CpParams &p, const std::string &spec, std::string *err)
                 std::tolower(static_cast<unsigned char>(ch)));
         const char *vs = kv.c_str() + eq + 1;
         char *end = nullptr;
+        errno = 0;
         long v = std::strtol(vs, &end, 10);
         if (!end || *end || end == vs)
             return fail("bad what-if value in '" + kv + "'");
+        // strtol clamps to LONG_MAX on overflow, and a long above
+        // INT_MAX would wrap in the int fields below.
+        if (errno == ERANGE || v > INT_MAX)
+            return fail("what-if value out of range in '" + kv + "'");
         auto setWidth = [&](int &field) {
             if (v < 1)
                 return fail("what-if '" + key + "' must be >= 1");
@@ -110,7 +118,7 @@ applyWhatIf(CpParams &p, const std::string &spec, std::string *err)
 
 namespace {
 
-/** Stage order within one event (walk order and array index). */
+/** Stage order within one event (walk order). */
 enum Stage : int { StF = 0, StD = 1, StI = 2, StX = 3, StC = 4 };
 
 struct Node
@@ -128,143 +136,147 @@ struct Cand
     CpCat cat;
 };
 
-/** The trace flattened to absolute times plus resolved dependence
- *  indexes (~invalidIdx = producer outside the traced window). */
-constexpr std::uint32_t invalidIdx = ~0u;
-
-struct Graph
+/** Edge-family category of a dependence on producer @p e. */
+CpCat
+prodCat(const TraceEvent &e)
 {
-    std::vector<std::uint64_t> f, d, i, x, c;
-    std::vector<std::uint32_t> src0, src1, dep;
-    std::vector<std::uint32_t> execLat;
-    std::vector<std::uint8_t> flags;
-    std::vector<std::uint16_t> work;
-    std::size_t n = 0;
-
-    bool isLoad(std::size_t k) const
-    {
-        return flags[k] & TraceEvent::FlagLoad;
-    }
-    bool isStore(std::size_t k) const
-    {
-        return flags[k] & TraceEvent::FlagStore;
-    }
-    bool isHandle(std::size_t k) const
-    {
-        return flags[k] & TraceEvent::FlagHandle;
-    }
-    bool mispredicted(std::size_t k) const
-    {
-        return flags[k] & TraceEvent::FlagMispredicted;
-    }
-    bool takenCtrl(std::size_t k) const
-    {
-        return (flags[k] & TraceEvent::FlagCtrl) &&
-            (flags[k] & TraceEvent::FlagTaken);
-    }
-
-    /** Edge-family category of a dependence on producer @p j. */
-    CpCat
-    prodCat(std::size_t j) const
-    {
-        if (isLoad(j))
-            return CpCat::memory;
-        if (isHandle(j))
-            return CpCat::mg;
-        return CpCat::data;
-    }
-
-    /** Execution-edge category of event @p k. */
-    CpCat
-    execCat(std::size_t k) const
-    {
-        if (isHandle(k))
-            return CpCat::mg;
-        if (isLoad(k) || isStore(k))
-            return CpCat::memory;
-        return CpCat::exec;
-    }
-};
-
-Graph
-buildGraph(const TraceBuffer &t)
-{
-    Graph g;
-    g.n = t.size();
-    g.f.resize(g.n);
-    g.d.resize(g.n);
-    g.i.resize(g.n);
-    g.x.resize(g.n);
-    g.c.resize(g.n);
-    g.src0.resize(g.n);
-    g.src1.resize(g.n);
-    g.dep.resize(g.n);
-    g.execLat.resize(g.n);
-    g.flags.resize(g.n);
-    g.work.resize(g.n);
-
-    // Events are pushed at retirement, and retirement is in program
-    // order, so the seq column is strictly increasing: producer
-    // resolution is a binary search over the prefix, no hash map.
-    std::vector<std::uint64_t> seqs(g.n);
-    for (std::size_t k = 0; k < g.n; ++k) {
-        const TraceEvent &e = t.at(k);
-        g.f[k] = e.fetchAt;
-        g.d[k] = e.dispatchAt();
-        g.i[k] = e.issueAt();
-        g.x[k] = e.completeAt();
-        g.c[k] = e.commitAt();
-        g.execLat[k] = static_cast<std::uint32_t>(g.x[k] - g.i[k]);
-        g.flags[k] = e.flags;
-        g.work[k] = e.work;
-        seqs[k] = e.seq;
-        auto resolve = [&](std::uint64_t seq) -> std::uint32_t {
-            if (!seq)
-                return invalidIdx;
-            auto it = std::lower_bound(seqs.begin(),
-                                       seqs.begin() +
-                                           static_cast<std::ptrdiff_t>(k),
-                                       seq);
-            // Producers retire (and are pushed) before consumers, so
-            // a miss means the seq never retired (squashed) or fell
-            // off the ring window — either way there is no edge.
-            return it != seqs.begin() +
-                        static_cast<std::ptrdiff_t>(k) &&
-                    *it == seq
-                ? static_cast<std::uint32_t>(it - seqs.begin())
-                : invalidIdx;
-        };
-        g.src0[k] = resolve(e.srcSeq[0]);
-        g.src1[k] = resolve(e.srcSeq[1]);
-        g.dep[k] = resolve(e.depStoreSeq);
-    }
-    return g;
+    if (e.isLoad())
+        return CpCat::memory;
+    if (e.isHandle())
+        return CpCat::mg;
+    return CpCat::data;
 }
 
-/** Per-stage time arrays one walk operates on (recorded or modeled). */
-struct Times
+/** Execution-edge category of @p e. */
+CpCat
+execCat(const TraceEvent &e)
 {
-    const std::uint64_t *f;
-    const std::uint64_t *d;
-    const std::uint64_t *i;
-    const std::uint64_t *x;
-    const std::uint64_t *c;
+    if (e.isHandle())
+        return CpCat::mg;
+    if (e.isLoad() || e.isStore())
+        return CpCat::memory;
+    return CpCat::exec;
+}
 
-    std::uint64_t
-    at(Node nd) const
+/** One parameter set's edge weights, widened once so the walks'
+ *  inner loops convert nothing. */
+struct Edges
+{
+    std::size_t fetchWidth, fetchQueue, renameWidth, rob, commitWidth;
+    std::uint64_t frontendDepth, regReadLat, sched;
+    long l1dAdj;        ///< load latency re-weighting (what-if - traced)
+    std::size_t reach;  ///< longest in-order look-back, at least 1
+
+    explicit Edges(const CpParams &p)
+        : fetchWidth(static_cast<std::size_t>(p.fetchWidth)),
+          fetchQueue(static_cast<std::size_t>(p.fetchQueueSize)),
+          renameWidth(static_cast<std::size_t>(p.renameWidth)),
+          rob(static_cast<std::size_t>(p.robSize)),
+          commitWidth(static_cast<std::size_t>(p.commitWidth)),
+          frontendDepth(static_cast<std::uint64_t>(p.frontendDepth)),
+          regReadLat(static_cast<std::uint64_t>(p.regReadLat)),
+          sched(static_cast<std::uint64_t>(p.schedulerCycles)),
+          l1dAdj(static_cast<long>(p.l1dLat) - p.l1dLatBase),
+          reach(std::max({std::size_t{1}, fetchWidth, fetchQueue,
+                          renameWidth, rob, commitWidth}))
     {
-        switch (nd.st) {
-          case StF: return f[nd.idx];
-          case StD: return d[nd.idx];
-          case StI: return i[nd.idx];
-          case StX: return x[nd.idx];
-          default: return c[nd.idx];
-        }
     }
 };
 
+/** The recorded stage times, read from the ring in place (window
+ *  index k = k-th oldest held event). */
+template <class Events>
+struct Recorded
+{
+    Events t;
+
+    std::uint64_t f(std::size_t k) const { return t[k].fetchAt; }
+    std::uint64_t d(std::size_t k) const { return t[k].dispatchAt(); }
+    std::uint64_t i(std::size_t k) const { return t[k].issueAt(); }
+    std::uint64_t x(std::size_t k) const { return t[k].completeAt(); }
+    std::uint64_t c(std::size_t k) const { return t[k].commitAt(); }
+};
+
+/** Storage of one forward walk's node times, kept per thread so a
+ *  walk reuses the memory of the walks before it. */
+struct WalkBuf
+{
+    std::vector<std::uint64_t> ix;       ///< issue, complete per event
+    std::vector<std::uint64_t> f, d, c;  ///< ring windows
+};
+
+thread_local WalkBuf pureBuf, whatIfBuf;
+
 /**
- * Enumerate the modeled in-edges of node (@p k, @p st) against @p tm,
+ * Node times one forward walk computes. Producers read issue and
+ * completion times back from anywhere in the window, so those are
+ * full-length; fetch, dispatch and commit are only read back as far as
+ * the widest width, queue or ROB, so they live in a power-of-two ring.
+ */
+struct Modeled
+{
+    std::uint64_t *ixp;
+    std::uint64_t *fp, *dp, *cp;
+    std::size_t mask;
+
+    /** Bind @p b to a walk over @p n events of a ring holding up to
+     *  @p cap, so the storage never moves between walks. */
+    Modeled(WalkBuf &b, std::size_t n, std::size_t cap, const Edges &e)
+    {
+        std::size_t win = std::bit_ceil(std::min(e.reach, n) + 1);
+        if (b.ix.size() < 2 * n) {
+            b.ix.reserve(2 * cap);
+            b.ix.resize(2 * n);
+        }
+        for (auto *v : {&b.f, &b.d, &b.c}) {
+            if (v->size() < win)
+                v->resize(win);
+        }
+        ixp = b.ix.data();
+        fp = b.f.data();
+        dp = b.d.data();
+        cp = b.c.data();
+        mask = win - 1;
+    }
+
+    std::uint64_t f(std::size_t k) const { return fp[k & mask]; }
+    std::uint64_t d(std::size_t k) const { return dp[k & mask]; }
+    std::uint64_t i(std::size_t k) const { return ixp[2 * k]; }
+    std::uint64_t x(std::size_t k) const { return ixp[2 * k + 1]; }
+    std::uint64_t c(std::size_t k) const { return cp[k & mask]; }
+
+    template <Stage St>
+    void
+    set(std::size_t k, std::uint64_t t)
+    {
+        if constexpr (St == StF)
+            fp[k & mask] = t;
+        else if constexpr (St == StD)
+            dp[k & mask] = t;
+        else if constexpr (St == StI)
+            ixp[2 * k] = t;
+        else if constexpr (St == StX)
+            ixp[2 * k + 1] = t;
+        else
+            cp[k & mask] = t;
+    }
+};
+
+template <class Times>
+std::uint64_t
+timeAt(const Times &tm, Node nd)
+{
+    switch (nd.st) {
+      case StF: return tm.f(nd.idx);
+      case StD: return tm.d(nd.idx);
+      case StI: return tm.i(nd.idx);
+      case StX: return tm.x(nd.idx);
+      default: return tm.c(nd.idx);
+    }
+}
+
+/**
+ * Enumerate the modeled in-edges of node (@p k, @p St) against @p tm,
  * calling add(contIdx, contStage, time, cat) per edge. Every
  * candidate's continuation strictly precedes the node in (event,
  * stage) order, so both the backward attribution walk and the forward
@@ -272,236 +284,291 @@ struct Times
  * so the forward walks — which only need the max time, millions of
  * nodes per run — fold to a few register max() ops instead of
  * materializing candidate vectors (the difference between the what-if
- * walk beating a re-simulation by 2x and by well over 10x).
+ * walk beating a re-simulation by 2x and by well over 10x), which is
+ * also why the stage is a template argument and the enumeration is
+ * always inlined. With @p Checked false the caller guarantees
+ * k >= w.reach, so every in-order look-back exists and is not tested.
  */
-template <class AddFn>
-inline void
-forEachCand(const Graph &g, const CpParams &p, const Times &tm,
-            std::size_t k, Stage st, AddFn &&add)
+template <Stage St, bool Checked = true, class Events, class Times,
+          class AddFn>
+[[gnu::always_inline]] inline void
+forEachCand(const Events &t, const Edges &w, const Times &tm,
+            std::size_t k, AddFn &&add)
 {
     auto idx = static_cast<std::uint32_t>(k);
-    switch (st) {
-      case StF: {
-        if (k > 0) {
+    auto back = [&](std::size_t d) {
+        return !Checked || k >= d;
+    };
+    if constexpr (St == StF) {
+        if (back(1)) {
             // Fetch is in-order; a taken branch ends its fetch cycle,
             // so the next slot starts no earlier than the next cycle.
-            std::uint64_t w = g.takenCtrl(k - 1) ? 1 : 0;
-            add(idx - 1, StF, tm.f[k - 1] + w, CpCat::fetch);
+            const TraceEvent &prev = t[k - 1];
+            std::uint64_t taken = prev.isCtrl() && prev.taken() ? 1 : 0;
+            add(idx - 1, StF, tm.f(k - 1) + taken, CpCat::fetch);
             // A direction mispredict costs one fetch-block bubble: the
             // core blocks fetch on the unresolved branch, and the block
             // clears on the next resolve scan (the branch is still
             // pre-dispatch), so the next slot fetches one cycle later
             // whether or not the branch was taken.
-            if (g.mispredicted(k - 1))
-                add(idx - 1, StF, tm.f[k - 1] + 1, CpCat::bpred);
+            if (prev.mispredicted())
+                add(idx - 1, StF, tm.f(k - 1) + 1, CpCat::bpred);
         }
-        if (k >= static_cast<std::size_t>(p.fetchWidth))
-            add(idx - static_cast<std::uint32_t>(p.fetchWidth), StF,
-                tm.f[k - static_cast<std::size_t>(p.fetchWidth)] + 1,
-                CpCat::fetch);
-        if (k >= static_cast<std::size_t>(p.fetchQueueSize))
-            add(idx - static_cast<std::uint32_t>(p.fetchQueueSize), StD,
-                tm.d[k - static_cast<std::size_t>(p.fetchQueueSize)],
-                CpCat::window);
-        break;
-      }
-      case StD: {
-        add(idx, StF,
-            tm.f[k] + static_cast<std::uint64_t>(p.frontendDepth),
-            CpCat::fetch);
-        if (k > 0)
-            add(idx - 1, StD, tm.d[k - 1], CpCat::window);
-        if (k >= static_cast<std::size_t>(p.renameWidth))
-            add(idx - static_cast<std::uint32_t>(p.renameWidth), StD,
-                tm.d[k - static_cast<std::size_t>(p.renameWidth)] + 1,
-                CpCat::window);
-        if (k >= static_cast<std::size_t>(p.robSize))
-            add(idx - static_cast<std::uint32_t>(p.robSize), StC,
-                tm.c[k - static_cast<std::size_t>(p.robSize)] + 1,
-                CpCat::window);
-        break;
-      }
-      case StI: {
-        add(idx, StD, tm.d[k] + 1,
-            g.isHandle(k) ? CpCat::mg : CpCat::select);
-        auto prod = [&](std::uint32_t j) {
-            if (j == invalidIdx)
+        if (back(w.fetchWidth))
+            add(idx - static_cast<std::uint32_t>(w.fetchWidth), StF,
+                tm.f(k - w.fetchWidth) + 1, CpCat::fetch);
+        if (back(w.fetchQueue))
+            add(idx - static_cast<std::uint32_t>(w.fetchQueue), StD,
+                tm.d(k - w.fetchQueue), CpCat::window);
+    } else if constexpr (St == StD) {
+        add(idx, StF, tm.f(k) + w.frontendDepth, CpCat::fetch);
+        if (back(1))
+            add(idx - 1, StD, tm.d(k - 1), CpCat::window);
+        if (back(w.renameWidth))
+            add(idx - static_cast<std::uint32_t>(w.renameWidth), StD,
+                tm.d(k - w.renameWidth) + 1, CpCat::window);
+        if (back(w.rob))
+            add(idx - static_cast<std::uint32_t>(w.rob), StC,
+                tm.c(k - w.rob) + 1, CpCat::window);
+    } else if constexpr (St == StI) {
+        const TraceEvent &e = t[k];
+        add(idx, StD, tm.d(k) + 1,
+            e.isHandle() ? CpCat::mg : CpCat::select);
+        // A link reaching past the window's oldest event lost its
+        // producer off the ring: no edge.
+        auto prod = [&](std::uint32_t dist) {
+            if (!dist || dist > k)
                 return;
+            std::size_t j = k - dist;
             // Producer value-ready: completion minus the register-read
             // overlap, floored at the scheduler's wakeup latency.
+            std::uint64_t xj = tm.x(j);
             std::uint64_t ready = std::max(
-                tm.x[j] > static_cast<std::uint64_t>(p.regReadLat)
-                    ? tm.x[j] - static_cast<std::uint64_t>(p.regReadLat)
-                    : 0,
-                tm.i[j] + static_cast<std::uint64_t>(p.schedulerCycles));
-            add(j, StI, ready, g.prodCat(j));
+                xj > w.regReadLat ? xj - w.regReadLat : 0,
+                tm.i(j) + w.sched);
+            add(static_cast<std::uint32_t>(j), StI, ready,
+                prodCat(t[j]));
         };
-        prod(g.src0[k]);
-        prod(g.src1[k]);
-        if (g.dep[k] != invalidIdx) {
+        prod(e.srcDist[0]);
+        prod(e.srcDist[1]);
+        if (e.depStoreDist && e.depStoreDist <= k) {
             // Store-set order: the consumer waits for the predicted
             // store's memory access to resolve.
-            std::uint32_t j = g.dep[k];
-            add(j, StI, tm.x[j] + 1, CpCat::memory);
+            std::size_t j = k - e.depStoreDist;
+            add(static_cast<std::uint32_t>(j), StI, tm.x(j) + 1,
+                CpCat::memory);
         }
-        break;
-      }
-      case StX: {
+    } else if constexpr (St == StX) {
         // Execution latency, re-weighted for loads under an L1-D
         // latency what-if (clamped so a hit never goes below 1).
-        std::uint64_t lat = g.execLat[k];
-        if (g.isLoad(k) && !g.isStore(k)) {
-            long adj = static_cast<long>(lat) + p.l1dLat -
-                p.l1dLatBase;
+        const TraceEvent &e = t[k];
+        std::uint64_t lat = static_cast<std::uint32_t>(e.completeD -
+                                                       e.issueD);
+        if (e.isLoad() && !e.isStore()) {
+            long adj = static_cast<long>(lat) + w.l1dAdj;
             lat = adj < 1 ? 1 : static_cast<std::uint64_t>(adj);
         }
-        add(idx, StI, tm.i[k] + lat, g.execCat(k));
-        break;
-      }
-      case StC: {
-        add(idx, StX, tm.x[k], CpCat::commit);
-        if (k > 0)
-            add(idx - 1, StC, tm.c[k - 1], CpCat::commit);
-        if (k >= static_cast<std::size_t>(p.commitWidth))
-            add(idx - static_cast<std::uint32_t>(p.commitWidth), StC,
-                tm.c[k - static_cast<std::size_t>(p.commitWidth)] + 1,
-                CpCat::commit);
-        break;
-      }
+        add(idx, StI, tm.i(k) + lat, execCat(e));
+    } else {
+        add(idx, StX, tm.x(k), CpCat::commit);
+        if (back(1))
+            add(idx - 1, StC, tm.c(k - 1), CpCat::commit);
+        if (back(w.commitWidth))
+            add(idx - static_cast<std::uint32_t>(w.commitWidth), StC,
+                tm.c(k - w.commitWidth) + 1, CpCat::commit);
     }
 }
 
-/** Max in-edge time of node (@p k, @p st), or the node's recorded
+/** forEachCand for a node whose stage is known only at run time (the
+ *  attribution walk). */
+template <class Times, class AddFn>
+void
+forEachCandOf(const TraceBuffer::View &t, const Edges &w, const Times &tm,
+              Node nd, AddFn &&add)
+{
+    switch (nd.st) {
+      case StF: return forEachCand<StF>(t, w, tm, nd.idx, add);
+      case StD: return forEachCand<StD>(t, w, tm, nd.idx, add);
+      case StI: return forEachCand<StI>(t, w, tm, nd.idx, add);
+      case StX: return forEachCand<StX>(t, w, tm, nd.idx, add);
+      default: return forEachCand<StC>(t, w, tm, nd.idx, add);
+    }
+}
+
+/** Max in-edge time of node (@p k, @p St), or the node's recorded
  *  fetch anchor when it has no modeled in-edges (only the very first
  *  fetch). The forward walks' hot primitive. */
-inline std::uint64_t
-maxCandTime(const Graph &g, const CpParams &p, const Times &tm,
-            std::size_t k, Stage st)
+template <Stage St, bool Checked, class Events, class Times>
+[[gnu::always_inline]] inline std::uint64_t
+maxCandTime(const Events &t, const Edges &w, const Times &tm,
+            std::size_t k)
 {
-    std::uint64_t t = 0;
-    bool any = false;
-    forEachCand(g, p, tm, k, st,
-                [&](std::uint32_t, Stage, std::uint64_t time, CpCat) {
-                    any = true;
-                    if (time > t)
-                        t = time;
-                });
-    return any ? t : g.f[k];
+    if (Checked && St == StF && k == 0)
+        return t[0].fetchAt;
+    std::uint64_t best = 0;
+    forEachCand<St, Checked>(t, w, tm, k,
+                             [&](std::uint32_t, Stage, std::uint64_t time,
+                                 CpCat) { best = std::max(best, time); });
+    return best;
 }
 
-/** Forward propagation: recompute all node times from the modeled
- *  edges under @p p. With @p slack non-null, each node additionally
- *  applies its recorded residual — positive where the machine was
- *  slower than the modeled in-edges, negative where an edge
- *  over-predicts the recorded time — which makes the unmodified
- *  configuration reproduce the recorded times exactly. */
-struct Propagated
+/** The state of one forward walk (see forwardWalk), stepping one
+ *  event's five nodes at a time. */
+template <bool Pure, bool WhatIf, class Events>
+struct Walker
 {
-    std::vector<std::uint64_t> f, d, i, x, c;
+    Events t;
+    Edges bw, ww;       ///< traced and what-if weights
+    Modeled pm, wm;     ///< pure-model and what-if times
+
+    template <Stage St, bool C>
+    [[gnu::always_inline]] void
+    node(std::size_t k, std::uint64_t recAt)
+    {
+        if constexpr (Pure)
+            pm.set<St>(k, maxCandTime<St, C>(t, bw, pm, k));
+        if constexpr (WhatIf) {
+            // Signed on purpose: a negative residual records a modeled
+            // edge over-predicting this node (a model mismatch the
+            // attribution walk also skips), and re-applying it is what
+            // keeps the identity configuration bit-exact against the
+            // recorded times.
+            std::int64_t resid = static_cast<std::int64_t>(recAt) -
+                static_cast<std::int64_t>(
+                    maxCandTime<St, C>(t, bw, Recorded<Events>{t}, k));
+            std::int64_t a = static_cast<std::int64_t>(
+                                 maxCandTime<St, C>(t, ww, wm, k)) +
+                resid;
+            wm.set<St>(k, a > 0 ? static_cast<std::uint64_t>(a) : 0);
+        }
+    }
+
+    /** Event @p k's five nodes; @p C as forEachCand's Checked. */
+    template <bool C>
+    [[gnu::always_inline]] void
+    event(std::size_t k)
+    {
+        const TraceEvent &e = t[k];
+        node<StF, C>(k, e.fetchAt);
+        node<StD, C>(k, e.dispatchAt());
+        node<StI, C>(k, e.issueAt());
+        node<StX, C>(k, e.completeAt());
+        node<StC, C>(k, e.commitAt());
+    }
 };
 
-Propagated
-propagate(const Graph &g, const CpParams &p,
-          const std::vector<std::int64_t> *slack)
+/**
+ * The forward walk over the held events: the pure model (when
+ * @p Pure) recomputes every node time from the modeled edges under
+ * @p base, and the what-if model (when @p WhatIf) re-derives it under
+ * @p wp and adds the node's recorded residual — the recorded time
+ * minus the max of its modeled in-edges over the recorded times under
+ * @p base. The residual is positive where the machine was slower than
+ * the modeled in-edges and negative where an edge over-predicts the
+ * recorded time; re-applying it makes the unmodified configuration
+ * reproduce the recorded times exactly. Residuals are computed in the
+ * walk that applies them, and both models share one pass over the
+ * ring. Each model's first-fetch-to-last-commit span lands in
+ * @p modeled / @p whatIf.
+ */
+/** forwardWalk over the @p n events @p t holds, oldest first, in a
+ *  ring of capacity @p cap. */
+template <bool Pure, bool WhatIf, class Events>
+void
+walkEvents(const Events &t, std::size_t n, std::size_t cap,
+           const CpParams &base, const CpParams &wp,
+           std::uint64_t *modeled, std::uint64_t *whatIf)
 {
-    Propagated o;
-    o.f.resize(g.n);
-    o.d.resize(g.n);
-    o.i.resize(g.n);
-    o.x.resize(g.n);
-    o.c.resize(g.n);
-    Times tm{o.f.data(), o.d.data(), o.i.data(), o.x.data(),
-             o.c.data()};
-    auto node = [&](std::size_t k, Stage st) {
-        std::uint64_t t = maxCandTime(g, p, tm, k, st);
-        if (slack) {
-            std::int64_t a = static_cast<std::int64_t>(t) +
-                slack[st][k];
-            t = a > 0 ? static_cast<std::uint64_t>(a) : 0;
-        }
-        return t;
-    };
-    for (std::size_t k = 0; k < g.n; ++k) {
-        o.f[k] = node(k, StF);
-        o.d[k] = node(k, StD);
-        o.i[k] = node(k, StI);
-        o.x[k] = node(k, StX);
-        o.c[k] = node(k, StC);
-    }
-    return o;
+    const Edges bw(base), ww(wp);
+    Walker<Pure, WhatIf, Events> w{
+        t, bw, ww, Modeled(pureBuf, Pure ? n : 0, cap, bw),
+        Modeled(whatIfBuf, WhatIf ? n : 0, cap, ww)};
+    // Past the longest look-back (the steady state) the look-back
+    // tests are compiled out.
+    const std::size_t steady = std::min(n, std::max(bw.reach, ww.reach));
+    std::size_t k = 0;
+    for (; k < steady; ++k)
+        w.template event<true>(k);
+    for (; k < n; ++k)
+        w.template event<false>(k);
+    // The first fetch has no in-edges, so both models anchor it at the
+    // recorded time and their spans start there.
+    if constexpr (Pure)
+        *modeled = w.pm.c(n - 1) - t[0].fetchAt;
+    if constexpr (WhatIf)
+        *whatIf = w.wm.c(n - 1) - t[0].fetchAt;
+}
+
+/**
+ * The forward walk over the held events: the pure model (when
+ * @p Pure) recomputes every node time from the modeled edges under
+ * @p base, and the what-if model (when @p WhatIf) re-derives it under
+ * @p wp and adds the node's recorded residual — the recorded time
+ * minus the max of its modeled in-edges over the recorded times under
+ * @p base. The residual is positive where the machine was slower than
+ * the modeled in-edges and negative where an edge over-predicts the
+ * recorded time; re-applying it makes the unmodified configuration
+ * reproduce the recorded times exactly. Residuals are computed in the
+ * walk that applies them, and both models share one pass over the
+ * ring. Each model's first-fetch-to-last-commit span lands in
+ * @p modeled / @p whatIf.
+ */
+template <bool Pure, bool WhatIf>
+void
+forwardWalk(const TraceBuffer &trace, const CpParams &base,
+            const CpParams &wp, std::uint64_t *modeled,
+            std::uint64_t *whatIf)
+{
+    // A window that does not wrap around the storage is walked as a
+    // plain array, with no wrap test on every read.
+    const TraceBuffer::View v = trace.view();
+    if (const TraceEvent *events = v.contiguous())
+        walkEvents<Pure, WhatIf>(events, trace.size(), trace.capacity(),
+                                 base, wp, modeled, whatIf);
+    else
+        walkEvents<Pure, WhatIf>(v, trace.size(), trace.capacity(), base,
+                                 wp, modeled, whatIf);
 }
 
 } // namespace
 
 struct CritPathAnalyzer::Impl
 {
-    Graph g;
+    const TraceBuffer &trace;
     CpParams base;
     CritPathSummary sum;
-    /** Per-node recorded slack beyond the modeled in-edges, lazily
-     *  filled by the first whatIf() call and reused by every later
-     *  one — it depends only on the recorded times and the traced
-     *  configuration, never on a spec. */
-    std::vector<std::int64_t> slack[5];
-    bool slackReady = false;
+    bool modeled = false;   ///< sum.modeledCycles is computed
 
-    void
-    computeSlack()
+    Impl(const TraceBuffer &t, const CoreConfig &cfg)
+        : trace(t), base(CpParams::fromConfig(cfg))
     {
-        Times rec{g.f.data(), g.d.data(), g.i.data(), g.x.data(),
-                  g.c.data()};
-        for (auto &v : slack)
-            v.resize(g.n);
-        auto resid = [&](std::size_t k, Stage st,
-                         std::uint64_t recAt) {
-            // Signed on purpose: a negative residual records a
-            // modeled edge over-predicting this node (a model
-            // mismatch the attribution walk also skips), and
-            // re-applying it is what keeps the identity
-            // configuration bit-exact against the recorded times.
-            slack[st][k] = static_cast<std::int64_t>(recAt) -
-                static_cast<std::int64_t>(
-                    maxCandTime(g, base, rec, k, st));
-        };
-        for (std::size_t k = 0; k < g.n; ++k) {
-            resid(k, StF, g.f[k]);
-            resid(k, StD, g.d[k]);
-            resid(k, StI, g.i[k]);
-            resid(k, StX, g.x[k]);
-            resid(k, StC, g.c[k]);
-        }
-        slackReady = true;
     }
 };
 
 CritPathAnalyzer::CritPathAnalyzer(const TraceBuffer &trace,
                                    const CoreConfig &cfg)
-    : impl(std::make_unique<Impl>())
+    : impl(std::make_unique<Impl>(trace, cfg))
 {
-    Impl &im = *impl;
-    im.g = buildGraph(trace);
-    im.base = CpParams::fromConfig(cfg);
-    const Graph &g = im.g;
-    CritPathSummary &s = im.sum;
-    if (g.n < 2)
+    const std::size_t n = trace.size();
+    CritPathSummary &s = impl->sum;
+    if (n < 2)
         return;
     s.present = true;
-    s.tracedSlots = g.n;
-    for (std::size_t k = 0; k < g.n; ++k)
-        s.tracedWork += g.work[k];
+    s.tracedSlots = n;
+    for (std::size_t k = 0; k < n; ++k)
+        s.tracedWork += trace.at(k).work;
     s.traceWrapped = trace.wrapped();
-    s.actualCycles = g.c[g.n - 1] - g.f[0];
+    Recorded<TraceBuffer::View> rec{trace.view()};
+    s.actualCycles = rec.c(n - 1) - rec.f(0);
 
-    Times rec{g.f.data(), g.d.data(), g.i.data(), g.x.data(),
-              g.c.data()};
-
-    // 1. Attribution: backward last-arriving walk over the recorded
+    const Edges edges(impl->base);
+    // Attribution: backward last-arriving walk over the recorded
     // times. Each step charges the full gap between the node and its
     // chosen continuation to the winning edge's category; the gaps
     // telescope from the last commit to the first fetch.
-    Node cur{static_cast<std::uint32_t>(g.n - 1), StC};
+    Node cur{static_cast<std::uint32_t>(n - 1), StC};
     while (!(cur.idx == 0 && cur.st == StF)) {
-        std::uint64_t here = rec.at(cur);
+        std::uint64_t here = timeAt(rec, cur);
         // Only continuations at or before the node's recorded time are
         // credible last-arrivers; edges whose continuation lands later
         // are model mismatches, and following one would both break the
@@ -511,26 +578,22 @@ CritPathAnalyzer::CritPathAnalyzer(const TraceBuffer &trace,
         bool haveBest = false;
         Cand best{};
         std::uint64_t bestCont = 0;
-        forEachCand(g, im.base, rec, cur.idx, cur.st,
-                    [&](std::uint32_t ci, Stage cs, std::uint64_t time,
-                        CpCat cat) {
-                        std::uint64_t contAt = rec.at(Node{ci, cs});
-                        if (contAt > here)
-                            return;
-                        if (!haveBest || time > best.time ||
-                            (time == best.time && contAt > bestCont)) {
-                            haveBest = true;
-                            best = Cand{Node{ci, cs}, time, cat};
-                            bestCont = contAt;
-                        }
-                    });
+        forEachCandOf(rec.t, edges, rec, cur,
+                      [&](std::uint32_t ci, Stage cs, std::uint64_t time,
+                          CpCat cat) {
+                          std::uint64_t contAt = timeAt(rec, Node{ci, cs});
+                          if (contAt > here)
+                              return;
+                          if (!haveBest || time > best.time ||
+                              (time == best.time && contAt > bestCont)) {
+                              haveBest = true;
+                              best = Cand{Node{ci, cs}, time, cat};
+                              bestCont = contAt;
+                          }
+                      });
         s.breakdown[static_cast<int>(best.cat)] += here - bestCont;
         cur = best.cont;
     }
-
-    // 2. Forward model (no residuals): the analyzer's prediction.
-    Propagated pure = propagate(g, im.base, nullptr);
-    s.modeledCycles = pure.c[g.n - 1] - pure.f[0];
 }
 
 CritPathAnalyzer::~CritPathAnalyzer() = default;
@@ -538,7 +601,13 @@ CritPathAnalyzer::~CritPathAnalyzer() = default;
 const CritPathSummary &
 CritPathAnalyzer::summary() const
 {
-    return impl->sum;
+    Impl &im = *impl;
+    if (im.sum.present && !im.modeled) {
+        forwardWalk<true, false>(im.trace, im.base, im.base,
+                                 &im.sum.modeledCycles, nullptr);
+        im.modeled = true;
+    }
+    return im.sum;
 }
 
 std::uint64_t
@@ -562,11 +631,18 @@ CritPathAnalyzer::whatIf(const std::string &spec, std::string *err)
     // Residual-anchored forward walk under re-weighted edges: the
     // residuals make the baseline parameters reproduce the recorded
     // times exactly, so a re-weighted walk predicts a principled
-    // delta from them.
-    if (!im.slackReady)
-        im.computeSlack();
-    Propagated wi = propagate(im.g, wp, im.slack);
-    return wi.c[im.g.n - 1] - wi.f[0];
+    // delta from them. The first question also runs the pure model,
+    // in the same pass.
+    std::uint64_t cycles = 0;
+    if (im.modeled) {
+        forwardWalk<false, true>(im.trace, im.base, wp, nullptr,
+                                 &cycles);
+    } else {
+        forwardWalk<true, true>(im.trace, im.base, wp,
+                                &im.sum.modeledCycles, &cycles);
+        im.modeled = true;
+    }
+    return cycles;
 }
 
 CritPathSummary
@@ -574,11 +650,13 @@ analyzeCritPath(const TraceBuffer &trace, const CoreConfig &cfg,
                 const std::string &whatIf)
 {
     CritPathAnalyzer an(trace, cfg);
+    // Ask the question before reading the summary, so the forward
+    // model and the what-if share one walk.
+    std::string err;
+    std::uint64_t cycles = whatIf.empty() ? 0 : an.whatIf(whatIf, &err);
     CritPathSummary s = an.summary();
     if (s.present && !whatIf.empty()) {
         s.whatIf = whatIf;
-        std::string err;
-        std::uint64_t cycles = an.whatIf(whatIf, &err);
         if (!err.empty())
             s.error = err;
         else

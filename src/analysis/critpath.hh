@@ -10,8 +10,10 @@
  * entry, I->X execution latency), in-order bandwidths (fetch/rename/
  * commit width), capacity backpressure (ROB, fetch queue), register
  * dependences (producer value-ready with bypass), store-set memory
- * ordering, and branch-mispredict refetch. Three walks share the
- * graph:
+ * ordering, and branch-mispredict refetch. The graph is never built
+ * as a separate structure: the trace ring's records already carry
+ * each slot's stage times and its dependence links, resolved at
+ * capture, and every walk reads them in place. Three walks share it:
  *
  *  1. *Attribution* replays the recorded timestamps backwards from the
  *     last commit, always following the last-arriving edge, and
@@ -28,7 +30,9 @@
  *     residuals so the unmodified configuration reproduces the
  *     recorded times exactly. Because every node time is a max() of
  *     monotone candidate times, widening a resource or shortening a
- *     latency can never lengthen the predicted path.
+ *     latency can never lengthen the predicted path. The residuals
+ *     are computed inside this walk, and the first what-if question
+ *     runs the forward model in the same pass.
  *
  * A what-if walk is O(events) with no simulation state, which is what
  * makes design-space questions orders of magnitude cheaper than
@@ -139,15 +143,19 @@ struct CpParams
 bool applyWhatIf(CpParams &p, const std::string &spec, std::string *err);
 
 /**
- * Reusable analysis of one traced run: the constructor flattens the
- * trace into the dependence graph and runs the attribution and
- * forward-model walks once; whatIf() then answers any number of
- * design-space questions against the same graph, each as a single
- * residual-anchored O(events) propagation — no simulator state is
- * ever touched. This is the object behind the >= 10x-cheaper-than-
- * re-sim acceptance: the expensive parts (simulate, trace, build,
- * attribute) are paid once per cell, and every question after that
- * costs one walk.
+ * Reusable analysis of one traced run: the constructor runs the
+ * attribution walk over the trace in place; whatIf() then answers any
+ * number of design-space questions against the same trace, each as a
+ * single residual-anchored O(events) propagation — no simulator state
+ * is ever touched. This is the object behind the >= 10x-cheaper-than-
+ * re-sim acceptance: the expensive parts (simulate, trace, attribute)
+ * are paid once per cell, and every question after that costs one
+ * walk.
+ *
+ * The analyzer reads @p trace in place, so the trace must outlive it
+ * and stay unchanged. The forward walks keep their node times in
+ * per-thread storage that later walks reuse; any number of analyzers
+ * may be alive on one thread.
  */
 class CritPathAnalyzer
 {
@@ -159,14 +167,15 @@ class CritPathAnalyzer
 
     /** Attribution breakdown and forward model for the traced window
      *  (the whatIf fields stay unset). present=false when the trace
-     *  held fewer than two events. */
+     *  held fewer than two events. The forward model runs on the
+     *  first call unless a whatIf() question already ran it, so a
+     *  given analyzer must be queried from one thread at a time. */
     const CritPathSummary &summary() const;
 
     /** Predicted cycle span of the traced window under @p spec.
      *  @return 0 and set @p err (when non-null) on a malformed spec
-     *  or an absent analysis; otherwise @p err is cleared. Lazily
-     *  caches the per-node residuals on first use, so a given
-     *  analyzer must be queried from one thread at a time. */
+     *  or an absent analysis; otherwise @p err is cleared. Like
+     *  summary(), query a given analyzer from one thread at a time. */
     std::uint64_t whatIf(const std::string &spec,
                          std::string *err = nullptr);
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "analysis/critpath.hh"
 #include "common/logging.hh"
 
 namespace mg {
@@ -112,8 +113,12 @@ parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
             opt.critpath = true;
         } else if (a == "--whatif") {
             opt.whatIf = next(a, i);
-            if (opt.whatIf.empty())
-                fatal("--whatif requires a key=val spec");
+            // Check the spec now: a malformed one would otherwise cost
+            // a whole traced sweep and fail in every cell.
+            std::string err;
+            CpParams probe;
+            if (!applyWhatIf(probe, opt.whatIf, &err))
+                fatal("bad --whatif: %s", err.c_str());
             opt.critpath = true;
         } else {
             // A mistyped flag must not silently run a different sweep:

@@ -1,5 +1,7 @@
 #include "memsys/memory.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace mg {
@@ -54,16 +56,30 @@ Memory::writeSlow(Addr addr, std::uint64_t value, int bytes)
 void
 Memory::writeBlock(Addr addr, const std::uint8_t *data, std::size_t len)
 {
-    for (std::size_t i = 0; i < len; ++i)
-        writeByte(addr + i, data[i]);
+    // One page span per step: every page the range touches is created,
+    // exactly as a byte-wise copy would.
+    while (len) {
+        Addr off = addr % pageBytes;
+        std::size_t n = std::min<std::size_t>(len, pageBytes - off);
+        std::memcpy(getPage(addr).data() + off, data, n);
+        addr += n;
+        data += n;
+        len -= n;
+    }
 }
 
 std::vector<std::uint8_t>
 Memory::readBlock(Addr addr, std::size_t len) const
 {
     std::vector<std::uint8_t> out(len);
-    for (std::size_t i = 0; i < len; ++i)
-        out[i] = readByte(addr + i);
+    for (std::size_t done = 0; done < len;) {
+        Addr off = addr % pageBytes;
+        std::size_t n = std::min<std::size_t>(len - done, pageBytes - off);
+        if (const Page *p = findPage(addr))
+            std::memcpy(out.data() + done, p->data() + off, n);
+        addr += n;
+        done += n;
+    }
     return out;
 }
 

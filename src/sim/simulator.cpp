@@ -71,9 +71,11 @@ runCell(const Program &prog, const PreparedMg *prep, const SimConfig &cfg,
         return runCore(*p, mgt, cfg.core, setup, cfg.runBudget, cancel);
     Core core(*p, mgt, cfg.core);
     core.setCancel(cancel);
-    TraceBuffer trace(cfg.traceDepth
-                          ? static_cast<std::size_t>(cfg.traceDepth)
-                          : TraceBuffer::defaultCapacity);
+    // One ring per worker thread: a cell reuses the storage of the
+    // cells before it instead of faulting in a fresh ring.
+    thread_local TraceBuffer trace;
+    trace.clear(cfg.traceDepth ? static_cast<std::size_t>(cfg.traceDepth)
+                               : TraceBuffer::defaultCapacity);
     core.setTrace(&trace);
     if (setup)
         setup(core.oracle());

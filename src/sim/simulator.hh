@@ -65,8 +65,9 @@ CoreStats runCore(const Program &prog, const MgTable *mgt,
  * TraceBuffer::defaultCapacity) and @p critpath receives the
  * dependence-graph analysis of the captured window, including the
  * cfg.whatIf re-weighting when set. Trace capture is observational,
- * so the returned CoreStats are bit-identical to an untraced run's;
- * the ring is preallocated, so full-length runs stay allocation-free.
+ * so the returned CoreStats are bit-identical to an untraced run's.
+ * The ring and the analyzer's walk storage belong to the calling
+ * thread and are reused by its later cells.
  */
 CoreStats runCell(const Program &prog, const PreparedMg *prep,
                   const SimConfig &cfg, const SetupFn &setup,

@@ -434,8 +434,8 @@ Core::doDispatch()
             // physical registers to the seq that last renamed them, so
             // the retired trace carries register dependence edges. A
             // squashed producer's entry is simply overwritten when the
-            // register is reallocated; it never retires, and the
-            // analyzer drops edges whose producer seq is absent.
+            // register is reallocated; it never retires, and the trace
+            // drops links whose producer seq is absent.
             for (int s = 0; s < 2; ++s) {
                 PhysReg p = d->srcPhys[s];
                 d->traceSrcSeq[s] =
@@ -894,9 +894,13 @@ Core::traceRetire(const DynInst *d)
         return v > 0xffffffffull ? 0xffffffffu
                                  : static_cast<std::uint32_t>(v);
     };
-    TraceEvent e;
-    e.seq = d->seq;
-    e.pc = d->pc;
+    // Filled in place: a record built on the stack and copied into
+    // the ring stalls on store forwarding.
+    TraceEvent &e = trace_->push(d->seq);
+    // Producers retired before this slot, so their links resolve now.
+    std::uint32_t src0 = trace_->distanceTo(d->traceSrcSeq[0]);
+    std::uint32_t src1 = trace_->distanceTo(d->traceSrcSeq[1]);
+    std::uint32_t dep = trace_->distanceTo(d->depStoreSeq);
     e.fetchAt = d->fetchAt;
     e.dispatchD = delta(d->dispatchedAt);
     e.issueD = delta(d->issueAt);
@@ -904,14 +908,13 @@ Core::traceRetire(const DynInst *d)
     e.commitD = delta(now);
     e.memExecD = (d->isLoadKind || d->isStoreKind)
         ? delta(d->memExecAt) : 0;
-    e.srcSeq[0] = d->traceSrcSeq[0];
-    e.srcSeq[1] = d->traceSrcSeq[1];
-    e.depStoreSeq = d->depStoreSeq;
+    e.srcDist[0] = src0;
+    e.srcDist[1] = src1;
+    e.depStoreDist = dep;
     e.work = static_cast<std::uint16_t>(
         std::min(d->work, 0xffff));
     e.handleReplays = static_cast<std::uint16_t>(
         std::min(d->handleReplays, 0xffff));
-    e.cls = d->cls;
     e.flags = static_cast<std::uint8_t>(
         (d->isLoadKind ? TraceEvent::FlagLoad : 0) |
         (d->isStoreKind ? TraceEvent::FlagStore : 0) |
@@ -919,7 +922,6 @@ Core::traceRetire(const DynInst *d)
         (d->isHandle() ? TraceEvent::FlagHandle : 0) |
         (d->mispredicted ? TraceEvent::FlagMispredicted : 0) |
         (d->isCtrl && d->rec.taken ? TraceEvent::FlagTaken : 0));
-    trace_->push(e);
 }
 
 void

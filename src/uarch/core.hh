@@ -312,10 +312,12 @@ class Core
     /**
      * Attach a retired-event trace ring (null detaches). Capture is
      * observational: timestamps the timing model already computed are
-     * copied into @p t at retirement, so an attached trace never
-     * changes stats() — the determinism contract the critical-path
-     * analyzer relies on. Attach before run(); the producer-tracking
-     * table it enables is maintained from the next dispatch on.
+     * copied into @p t at retirement, with each dependence resolved
+     * there to a link back to its retired producer, so an attached
+     * trace never changes stats() — the determinism contract the
+     * critical-path analyzer relies on. Attach before run(); the
+     * producer-tracking table it enables is maintained from the next
+     * dispatch on.
      */
     void
     setTrace(TraceBuffer *t)

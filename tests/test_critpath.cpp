@@ -4,8 +4,9 @@
  *
  * Three layers, mirroring the analyzer's three walks:
  *
- *  - Trace-ring mechanics: capacity, wrap, oldest-first ordering, and
- *    the wrapped-window contract a traced runCell surfaces as
+ *  - Trace-ring mechanics: capacity, wrap, oldest-first ordering,
+ *    reuse after clear(), capture-time link resolution, and the
+ *    wrapped-window contract a traced runCell surfaces as
  *    traceWrapped.
  *  - Hand-built micro-programs whose bottleneck is known by
  *    construction: the attribution walk must telescope exactly (the
@@ -16,13 +17,16 @@
  *    cycle count from modeled edges alone, and must land within 2% of
  *    the recorded count on a pinned ref-kernel set; the what-if walk
  *    must reproduce the recorded count exactly under an identity spec
- *    and respond monotonically to widening/narrowing.
+ *    and respond monotonically to widening/narrowing. A golden pins
+ *    every summary field on three kernels across ring shapes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "analysis/critpath.hh"
 #include "assembler/assembler.hh"
@@ -69,47 +73,133 @@ breakdownSum(const CritPathSummary &s)
 // Trace ring.
 // ------------------------------------------------------------------
 
+/** Push an event tagged (via fetchAt) with its own seq. */
+void
+pushTagged(TraceBuffer &tb, std::uint64_t seq)
+{
+    tb.push(seq).fetchAt = seq;
+}
+
 TEST(TraceRing, KeepsNewestEventsOldestFirst)
 {
     TraceBuffer tb(4);
     EXPECT_EQ(tb.capacity(), 4u);
-    for (std::uint64_t s = 0; s < 3; ++s) {
-        TraceEvent e;
-        e.seq = s;
-        tb.push(e);
-    }
+    for (std::uint64_t s = 1; s <= 3; ++s)
+        pushTagged(tb, s);
     EXPECT_EQ(tb.size(), 3u);
     EXPECT_EQ(tb.totalPushed(), 3u);
     EXPECT_FALSE(tb.wrapped());
-    EXPECT_EQ(tb.at(0).seq, 0u);
-    EXPECT_EQ(tb.at(2).seq, 2u);
+    EXPECT_EQ(tb.at(0).fetchAt, 1u);
+    EXPECT_EQ(tb.at(2).fetchAt, 3u);
 
-    for (std::uint64_t s = 3; s < 11; ++s) {
-        TraceEvent e;
-        e.seq = s;
-        tb.push(e);
-    }
+    for (std::uint64_t s = 4; s <= 11; ++s)
+        pushTagged(tb, s);
     EXPECT_EQ(tb.size(), 4u);
     EXPECT_EQ(tb.totalPushed(), 11u);
     EXPECT_TRUE(tb.wrapped());
     for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(tb.at(i).seq, 7 + i) << "slot " << i;
+        EXPECT_EQ(tb.at(i).fetchAt, 8 + i) << "slot " << i;
 
     tb.clear();
     EXPECT_EQ(tb.size(), 0u);
     EXPECT_FALSE(tb.wrapped());
+    EXPECT_EQ(tb.capacity(), 4u);
+}
+
+TEST(TraceRing, FullButNotWrappedAtExactCapacity)
+{
+    // head == capacity: every event is still held, nothing dropped.
+    TraceBuffer tb(4);
+    for (std::uint64_t s = 1; s <= 4; ++s)
+        pushTagged(tb, s);
+    EXPECT_EQ(tb.size(), 4u);
+    EXPECT_EQ(tb.totalPushed(), 4u);
+    EXPECT_FALSE(tb.wrapped());
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(tb.at(i).fetchAt, 1 + i);
+    // The oldest event is still linkable, and drops off with the next
+    // push.
+    EXPECT_EQ(tb.distanceTo(1), 3u);
+    EXPECT_EQ(tb.distanceTo(4), 0u);   // the newest links to no one
+    pushTagged(tb, 5);
+    EXPECT_TRUE(tb.wrapped());
+    EXPECT_EQ(tb.at(0).fetchAt, 2u);
+    EXPECT_EQ(tb.distanceTo(1), 0u);
+    EXPECT_EQ(tb.distanceTo(2), 3u);
+}
+
+TEST(TraceRing, ReuseAfterClearWithADifferentCapacity)
+{
+    TraceBuffer tb(8);
+    for (std::uint64_t s = 1; s <= 20; ++s)
+        pushTagged(tb, s);
+    ASSERT_TRUE(tb.wrapped());
+
+    // Shrink: the new trace starts empty, holds 3, and never links
+    // into the old trace's seqs, even where they repeat.
+    tb.clear(3);
+    EXPECT_EQ(tb.capacity(), 3u);
+    EXPECT_EQ(tb.size(), 0u);
+    EXPECT_EQ(tb.distanceTo(20), 0u);
+    for (std::uint64_t s = 15; s <= 19; ++s)
+        pushTagged(tb, s);
+    EXPECT_EQ(tb.size(), 3u);
+    EXPECT_TRUE(tb.wrapped());
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(tb.at(i).fetchAt, 17 + i);
+    EXPECT_EQ(tb.distanceTo(18), 1u);
+    EXPECT_EQ(tb.distanceTo(17), 2u);
+    EXPECT_EQ(tb.distanceTo(16), 0u);   // dropped off the ring
+    EXPECT_EQ(tb.distanceTo(20), 0u);   // the old trace's seq
+
+    // Grow past the old capacity: nothing wraps until 16 are held.
+    tb.clear(16);
+    for (std::uint64_t s = 1; s <= 16; ++s)
+        pushTagged(tb, s);
+    EXPECT_FALSE(tb.wrapped());
+    for (std::size_t i = 0; i < 16; ++i)
+        EXPECT_EQ(tb.at(i).fetchAt, 1 + i);
+    EXPECT_EQ(tb.distanceTo(5), 11u);
+}
+
+TEST(TraceRing, LinksSkipSquashedSeqsAndSurviveTableGrowth)
+{
+    // Seqs skipped between pushes were squashed and never link; held
+    // events link at their exact backward distance, however far the
+    // seqs spread and however often the ring wraps.
+    TraceBuffer tb(3000);
+    std::vector<std::uint64_t> seqs;
+    std::uint64_t seq = 0;
+    for (int k = 0; k < 10000; ++k) {
+        std::uint64_t prev = seq;
+        seq += 1 + static_cast<std::uint64_t>((k * 7919) % 13);
+        pushTagged(tb, seq);
+        seqs.push_back(seq);
+        if (k == 0)
+            continue;
+        // Link to a pseudo-random earlier event, and to the seq just
+        // before this one, squashed unless it is the previous event.
+        std::size_t back = 1 + static_cast<std::size_t>(
+            (k * 104729) % std::min(k, 3500));
+        EXPECT_EQ(tb.distanceTo(seqs[seqs.size() - 1 - back]),
+                  back < 3000 ? back : 0)
+            << "event " << k;
+        EXPECT_EQ(tb.distanceTo(seq - 1), seq - 1 == prev ? 1u : 0u)
+            << "event " << k;
+    }
+    EXPECT_EQ(tb.distanceTo(0), 0u);
+    EXPECT_EQ(tb.distanceTo(seq + 1), 0u);
 }
 
 TEST(TraceRing, ZeroCapacityDegradesToOne)
 {
     TraceBuffer tb(0);
     EXPECT_EQ(tb.capacity(), 1u);
-    TraceEvent e;
-    e.seq = 42;
-    tb.push(e);
-    tb.push(e);
+    pushTagged(tb, 42);
+    pushTagged(tb, 43);
     EXPECT_EQ(tb.size(), 1u);
     EXPECT_TRUE(tb.wrapped());
+    EXPECT_EQ(tb.at(0).fetchAt, 43u);
 }
 
 TEST(TraceRing, StageDeltaAccessors)
@@ -453,7 +543,10 @@ TEST(CritPathWhatIf, SpecParsing)
 
     for (const char *bad :
          {"notaknob=3", "fetchwidth", "fetchwidth=", "fetchwidth=abc",
-          "fetchwidth=0", "fetchwidth=-2", "=4", ","}) {
+          "fetchwidth=0", "fetchwidth=-2", "=4", ",",
+          // Out of int range: rejected, never wrapped into a field.
+          "robsize=4294967297", "robsize=2147483648",
+          "robsize=99999999999999999999", "l1dlat=4294967299"}) {
         CpParams q;
         std::string e;
         EXPECT_FALSE(applyWhatIf(q, bad, &e)) << bad;
@@ -487,7 +580,7 @@ loop:
 TEST(CritPathWhatIf, AnalyzerAnswersManySpecsFromOneTrace)
 {
     // The reusable analyzer is the cheap-question API: one traced run,
-    // one graph build, then every spec is a single walk. Its answers
+    // one attribution walk, then every spec is a single forward walk. Its answers
     // must match the one-shot wrapper spec for spec, and a bad spec
     // must fail without poisoning later questions.
     BoundKernel bk = bindKernel(findKernel("gzip"));
@@ -521,6 +614,148 @@ TEST(CritPathWhatIf, AnalyzerAnswersManySpecsFromOneTrace)
     EXPECT_EQ(again,
               analyzeCritPath(trace, cfg.core, "robsize=256")
                   .whatIfCycles);
+}
+
+
+TEST(CritPathWhatIf, TwoAnalyzersOnOneThreadStayIndependent)
+{
+    // Walk storage is per thread, not per analyzer: interleaved
+    // questions to two live analyzers over different traces must
+    // each get their own trace's answer.
+    SimConfig cfg = SimConfig::baseline();
+    auto traced = [&](const char *name, TraceBuffer &trace) {
+        BoundKernel bk = bindKernel(findKernel(name));
+        Core core(*bk.program, nullptr, cfg.core);
+        core.setTrace(&trace);
+        bk.setup(core.oracle());
+        core.run();
+    };
+    TraceBuffer ta, tb;
+    traced("gzip", ta);
+    traced("crc", tb);
+    CritPathSummary oneA = analyzeCritPath(ta, cfg.core, "robsize=256");
+    CritPathSummary oneB = analyzeCritPath(tb, cfg.core, "robsize=256");
+
+    CritPathAnalyzer a(ta, cfg.core);
+    CritPathAnalyzer b(tb, cfg.core);
+    EXPECT_EQ(b.whatIf("robsize=256"), oneB.whatIfCycles);
+    EXPECT_EQ(a.whatIf("robsize=256"), oneA.whatIfCycles);
+    EXPECT_EQ(b.summary().modeledCycles, oneB.modeledCycles);
+    EXPECT_EQ(a.summary().modeledCycles, oneA.modeledCycles);
+    EXPECT_EQ(b.whatIf("robsize=256"), oneB.whatIfCycles);
+    EXPECT_NE(oneA.whatIfCycles, oneB.whatIfCycles);
+}
+
+// ------------------------------------------------------------------
+// Golden: the analyzer's exact outputs on pinned kernels, under both
+// machine shapes, over a complete ring, a wrapped one, and one exactly
+// as long as the trace. A change to how the trace is captured or
+// walked must not move a single cycle.
+// ------------------------------------------------------------------
+
+enum class Ring { Default, Wrapped, Exact };
+
+struct GoldenCell
+{
+    const char *kernel;
+    bool miniGraphs;
+    Ring ring;
+    std::uint64_t slots, work;
+    bool wrapped;
+    std::uint64_t actual, modeled, whatIf;
+    std::uint64_t breakdown[cpCatCount];
+};
+
+const GoldenCell goldenCells[] = {
+    {"gzip", false, Ring::Default, 102115u, 102115u, false, 39996u, 39828u, 39825u,
+     {34682, 49, 3716, 12, 39, 24, 1474, 0, 0}},
+    {"gzip", false, Ring::Wrapped, 2048u, 2048u, true, 822u, 814u, 822u,
+     {705, 3, 110, 1, 0, 3, 0, 0, 0}},
+    {"gzip", false, Ring::Exact, 102115u, 102115u, false, 39996u, 39828u, 39825u,
+     {34682, 49, 3716, 12, 39, 24, 1474, 0, 0}},
+    {"gzip", true, Ring::Default, 55395u, 102115u, false, 25177u, 25424u, 23652u,
+     {16088, 328, 1081, 97, 128, 0, 6383, 1044, 28}},
+    {"gzip", true, Ring::Wrapped, 2048u, 3837u, true, 1012u, 1011u, 973u,
+     {549, 23, 61, 9, 6, 0, 298, 45, 21}},
+    {"gzip", true, Ring::Exact, 55395u, 102115u, false, 25177u, 25424u, 23652u,
+     {16088, 328, 1081, 97, 128, 0, 6383, 1044, 28}},
+    {"crc", false, Ring::Default, 53687u, 53687u, false, 36324u, 35425u, 37404u,
+     {4817, 233, 30805, 1, 200, 0, 268, 0, 0}},
+    {"crc", false, Ring::Wrapped, 2048u, 2048u, true, 1743u, 1626u, 1822u,
+     {16, 0, 1258, 1, 200, 0, 268, 0, 0}},
+    {"crc", false, Ring::Exact, 53687u, 53687u, false, 36324u, 35425u, 37404u,
+     {4817, 233, 30805, 1, 200, 0, 268, 0, 0}},
+    {"crc", true, Ring::Default, 28503u, 53687u, false, 45396u, 45366u, 52594u,
+     {3572, 663, 0, 0, 0, 0, 33960, 7201, 0}},
+    {"crc", true, Ring::Wrapped, 2048u, 4503u, true, 5018u, 4668u, 5836u,
+     {49, 0, 1, 0, 0, 0, 3840, 1128, 0}},
+    {"crc", true, Ring::Exact, 28503u, 53687u, false, 45396u, 45366u, 52594u,
+     {3572, 663, 0, 0, 0, 0, 33960, 7201, 0}},
+    {"adpcm.dec", false, Ring::Default, 89710u, 89710u, false, 34823u, 34708u, 34758u,
+     {30591, 1566, 1423, 9, 10, 18, 1206, 0, 0}},
+    {"adpcm.dec", false, Ring::Wrapped, 2048u, 2048u, true, 861u, 852u, 860u,
+     {660, 44, 5, 2, 0, 3, 147, 0, 0}},
+    {"adpcm.dec", false, Ring::Exact, 89710u, 89710u, false, 34823u, 34708u, 34758u,
+     {30591, 1566, 1423, 9, 10, 18, 1206, 0, 0}},
+    {"adpcm.dec", true, Ring::Default, 51008u, 89710u, false, 25849u, 25494u, 25806u,
+     {20494, 2558, 2374, 0, 7, 0, 403, 12, 1}},
+    {"adpcm.dec", true, Ring::Wrapped, 2048u, 3605u, true, 1060u, 1041u, 1077u,
+     {701, 95, 0, 0, 4, 0, 257, 3, 0}},
+    {"adpcm.dec", true, Ring::Exact, 51008u, 89710u, false, 25849u, 25494u, 25806u,
+     {20494, 2558, 2374, 0, 7, 0, 403, 12, 1}},
+};
+
+TEST(CritPathGolden, ExactSummariesAcrossRingShapes)
+{
+    const char *spec = "robsize=256,l1dlat=3";
+    for (const char *name : {"gzip", "crc", "adpcm.dec"}) {
+        BoundKernel bk = bindKernel(findKernel(name));
+        for (SimConfig cfg :
+             {SimConfig::baseline(), SimConfig::intMemMg()}) {
+            const PreparedMg *prep = nullptr;
+            PreparedMg prepStore;
+            if (cfg.useMiniGraphs) {
+                BlockProfile prof = collectProfile(
+                    *bk.program, bk.setup, cfg.profileBudget);
+                prepStore = prepareMiniGraphs(*bk.program, prof,
+                                              cfg.policy, cfg.machine,
+                                              cfg.compress);
+                prep = &prepStore;
+            }
+            CoreStats plain = runCell(*bk.program, prep, cfg, bk.setup);
+            for (Ring ring : {Ring::Default, Ring::Wrapped, Ring::Exact}) {
+                const GoldenCell *g = nullptr;
+                for (const GoldenCell &c : goldenCells) {
+                    if (std::string(c.kernel) == name &&
+                        c.miniGraphs == cfg.useMiniGraphs && c.ring == ring)
+                        g = &c;
+                }
+                ASSERT_NE(g, nullptr);
+                SimConfig c = cfg;
+                c.critpath = true;
+                c.whatIf = spec;
+                c.traceDepth = ring == Ring::Default ? 0
+                    : ring == Ring::Wrapped          ? 2048
+                                                     : plain.committedSlots;
+                CritPathSummary s;
+                runCell(*bk.program, prep, c, bk.setup, nullptr, &s);
+                std::string at = std::string(name) + "/" + cfg.name +
+                    "/ring " + std::to_string(static_cast<int>(ring));
+                ASSERT_TRUE(s.present) << at;
+                EXPECT_TRUE(s.error.empty()) << at << ": " << s.error;
+                EXPECT_EQ(s.tracedSlots, g->slots) << at;
+                EXPECT_EQ(s.tracedWork, g->work) << at;
+                EXPECT_EQ(s.traceWrapped, g->wrapped) << at;
+                EXPECT_EQ(s.actualCycles, g->actual) << at;
+                EXPECT_EQ(s.modeledCycles, g->modeled) << at;
+                EXPECT_EQ(s.whatIf, spec) << at;
+                EXPECT_EQ(s.whatIfCycles, g->whatIf) << at;
+                for (int k = 0; k < cpCatCount; ++k)
+                    EXPECT_EQ(s.breakdown[k], g->breakdown[k])
+                        << at << " " << cpCatName(static_cast<CpCat>(k));
+            }
+        }
+    }
 }
 
 } // namespace

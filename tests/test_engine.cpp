@@ -178,6 +178,23 @@ TEST(Engine, UnknownFlagsAreFatal)
                 ::testing::ExitedWithCode(1), "bad --sample-interval");
 }
 
+TEST(Engine, MalformedWhatIfIsFatal)
+{
+    // A bad --whatif spec fails before any cell is simulated, not
+    // once per cell after a whole traced sweep.
+    for (const char *spec :
+         {"robsize=0", "bogus=1", "robsize=4294967297"}) {
+        const char *argv[] = {"bench", "--whatif", spec};
+        EXPECT_EXIT(parseCli(3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(1), "bad --whatif")
+            << spec;
+    }
+    const char *ok[] = {"bench", "--whatif", "robsize=256,l1dlat=3"};
+    CliOptions o = parseCli(3, const_cast<char **>(ok));
+    EXPECT_TRUE(o.critpath);
+    EXPECT_EQ(o.whatIf, "robsize=256,l1dlat=3");
+}
+
 TEST(Engine, BenchFlagsAndPositionalsPassThrough)
 {
     const char *argv[] = {"bench", "--sched", "crc", "--jobs", "2"};

@@ -40,6 +40,33 @@ TEST(MemoryTest, BlockOps)
     EXPECT_EQ(out, std::vector<std::uint8_t>({1, 2, 3, 4, 5}));
 }
 
+TEST(MemoryTest, BlockOpsSpanPages)
+{
+    // A block copy creates every page its range touches, and a block
+    // read creates none, reading absent pages as zero.
+    Memory m;
+    std::vector<std::uint8_t> data(2 * Memory::pageBytes + 10);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    Addr a = Memory::pageBytes - 5;
+    m.writeBlock(a, data.data(), data.size());
+    EXPECT_EQ(m.residentPages(), 4u);
+    EXPECT_EQ(m.readBlock(a, data.size()), data);
+    EXPECT_EQ(m.read(a + 5, 1), data[5]);
+
+    std::vector<std::uint8_t> gap = m.readBlock(a - 100,
+                                                3 * Memory::pageBytes);
+    EXPECT_EQ(m.residentPages(), 4u);
+    for (std::size_t i = 0; i < gap.size(); ++i) {
+        std::size_t k = i - 100;
+        ASSERT_EQ(gap[i], i >= 100 && k < data.size() ? data[k] : 0)
+            << "byte " << i;
+    }
+
+    m.writeBlock(0x9000, data.data(), 0);
+    EXPECT_EQ(m.residentPages(), 4u);
+}
+
 TEST(CacheTest, GeometryChecks)
 {
     CacheGeometry g{32 * 1024, 2, 32};
