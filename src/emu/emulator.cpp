@@ -1,34 +1,20 @@
 #include "emu/emulator.hh"
 
-#include <algorithm>
-#include <bit>
-
 #include "common/logging.hh"
-#include "mg/minigraph.hh"
 
 namespace mg {
 
+namespace emu {
+
+void
+badOp(const char *what, Op op)
+{
+    panic("%s: %s", what, opName(op));
+}
+
+} // namespace emu
+
 namespace {
-
-/** Sign-extend the low 32 bits (Alpha longword semantics). */
-std::uint64_t
-sextl(std::uint64_t v)
-{
-    return static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(static_cast<std::int32_t>(v)));
-}
-
-double
-asDouble(std::uint64_t bits)
-{
-    return std::bit_cast<double>(bits);
-}
-
-std::uint64_t
-asBits(double d)
-{
-    return std::bit_cast<std::uint64_t>(d);
-}
 
 int
 memBytes(Op op)
@@ -43,81 +29,252 @@ memBytes(Op op)
 }
 
 bool
-branchTaken(Op op, std::uint64_t v)
+regInRange(RegId r, int numRegs)
 {
-    auto sv = static_cast<std::int64_t>(v);
-    switch (op) {
-      case Op::BEQ: return v == 0;
-      case Op::BNE: return v != 0;
-      case Op::BLT: return sv < 0;
-      case Op::BLE: return sv <= 0;
-      case Op::BGT: return sv > 0;
-      case Op::BGE: return sv >= 0;
-      case Op::BLBC: return (v & 1) == 0;
-      case Op::BLBS: return (v & 1) == 1;
-      case Op::FBEQ: return asDouble(v) == 0.0;
-      case Op::FBNE: return asDouble(v) != 0.0;
-      default: panic("not a conditional branch: %s", opName(op));
+    return r == regNone || isZeroReg(r) || (r >= 0 && r < numRegs);
+}
+
+/**
+ * The first register @p in accesses that the emulator cannot hold, in
+ * access order, or regNone. @p handleOut: a handle writes its output
+ * register (its template has an output).
+ */
+RegId
+firstBadReg(const Instruction &in, bool handleOut, int numRegs)
+{
+    RegId order[3] = {regNone, regNone, regNone};
+    switch (in.cls()) {
+      case InsnClass::IntAlu:
+      case InsnClass::IntMult:
+      case InsnClass::FpAlu:
+      case InsnClass::FpDiv:
+        order[0] = in.ra;
+        order[1] = in.useImm ? regNone : in.rb;
+        order[2] = in.rc;
+        break;
+      case InsnClass::Load:
+      case InsnClass::Store:
+      case InsnClass::IndirectJump:
+        order[0] = in.rb;
+        order[1] = in.ra;
+        break;
+      case InsnClass::CondBranch:
+      case InsnClass::UncondBranch:
+        order[0] = in.ra;
+        break;
+      case InsnClass::Handle:
+        order[0] = in.ra;
+        order[1] = in.rb;
+        order[2] = handleOut ? in.rc : regNone;
+        break;
+      case InsnClass::Nop:
+      case InsnClass::Halt:
+        break;
     }
+    for (RegId r : order) {
+        if (!regInRange(r, numRegs))
+            return r;
+    }
+    return regNone;
+}
+
+/** Fused opcode of every operate, branch and memory op. */
+template <typename Xop>
+Xop
+fusedOp(Op op)
+{
+    switch (op) {
+#define MG_EMU_MAP(o) case Op::o: return Xop::o;
+      MG_EMU_ALU_OPS(MG_EMU_MAP)
+      MG_EMU_BRANCH_OPS(MG_EMU_MAP)
+#undef MG_EMU_MAP
+      case Op::CMOVEQ: return Xop::CMOVEQ;
+      case Op::CMOVNE: return Xop::CMOVNE;
+      case Op::LDBU: return Xop::LD1;
+      case Op::LDWU: return Xop::LD2;
+      case Op::LDL: return Xop::LD4S;
+      case Op::LDQ: case Op::LDT: return Xop::LD8;
+      case Op::STB: return Xop::ST1;
+      case Op::STW: return Xop::ST2;
+      case Op::STL: return Xop::ST4;
+      case Op::STQ: case Op::STT: return Xop::ST8;
+      case Op::BR: case Op::BSR: return Xop::BR;
+      case Op::JMP: case Op::JSR: case Op::RET: return Xop::JMP;
+      case Op::MG: return Xop::HANDLE;
+      case Op::NOP: return Xop::NOP;
+      case Op::HALT: return Xop::HALT;
+      case Op::NUM_OPS: break;
+    }
+    panic("bad opcode %d", static_cast<int>(op));
 }
 
 } // namespace
 
 Emulator::Emulator(const Program &p, const MgTable *t) : prog(p), mgt(t)
 {
-    predecode();
+    decodeTemplates();
+    decode();
     reset();
 }
 
 void
-Emulator::predecode()
+Emulator::decodeTemplates()
 {
-    // One pass over the text: classify every slot once instead of
-    // re-deriving class and access width on each dynamic execution.
+    if (!mgt)
+        return;
+    handles.resize(mgt->size());
+    for (std::size_t id = 0; id < mgt->size(); ++id) {
+        const MgTemplate &t = mgt->at(static_cast<MgId>(id));
+        HandleCode &h = handles[id];
+        if (t.insns.size() > static_cast<std::size_t>(mgMaxSize))
+            continue;   // faults when a handle names it
+        h.first = static_cast<std::uint32_t>(handleOps.size());
+        h.count = static_cast<std::uint32_t>(t.insns.size());
+        h.ok = true;
+        if (t.outIdx >= 0 && t.outIdx < t.size())
+            h.out = static_cast<std::uint8_t>(4 + t.outIdx);
+        // Operand value slots; the immediate kind reads the op's
+        // immediate in an operate and zero elsewhere, as the
+        // template's B0/B1 directives define.
+        auto slot = [&](const OpndRef &r, bool immIsValue) -> std::uint8_t {
+            switch (r.kind) {
+              case OpndKind::E0: return 0;
+              case OpndKind::E1: return 1;
+              case OpndKind::Imm: return immIsValue ? 3 : 2;
+              case OpndKind::None: return 2;
+              case OpndKind::M:
+                if (r.m < 0 || r.m >= mgMaxSize)
+                    h.ok = false;
+                return static_cast<std::uint8_t>(4 + (r.m & 7));
+            }
+            return 2;
+        };
+        for (const TemplateInsn &ti : t.insns) {
+            HandleOp op{};
+            op.imm = ti.imm;
+            op.op = ti.op;
+            if (isLoadOp(ti.op)) {
+                op.kind = HKind::Load;
+                op.a = slot(ti.a, false);
+                op.bytes = static_cast<std::uint8_t>(memBytes(ti.op));
+                op.sext = ti.op == Op::LDL;
+            } else if (isStoreOp(ti.op)) {
+                op.kind = HKind::Store;
+                op.a = slot(ti.a, false);
+                op.b = slot(ti.b, false);
+                op.bytes = static_cast<std::uint8_t>(memBytes(ti.op));
+            } else if (isCondBranchOp(ti.op)) {
+                op.kind = HKind::CondBranch;
+                op.a = slot(ti.a, false);
+            } else {
+                op.kind = HKind::Alu;
+                op.a = slot(ti.a, true);
+                op.b = ti.useImm ? 3 : slot(ti.b, true);
+            }
+            handleOps.push_back(op);
+        }
+    }
+}
+
+void
+Emulator::decode()
+{
     // Block leaders mirror Cfg's rule so profiles line up with CFG
     // blocks.
     const auto n = static_cast<InsnIdx>(prog.text.size());
-    dec.assign(n, Predecoded{InsnClass::Nop, 0, false, false});
+    slots.assign(n, Slot{});
     if (n == 0)
         return;
+    // Registers the emulator cannot hold map to the constant slots
+    // too: their slot decodes as faulting (below) and never runs.
+    auto held = [](RegId r) {
+        return r >= 0 && r < numEmuRegs && !isZeroReg(r);
+    };
+    auto readSlot = [&](RegId r) -> std::uint8_t {
+        return held(r) ? static_cast<std::uint8_t>(r) : zeroSlot;
+    };
+    auto writeSlot = [&](RegId r) -> std::uint8_t {
+        return held(r) ? static_cast<std::uint8_t>(r) : sinkSlot;
+    };
     for (InsnIdx i = 0; i < n; ++i) {
         const Instruction &in = prog.text[i];
-        dec[i].cls = in.cls();
-        dec[i].padNop = in.isNop();
-        if (in.isMem())
-            dec[i].memBytes = static_cast<std::uint8_t>(memBytes(in.op));
+        Slot &s = slots[i];
+        s.imm = in.imm;
+        s.cls = in.cls();
+        s.op = fusedOp<Xop>(in.op);
+        s.s0 = s.s1 = zeroSlot;
+        s.d = sinkSlot;
+        if (in.isNop())
+            s.flags |= slotPad;
+        if (in.useImm)
+            s.flags |= slotUseImm;
+        bool handleOut = false;
+        switch (s.cls) {
+          case InsnClass::IntAlu:
+          case InsnClass::IntMult:
+          case InsnClass::FpAlu:
+          case InsnClass::FpDiv:
+            if (in.isNop())
+                s.op = Xop::PAD;
+            s.s0 = readSlot(in.ra);
+            s.s1 = in.useImm ? zeroSlot : readSlot(in.rb);
+            s.d = writeSlot(in.rc);
+            break;
+          case InsnClass::Load:
+            s.s0 = readSlot(in.rb);
+            s.d = writeSlot(in.ra);
+            break;
+          case InsnClass::Store:
+            s.s0 = readSlot(in.rb);
+            s.s1 = readSlot(in.ra);
+            break;
+          case InsnClass::CondBranch:
+            s.s0 = readSlot(in.ra);
+            break;
+          case InsnClass::UncondBranch:
+            s.d = writeSlot(in.ra);
+            break;
+          case InsnClass::IndirectJump:
+            s.s0 = readSlot(in.rb);
+            s.d = writeSlot(in.ra);
+            break;
+          case InsnClass::Handle: {
+              bool known = mgt && mgt->contains(static_cast<MgId>(in.imm)) &&
+                  handles[static_cast<std::size_t>(in.imm)].ok;
+              if (!known) {
+                  s.op = Xop::FAULT;
+                  break;
+              }
+              const HandleCode &h = handles[static_cast<std::size_t>(in.imm)];
+              handleOut = h.out != 2;
+              s.s0 = readSlot(in.ra);
+              s.s1 = readSlot(in.rb);
+              s.d = handleOut ? writeSlot(in.rc) : sinkSlot;
+              break;
+          }
+          case InsnClass::Nop:
+          case InsnClass::Halt:
+            break;
+        }
+        if (firstBadReg(in, handleOut, numEmuRegs) != regNone)
+            s.op = Xop::FAULT;
     }
-    dec[0].blockStart = true;
+    slots[0].flags |= slotBlockStart;
     if (prog.validPc(prog.entry))
-        dec[prog.indexOf(prog.entry)].blockStart = true;
+        slots[prog.indexOf(prog.entry)].flags |= slotBlockStart;
     for (InsnIdx i = 0; i < n; ++i) {
         const Instruction &in = prog.text[i];
         if (in.isControl()) {
-            if (dec[i].cls == InsnClass::CondBranch ||
-                dec[i].cls == InsnClass::UncondBranch) {
+            if (slots[i].cls == InsnClass::CondBranch ||
+                slots[i].cls == InsnClass::UncondBranch) {
                 Addr tgt = static_cast<Addr>(in.imm);
                 if (prog.validPc(tgt))
-                    dec[prog.indexOf(tgt)].blockStart = true;
+                    slots[prog.indexOf(tgt)].flags |= slotBlockStart;
             }
             if (i + 1 < n)
-                dec[i + 1].blockStart = true;
+                slots[i + 1].flags |= slotBlockStart;
         } else if ((in.op == Op::HALT || in.isHandle()) && i + 1 < n) {
-            dec[i + 1].blockStart = true;
-        }
-    }
-    if (mgt) {
-        tmplKinds.resize(mgt->size());
-        for (std::size_t id = 0; id < mgt->size(); ++id) {
-            const MgTemplate &t = mgt->at(static_cast<MgId>(id));
-            auto &kinds = tmplKinds[id];
-            kinds.reserve(t.insns.size());
-            for (const TemplateInsn &ti : t.insns) {
-                kinds.push_back(isLoadOp(ti.op) ? TmplKind::Load
-                                : isStoreOp(ti.op) ? TmplKind::Store
-                                : isCondBranchOp(ti.op)
-                                    ? TmplKind::CondBranch
-                                    : TmplKind::Alu);
-            }
+            slots[i + 1].flags |= slotBlockStart;
         }
     }
 }
@@ -143,294 +300,97 @@ Emulator::badReg(RegId r) const
     panic("register id %d out of range", r);
 }
 
-std::uint64_t
-Emulator::aluOp(Op op, std::uint64_t a, std::uint64_t b) const
+void
+Emulator::leftText() const
 {
-    auto sa = static_cast<std::int64_t>(a);
-    auto sb = static_cast<std::int64_t>(b);
-    switch (op) {
-      case Op::ADDL: return sextl(a + b);
-      case Op::ADDQ: return a + b;
-      case Op::SUBL: return sextl(a - b);
-      case Op::SUBQ: return a - b;
-      case Op::MULL: return sextl(a * b);
-      case Op::MULQ: return a * b;
-      case Op::S4ADDL: return sextl(a * 4 + b);
-      case Op::S8ADDL: return sextl(a * 8 + b);
-      case Op::S4ADDQ: return a * 4 + b;
-      case Op::S8ADDQ: return a * 8 + b;
-      case Op::AND: return a & b;
-      case Op::BIS: return a | b;
-      case Op::XOR: return a ^ b;
-      case Op::BIC: return a & ~b;
-      case Op::ORNOT: return a | ~b;
-      case Op::EQV: return a ^ ~b;
-      case Op::SLL: return a << (b & 63);
-      case Op::SRL: return a >> (b & 63);
-      case Op::SRA: return static_cast<std::uint64_t>(sa >> (b & 63));
-      case Op::CMPEQ: return a == b ? 1 : 0;
-      case Op::CMPLT: return sa < sb ? 1 : 0;
-      case Op::CMPLE: return sa <= sb ? 1 : 0;
-      case Op::CMPULT: return a < b ? 1 : 0;
-      case Op::CMPULE: return a <= b ? 1 : 0;
-      case Op::LDA: return a + b;
-      case Op::LDAH: return a + b * 65536;
-      case Op::SEXTB: return static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(static_cast<std::int8_t>(a)));
-      case Op::SEXTW: return static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(static_cast<std::int16_t>(a)));
-      case Op::CTPOP: return static_cast<std::uint64_t>(std::popcount(a));
-      case Op::CTLZ: return static_cast<std::uint64_t>(std::countl_zero(a));
-      case Op::CTTZ: return static_cast<std::uint64_t>(std::countr_zero(a));
-      case Op::ZAPNOT: {
-          std::uint64_t r = 0;
-          for (int i = 0; i < 8; ++i) {
-              if (b & (1ull << i))
-                  r |= a & (0xffull << (8 * i));
-          }
-          return r;
-      }
-      case Op::ADDT: return asBits(asDouble(a) + asDouble(b));
-      case Op::SUBT: return asBits(asDouble(a) - asDouble(b));
-      case Op::MULT: return asBits(asDouble(a) * asDouble(b));
-      case Op::DIVT: return asBits(asDouble(a) / asDouble(b));
-      case Op::CMPTEQ: return asDouble(a) == asDouble(b) ? asBits(2.0) : 0;
-      case Op::CMPTLT: return asDouble(a) < asDouble(b) ? asBits(2.0) : 0;
-      case Op::CMPTLE: return asDouble(a) <= asDouble(b) ? asBits(2.0) : 0;
-      case Op::CVTQT: return asBits(static_cast<double>(sa));
-      case Op::CVTTQ: return static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(asDouble(a)));
-      case Op::CPYS: {
-          std::uint64_t sign = a & 0x8000000000000000ull;
-          return sign | (b & 0x7fffffffffffffffull);
-      }
-      default: panic("not an ALU op: %s", opName(op));
-    }
+    fatal("PC 0x%llx left the text section",
+          static_cast<unsigned long long>(pc_));
 }
 
 void
-Emulator::execHandle(const Instruction &in, ExecRecord *rec)
+Emulator::fault(InsnIdx idx) const
 {
-    if (!mgt)
-        fatal("program contains handles but no MGT was supplied");
-    const MgTemplate &t = mgt->at(static_cast<MgId>(in.imm));
+    // The checks a slot decoded as faulting failed, re-run in the
+    // order execution would meet them.
+    const Instruction &in = prog.text[idx];
+    bool handleOut = false;
+    if (in.isHandle()) {
+        if (!mgt)
+            fatal("program contains handles but no MGT was supplied");
+        const MgTemplate &t = mgt->at(static_cast<MgId>(in.imm));
+        if (t.insns.size() > static_cast<std::size_t>(mgMaxSize))
+            panic("template larger than mgMaxSize");
+        const HandleCode &h = handles[static_cast<std::size_t>(in.imm)];
+        if (!h.ok)
+            panic("template %lld operand out of range",
+                  static_cast<long long>(in.imm));
+        handleOut = h.out != 2;
+    }
+    RegId r = firstBadReg(in, handleOut, numEmuRegs);
+    if (r != regNone)
+        badReg(r);
+    panic("slot %u decoded as faulting", static_cast<unsigned>(idx));
+}
 
-    // Atomic read of the interface inputs. Interior values live on
-    // the stack (a template holds at most mgMaxSize instructions).
-    std::uint64_t e0 = reg(in.ra);
-    std::uint64_t e1 = reg(in.rb);
-    if (t.insns.size() > static_cast<std::size_t>(mgMaxSize))
-        panic("template larger than mgMaxSize");
-    std::uint64_t m[mgMaxSize] = {};
+void
+Emulator::execHandle(const Slot &s, ExecRecord *rec)
+{
+    const HandleCode &h = handles[static_cast<std::size_t>(s.imm)];
+    // Atomic read of the interface inputs; interior values live in
+    // the handle-local value array, never in registers.
+    std::uint64_t v[handleValues] = {};
+    v[0] = regs[s.s0];
+    v[1] = regs[s.s1];
     Addr next = pc_ + insnBytes;
-    std::uint64_t outVal = 0;
-    bool haveOut = false;
-
-    auto value = [&](const OpndRef &r, std::int64_t imm) -> std::uint64_t {
-        switch (r.kind) {
-          case OpndKind::E0: return e0;
-          case OpndKind::E1: return e1;
-          case OpndKind::M: return m[static_cast<size_t>(r.m)];
-          case OpndKind::Imm: return static_cast<std::uint64_t>(imm);
-          case OpndKind::None: return 0;
-        }
-        return 0;
-    };
-
-    const std::vector<TmplKind> &kinds =
-        tmplKinds[static_cast<std::size_t>(in.imm)];
-    for (size_t i = 0; i < t.insns.size(); ++i) {
-        const TemplateInsn &ti = t.insns[i];
-        if (kinds[i] == TmplKind::Load) {
-            Addr a = value(ti.a, 0) + static_cast<Addr>(ti.imm);
-            int bytes = memBytes(ti.op);
-            std::uint64_t v = mem.read(a, bytes);
-            if (ti.op == Op::LDL)
-                v = sextl(v);
-            m[i] = v;
-            if (rec) {
-                rec->isMem = true;
-                rec->memIsStore = false;
-                rec->memAddr = a;
-                rec->memBytes = bytes;
-                rec->memData = v;
-            }
-        } else if (kinds[i] == TmplKind::Store) {
-            Addr a = value(ti.a, 0) + static_cast<Addr>(ti.imm);
-            int bytes = memBytes(ti.op);
-            std::uint64_t v = value(ti.b, 0);
-            mem.write(a, v, bytes);
-            if (rec) {
-                rec->isMem = true;
-                rec->memIsStore = true;
-                rec->memAddr = a;
-                rec->memBytes = bytes;
-                rec->memData = v;
-            }
-        } else if (kinds[i] == TmplKind::CondBranch) {
-            std::uint64_t v = value(ti.a, 0);
-            if (branchTaken(ti.op, v)) {
-                next = pc_ + static_cast<Addr>(ti.imm);
+    const HandleOp *op = handleOps.data() + h.first;
+    for (std::uint32_t i = 0; i < h.count; ++i, ++op) {
+        v[3] = static_cast<std::uint64_t>(op->imm);
+        switch (op->kind) {
+          case HKind::Alu:
+            v[4 + i] = emu::aluValue(op->op, v[op->a], v[op->b]);
+            break;
+          case HKind::Load: {
+              Addr a = v[op->a] + static_cast<Addr>(op->imm);
+              std::uint64_t x = mem.read(a, op->bytes);
+              if (op->sext)
+                  x = emu::sextl(x);
+              v[4 + i] = x;
+              if (rec) {
+                  rec->isMem = true;
+                  rec->memIsStore = false;
+                  rec->memAddr = a;
+                  rec->memBytes = op->bytes;
+                  rec->memData = x;
+              }
+              break;
+          }
+          case HKind::Store: {
+              Addr a = v[op->a] + static_cast<Addr>(op->imm);
+              std::uint64_t x = v[op->b];
+              mem.write(a, x, op->bytes);
+              if (rec) {
+                  rec->isMem = true;
+                  rec->memIsStore = true;
+                  rec->memAddr = a;
+                  rec->memBytes = op->bytes;
+                  rec->memData = x;
+              }
+              break;
+          }
+          case HKind::CondBranch:
+            if (emu::branchTaken(op->op, v[op->a])) {
+                next = pc_ + static_cast<Addr>(op->imm);
                 if (rec)
                     rec->taken = true;
             }
-        } else {
-            std::uint64_t a = value(ti.a, ti.imm);
-            std::uint64_t b = ti.useImm
-                ? static_cast<std::uint64_t>(ti.imm)
-                : value(ti.b, ti.imm);
-            // Unary ops encode useImm with imm 0; LDA-style ops fold the
-            // immediate through operand b as on the singleton path.
-            m[i] = aluOp(ti.op, a, b);
-        }
-        if (static_cast<int>(i) == t.outIdx) {
-            outVal = m[i];
-            haveOut = true;
+            break;
         }
     }
-
-    if (haveOut)
-        setReg(in.rc, outVal);
-    work_ += static_cast<std::uint64_t>(t.size());
+    regs[s.d] = v[h.out];
+    work_ += h.count;
     pc_ = next;
     if (rec)
         rec->nextPc = next;
-}
-
-bool
-Emulator::step(ExecRecord *rec)
-{
-    if (halted_) {
-        if (rec)
-            rec->insn = nullptr;   // contract: no instruction executed
-        return false;
-    }
-    if (!prog.validPc(pc_))
-        fatal("PC 0x%llx left the text section",
-              static_cast<unsigned long long>(pc_));
-    auto idx = static_cast<InsnIdx>((pc_ - textBase) / insnBytes);
-    const Predecoded &pd = dec[idx];
-    if (pd.blockStart)
-        prof.record(idx);
-    const Instruction &in = prog.text[idx];
-    ++count_;
-
-    if (rec) {
-        // Field-wise init instead of a whole-struct clear: the memory
-        // operand fields are only meaningful (and only read) when
-        // isMem is set below.
-        rec->pc = pc_;
-        rec->insn = &in;
-        rec->cls = pd.cls;
-        rec->taken = false;
-        rec->padNop = pd.padNop;
-        rec->isMem = false;
-        rec->memIsStore = false;
-        rec->nextPc = pc_ + insnBytes;
-    }
-
-    switch (pd.cls) {
-      case InsnClass::IntAlu:
-      case InsnClass::IntMult:
-      case InsnClass::FpAlu:
-      case InsnClass::FpDiv: {
-          if (in.op == Op::CMOVEQ || in.op == Op::CMOVNE) {
-              std::uint64_t test = reg(in.ra);
-              bool move = (in.op == Op::CMOVEQ) ? test == 0 : test != 0;
-              if (move) {
-                  std::uint64_t v = in.useImm
-                      ? static_cast<std::uint64_t>(in.imm)
-                      : reg(in.rb);
-                  setReg(in.rc, v);
-              }
-              ++work_;
-              break;
-          }
-          std::uint64_t a = reg(in.ra);
-          std::uint64_t b = in.useImm
-              ? static_cast<std::uint64_t>(in.imm)
-              : reg(in.rb);
-          setReg(in.rc, aluOp(in.op, a, b));
-          ++work_;
-          break;
-      }
-      case InsnClass::Load: {
-          Addr a = reg(in.rb) + static_cast<Addr>(in.imm);
-          int bytes = pd.memBytes;
-          std::uint64_t v = mem.read(a, bytes);
-          if (in.op == Op::LDL)
-              v = sextl(v);
-          setReg(in.ra, v);
-          if (rec) {
-              rec->isMem = true;
-              rec->memAddr = a;
-              rec->memBytes = bytes;
-              rec->memData = v;
-          }
-          ++work_;
-          break;
-      }
-      case InsnClass::Store: {
-          Addr a = reg(in.rb) + static_cast<Addr>(in.imm);
-          int bytes = pd.memBytes;
-          std::uint64_t v = reg(in.ra);
-          mem.write(a, v, bytes);
-          if (rec) {
-              rec->isMem = true;
-              rec->memIsStore = true;
-              rec->memAddr = a;
-              rec->memBytes = bytes;
-              rec->memData = v;
-          }
-          ++work_;
-          break;
-      }
-      case InsnClass::CondBranch: {
-          if (branchTaken(in.op, reg(in.ra))) {
-              pc_ = static_cast<Addr>(in.imm);
-              if (rec) {
-                  rec->taken = true;
-                  rec->nextPc = pc_;
-              }
-              ++work_;
-              return true;
-          }
-          ++work_;
-          break;
-      }
-      case InsnClass::UncondBranch: {
-          setReg(in.ra, pc_ + insnBytes);
-          pc_ = static_cast<Addr>(in.imm);
-          if (rec) {
-              rec->taken = true;
-              rec->nextPc = pc_;
-          }
-          ++work_;
-          return true;
-      }
-      case InsnClass::IndirectJump: {
-          Addr target = reg(in.rb);
-          setReg(in.ra, pc_ + insnBytes);
-          pc_ = target;
-          if (rec) {
-              rec->taken = true;
-              rec->nextPc = pc_;
-          }
-          ++work_;
-          return true;
-      }
-      case InsnClass::Handle:
-          execHandle(in, rec);
-          return true;
-      case InsnClass::Nop:
-          break;   // pad nops carry no work
-      case InsnClass::Halt:
-          halted_ = true;
-          ++work_;
-          return false;
-    }
-    pc_ += insnBytes;
-    return true;
 }
 
 EmuResult
@@ -438,7 +398,7 @@ Emulator::run(std::uint64_t maxInsns)
 {
     EmuResult r;
     while (!halted_ && count_ < maxInsns) {
-        if (!step())
+        if (!exec<false>(nullptr))
             break;
     }
     r.stop = halted_ ? StopReason::Halted : StopReason::InsnLimit;

@@ -130,6 +130,20 @@ parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
             opt.rest.push_back(std::move(a));
         }
     }
+    // The lengths derived from the interval must not wrap: a wrapped
+    // period silently degenerates every cell to exact simulation.
+    if (opt.sampleInterval) {
+        std::uint64_t i = opt.sampleInterval;
+        std::uint64_t twice = 0, period = 0, duty = 0;
+        bool wraps = __builtin_mul_overflow(i, 2, &twice) ||
+            (!opt.samplePeriod && __builtin_mul_overflow(i, 12, &period)) ||
+            __builtin_add_overflow(i, opt.sampleWarmup.value_or(twice),
+                                   &duty) ||
+            __builtin_add_overflow(duty, twice, &duty);
+        if (wraps)
+            fatal("bad --sample-interval/--warmup: the sampling lengths "
+                  "derived from them overflow");
+    }
     // Sampled cells never trace: a critical-path breakdown needs every
     // cycle simulated.
     if (opt.critpath && opt.samplingParams().enabled)
@@ -147,8 +161,7 @@ CliOptions::samplingParams() const
     sp.enabled = true;
     sp.interval = sampleInterval;
     sp.period = samplePeriod ? samplePeriod : 12 * sampleInterval;
-    sp.warmup = sampleWarmup != ~0ull ? sampleWarmup
-                                      : 2 * sampleInterval;
+    sp.warmup = sampleWarmup.value_or(2 * sampleInterval);
     sp.ffWarm = 2 * sampleInterval;
     sp.ssShadow = ssShadow;
     return sp;

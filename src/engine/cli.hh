@@ -45,6 +45,7 @@
 #ifndef MG_ENGINE_CLI_HH
 #define MG_ENGINE_CLI_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,8 @@ struct CliOptions
                                 ///< tier)
     std::uint64_t sampleInterval = 0;   ///< --sample-interval N (0 = off)
     std::uint64_t samplePeriod = 0;     ///< --sample-period N (0 = 12×)
-    std::uint64_t sampleWarmup = ~0ull; ///< --warmup N (~0 = default)
+    std::optional<std::uint64_t> sampleWarmup;  ///< --warmup N (unset =
+                                                ///< 2× interval)
     bool ssShadow = true;       ///< --no-ss-shadow clears it
     bool full = false;                  ///< --full wins over sampling
     bool noThroughput = false;  ///< --no-throughput: omit the

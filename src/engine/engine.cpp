@@ -206,17 +206,20 @@ ExperimentEngine::summary(const EngineWorkload &w, const SimConfig &cfg,
                           const std::atomic<bool> *cancel)
 {
     // The summary depends on the executed binary, not on the machine:
-    // identify it by the workload plus (for mini-graph configs) the
-    // prepare fingerprint of the rewrite that produced the binary.
-    std::string variant = w.id;
+    // key it by the workload plus a hash of what the emulator runs, so
+    // columns whose rewrites come out identical (collapsing changes
+    // only the MGT's latencies) share one pre-pass.
+    const Program *prog = w.program;
+    const MgTable *mgt = nullptr;
+    std::shared_ptr<const PreparedMg> prep;
     if (cfg.useMiniGraphs) {
-        variant += "|" +
-            prepareFingerprint(
-                profileFingerprint(w.id, cfg.profileBudget), cfg.policy,
-                cfg.machine, cfg.compress);
+        prep = prepare(w, cfg);
+        prog = &prep->program;
+        mgt = &prep->table;
     }
-    std::string key = summaryFingerprint(variant, cfg.sampling,
-                                         cfg.runBudget);
+    std::string key = summaryFingerprint(
+        w.id + "|" + binaryFingerprint(*prog, mgt), cfg.sampling,
+        cfg.runBudget);
     return summaries.get(key, [&]() -> SampleSummary {
         // Summaries round-trip through the checkpoint store: a warm
         // session skips the functional pre-pass entirely.
@@ -231,14 +234,6 @@ ExperimentEngine::summary(const EngineWorkload &w, const SimConfig &cfg,
                     return sum;
                 cs->reject(storeKey, "malformed summary");
             }
-        }
-        const Program *prog = w.program;
-        const MgTable *mgt = nullptr;
-        std::shared_ptr<const PreparedMg> prep;
-        if (cfg.useMiniGraphs) {
-            prep = prepare(w, cfg);
-            prog = &prep->program;
-            mgt = &prep->table;
         }
         SampleSummary sum = collectSampleSummary(*prog, mgt, w.setup,
                                                  cfg.sampling,
@@ -403,7 +398,13 @@ ExperimentEngine::sweep(const SweepSpec &spec)
     CheckpointStoreCounters before;
     if (store_)
         before = store_->counters();
-    ThreadPool::parallelFor(jobs_, out.cells.size(), [&](std::size_t i) {
+    // Dispatch column by column (results still land in row-major
+    // slots): cells that share a binary, and so a summary pre-pass,
+    // sit in neighbouring columns and are never dispatched back to
+    // back, so no worker blocks on a sibling's pre-pass.
+    std::size_t rows = spec.workloads.size();
+    ThreadPool::parallelFor(jobs_, out.cells.size(), [&](std::size_t k) {
+        std::size_t i = (k % rows) * cols + k / rows;
         if (journal) {
             SweepCell hit;
             if (journal->lookup(fps[i], hit)) {

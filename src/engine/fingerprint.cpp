@@ -1,6 +1,7 @@
 #include "engine/fingerprint.hh"
 
 #include "common/logging.hh"
+#include "common/serial.hh"
 
 namespace mg {
 
@@ -179,6 +180,40 @@ cellFingerprint(const std::string &workload, const SimConfig &cfg)
             .add("cpWhatIf", cfg.whatIf);
     }
     return fp.str();
+}
+
+std::string
+binaryFingerprint(const Program &prog, const MgTable *mgt)
+{
+    std::uint64_t h = fnv1a64(nullptr, 0);
+    auto mix = [&h](auto v) { h = fnv1a64(&v, sizeof v, h); };
+    mix(prog.entry);
+    mix(static_cast<std::uint64_t>(prog.text.size()));
+    for (const Instruction &in : prog.text) {
+        mix(in.op);
+        mix(in.ra);
+        mix(in.rb);
+        mix(in.rc);
+        mix(in.imm);
+        mix(in.useImm);
+    }
+    std::size_t templates = mgt ? mgt->size() : 0;
+    mix(static_cast<std::uint64_t>(templates));
+    for (std::size_t id = 0; id < templates; ++id) {
+        const MgTemplate &t = mgt->at(static_cast<MgId>(id));
+        mix(t.outIdx);
+        mix(static_cast<std::uint64_t>(t.insns.size()));
+        for (const TemplateInsn &ti : t.insns) {
+            mix(ti.op);
+            mix(ti.a.kind);
+            mix(ti.a.m);
+            mix(ti.b.kind);
+            mix(ti.b.m);
+            mix(ti.imm);
+            mix(ti.useImm);
+        }
+    }
+    return strfmt("%016llx", static_cast<unsigned long long>(h));
 }
 
 std::string

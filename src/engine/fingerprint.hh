@@ -50,11 +50,21 @@ std::string cellFingerprint(const std::string &workload,
                             const SimConfig &cfg);
 
 /**
+ * Hash of what the emulator executes for @p prog with @p mgt: the
+ * text (every field of every slot), the entry point, and each
+ * template's body (ops, operands, immediates, output index). Machine
+ * latencies and the data image are not part of it; the workload id
+ * beside it covers the data and inputs.
+ */
+std::string binaryFingerprint(const Program &prog, const MgTable *mgt);
+
+/**
  * Everything that shapes a functional sample summary: the executed
- * binary (@p variant is the workload id, suffixed with the prepare
- * fingerprint for mini-graph configs), the sampling grid, and the work
- * cap. Deliberately excludes the machine configuration — that is what
- * makes summaries shareable across sweep columns.
+ * binary (@p variant is the workload id suffixed with the
+ * binaryFingerprint of the program the config runs), the sampling
+ * grid, and the work cap. Deliberately excludes the machine
+ * configuration, which is what makes summaries shareable across sweep
+ * columns.
  */
 std::string summaryFingerprint(const std::string &variant,
                                const SamplingParams &sp,

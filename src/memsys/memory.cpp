@@ -13,9 +13,8 @@ Memory::findPageSlow(Addr addr) const
     auto it = pages.find(idx);
     if (it == pages.end())
         return nullptr;
-    cachedIdx = idx;
-    cachedPage = it->second.get();
-    return cachedPage;
+    tlb[idx % tlbEntries] = {idx, it->second.get()};
+    return it->second.get();
 }
 
 Memory::Page &
@@ -23,12 +22,9 @@ Memory::getPageSlow(Addr addr)
 {
     Addr idx = addr / pageBytes;
     auto &slot = pages[idx];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
-    }
-    cachedIdx = idx;
-    cachedPage = slot.get();
+    if (!slot)
+        slot = std::make_unique<Page>();   // value-initialised: zeroed
+    tlb[idx % tlbEntries] = {idx, slot.get()};
     return *slot;
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Sparse byte-addressable simulated memory backed by 4KB pages.
  * Unwritten bytes read as zero. Loads and stores of 1/2/4/8 bytes are
- * little-endian and need not be aligned (the emulator enforces natural
- * alignment separately so the policy is testable).
+ * little-endian and need not be aligned: nothing checks alignment, so
+ * an unaligned access (even one straddling two pages) simply reads or
+ * writes the bytes it covers.
  */
 
 #ifndef MG_MEMSYS_MEMORY_HH
@@ -30,8 +31,7 @@ class Memory
 
     Memory() = default;
     Memory(Memory &&other) noexcept
-        : pages(std::move(other.pages)), cachedIdx(other.cachedIdx),
-          cachedPage(other.cachedPage)
+        : pages(std::move(other.pages)), tlb(other.tlb)
     {
         other.invalidateCache();
     }
@@ -118,19 +118,23 @@ class Memory
     using Page = std::array<std::uint8_t, pageBytes>;
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;
 
-    // One-entry page cache: accesses are heavily page-local, and page
-    // storage is stable (unique_ptr payloads survive rehash), so the
-    // last-touched page short-circuits the hash lookup. The cached
-    // pointer is only reused for reads; writes re-validate through
-    // getPage (which may allocate).
-    mutable Addr cachedIdx = ~Addr(0);
-    mutable Page *cachedPage = nullptr;
+    // Direct-mapped page-pointer cache in front of the hash map:
+    // accesses are heavily page-local, and page storage is stable
+    // (unique_ptr payloads survive rehash), so a recently touched page
+    // short-circuits the hash lookup. Reads fill it only with pages
+    // that exist; writes fill it through getPage (which may allocate).
+    static constexpr std::size_t tlbEntries = 64;
+    struct TlbEntry
+    {
+        Addr idx = ~Addr(0);
+        Page *page = nullptr;
+    };
+    mutable std::array<TlbEntry, tlbEntries> tlb{};
 
     void
     invalidateCache() const
     {
-        cachedIdx = ~Addr(0);
-        cachedPage = nullptr;
+        tlb.fill(TlbEntry{});
     }
 
     /** One-test membership check for the legal access sizes 1/2/4/8
@@ -148,8 +152,9 @@ class Memory
     findPage(Addr addr) const
     {
         Addr idx = addr / pageBytes;
-        if (idx == cachedIdx)
-            return cachedPage;
+        const TlbEntry &e = tlb[idx % tlbEntries];
+        if (e.idx == idx)
+            return e.page;
         return findPageSlow(addr);
     }
 
@@ -158,8 +163,9 @@ class Memory
     getPage(Addr addr)
     {
         Addr idx = addr / pageBytes;
-        if (idx == cachedIdx)
-            return *cachedPage;
+        const TlbEntry &e = tlb[idx % tlbEntries];
+        if (e.idx == idx)
+            return *e.page;
         return getPageSlow(addr);
     }
 

@@ -143,8 +143,8 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
         return sum;
     }
 
-    // Deterministic per-instruction signature bucket (the PC-histogram
-    // sketch phase clustering runs on).
+    // Deterministic per-slot signature bucket (the PC-histogram sketch
+    // phase clustering runs on).
     std::vector<std::uint8_t> bucket(prog.text.size());
     for (std::size_t i = 0; i < bucket.size(); ++i)
         bucket[i] = static_cast<std::uint8_t>(
@@ -155,8 +155,8 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
     std::vector<std::array<double, sampleSigDims>> leaders;
     std::array<std::uint64_t, sampleSigDims> sig{};
     std::uint64_t sigSlots = 0;
-    std::uint64_t chunkIdx = 0;
     std::uint64_t chunkStart = 0;
+    std::uint64_t nextBoundary = period;
 
     auto finishChunk = [&](std::uint64_t endWork) {
         std::array<double, sampleSigDims> norm{};
@@ -181,23 +181,24 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
         sum.chunks.push_back({chunkStart, endWork - chunkStart, cid});
         sig.fill(0);
         sigSlots = 0;
-        ++chunkIdx;
         chunkStart = endWork;
     };
 
-    ExecRecord rec;
     while (!emu.halted() && emu.dynWork() < maxWork) {
         pollCancel();
         std::uint64_t w = emu.dynWork();
-        while (w >= (chunkIdx + 1) * period)
-            finishChunk((chunkIdx + 1) * period);
-        if (!emu.step(&rec))
-            break;
-        if (rec.insn && prog.validPc(rec.pc)) {
-            sig[bucket[prog.indexOf(rec.pc)]] +=
-                emu.dynWork() - w;
-            sigSlots += emu.dynWork() - w;
+        while (w >= nextBoundary) {
+            finishChunk(nextBoundary);
+            nextBoundary += period;
         }
+        // A step that returns has executed the slot at this PC (step
+        // rejects a PC outside the text), so its index needs no check.
+        Addr pc = emu.pc();
+        if (!emu.step())
+            break;
+        std::uint64_t dw = emu.dynWork() - w;
+        sig[bucket[(pc - textBase) / insnBytes]] += dw;
+        sigSlots += dw;
     }
     if (emu.dynWork() > chunkStart)
         finishChunk(emu.dynWork());

@@ -178,6 +178,36 @@ TEST(Engine, UnknownFlagsAreFatal)
                 ::testing::ExitedWithCode(1), "bad --sample-interval");
 }
 
+TEST(Engine, OverflowingSamplingLengthsAreFatal)
+{
+    // 12 × this interval wraps to a period of 8, which would silently
+    // run every cell exactly while the report still said "sampled".
+    const char *period[] = {"bench", "--sample-interval",
+                            "1537228672809129302"};
+    EXPECT_EXIT(parseCli(3, const_cast<char **>(period)),
+                ::testing::ExitedWithCode(1), "bad --sample-interval");
+    // 2 × interval (the fast-forward tail) wraps even with a period.
+    const char *tail[] = {"bench", "--sample-interval",
+                          "9223372036854775808", "--sample-period",
+                          "1000"};
+    EXPECT_EXIT(parseCli(5, const_cast<char **>(tail)),
+                ::testing::ExitedWithCode(1), "bad --sample-interval");
+    // The largest warmup is a warmup, not the "unset" default, and
+    // interval + warmup wraps.
+    const char *warmup[] = {"bench", "--sample-interval", "1000",
+                            "--warmup", "18446744073709551615"};
+    EXPECT_EXIT(parseCli(5, const_cast<char **>(warmup)),
+                ::testing::ExitedWithCode(1), "--warmup");
+
+    const char *ok[] = {"bench", "--sample-interval", "1000", "--warmup",
+                        "0"};
+    SamplingParams sp = parseCli(5, const_cast<char **>(ok))
+                            .samplingParams();
+    EXPECT_EQ(sp.period, 12000u);
+    EXPECT_EQ(sp.warmup, 0u);
+    EXPECT_EQ(sp.ffWarm, 2000u);
+}
+
 TEST(Engine, MalformedWhatIfIsFatal)
 {
     // A bad --whatif spec fails before any cell is simulated, not
