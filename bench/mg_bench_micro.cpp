@@ -1,7 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the library's hot operations:
- * assembly, emulation rate, enumeration + selection, cache access,
+ * assembly, the functional layers' single-thread rates (bare and
+ * handle-bearing emulation, the sampling pre-pass, warm-through
+ * fast-forward), enumeration + selection, cache access,
  * branch prediction, end-to-end cycle simulation rate, and the
  * experiment engine's artifact-cache and sweep paths. Useful when
  * tuning the infrastructure itself.
@@ -48,6 +50,56 @@ BM_EmulationRate(benchmark::State &state)
         Emulator emu(*bk.program);
         bk.kernel->setup(emu, 0);
         work += emu.run().dynWork;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(work));
+}
+
+/** BM_EmulationRate on the int-mem mini-graph binary: handles run
+ *  from their decoded template bodies. */
+void
+BM_EmulationRateMiniGraph(benchmark::State &state)
+{
+    ExperimentEngine engine;
+    EngineWorkload w = workload(bindKernel(findKernel("crc")));
+    auto prep = engine.prepare(w, SimConfig::intMemMg());
+    std::uint64_t work = 0;
+    for (auto _ : state) {
+        Emulator emu(prep->program, &prep->table);
+        w.setup(emu);
+        work += emu.run().dynWork;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(work));
+}
+
+/** The sampling pre-pass (phase signatures and clustering on top of
+ *  emulation) at the default sampling grid. */
+void
+BM_SummaryRate(benchmark::State &state)
+{
+    BoundKernel bk = bindKernel(findKernel("crc"));
+    SamplingParams sp;
+    sp.enabled = true;
+    std::uint64_t work = 0;
+    for (auto _ : state) {
+        SampleSummary sum = collectSampleSummary(*bk.program, nullptr,
+                                                 bk.setup, sp, ~0ull);
+        work += sum.totalWork;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(work));
+}
+
+/** Warm-through fast-forward over a whole run: emulation plus I-cache,
+ *  D-cache and predictor warming on a virtually advancing clock. */
+void
+BM_FastForwardRate(benchmark::State &state)
+{
+    BoundKernel bk = bindKernel(findKernel("crc"));
+    std::uint64_t work = 0;
+    for (auto _ : state) {
+        Core core(*bk.program, nullptr, CoreConfig{});
+        bk.setup(core.oracle());
+        core.fastForward(~0ull, true, 2.0);
+        work += core.oracle().dynWork();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(work));
 }
@@ -269,6 +321,9 @@ BM_EngineSweep(benchmark::State &state)
 
 BENCHMARK(BM_Assemble);
 BENCHMARK(BM_EmulationRate);
+BENCHMARK(BM_EmulationRateMiniGraph);
+BENCHMARK(BM_SummaryRate);
+BENCHMARK(BM_FastForwardRate);
 BENCHMARK(BM_EnumerateAndSelect);
 BENCHMARK(BM_CacheAccess);
 BENCHMARK(BM_BranchPredict);

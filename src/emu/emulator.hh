@@ -223,8 +223,10 @@ class Emulator
      * Execute one dynamic instruction at the current PC.
      * @param rec optional out-param describing the effects
      * @return false when the instruction was HALT
+     * (Always inline: a caller passing a record it owns gets the
+     * one recording copy of the dispatch in its own loop.)
      */
-    bool
+    [[gnu::always_inline]] bool
     step(ExecRecord *rec = nullptr)
     {
         return rec ? exec<true>(rec) : exec<false>(nullptr);

@@ -534,6 +534,41 @@ TEST(StoreEndToEnd, ColdPopulatesWarmReloadsBitIdentically)
     }
 }
 
+TEST(StoreEndToEnd, CollapsingColumnHitsTheSharedSummaryRecord)
+{
+    // The summary record is keyed by the binary, so a later session
+    // running the collapsing sibling loads the record the
+    // non-collapsing cell wrote, and still reports storeless stats.
+    ScratchDir dir("e2e-shared");
+    EngineWorkload w = workload(bindKernel(findKernel("gzip")));
+    SimConfig plain = sampledSmall(SimConfig::intMemMg());
+    SimConfig coll = sampledSmall(SimConfig::intMemMg(true));
+    auto openStore = [&] {
+        return std::make_shared<CheckpointStore>(
+            CheckpointStoreConfig{dir.str()});
+    };
+
+    ExperimentEngine cold(1);
+    cold.setCheckpointStore(openStore());
+    cold.cellSampled(w, plain);
+
+    ExperimentEngine warm(1);
+    warm.setCheckpointStore(openStore());
+    SampledStats b = warm.cellSampled(w, coll);
+    CheckpointStoreCounters c = warm.checkpointStore()->counters();
+    EXPECT_EQ(c.hits, 1u);          // the shared summ| record
+    EXPECT_EQ(c.misses, 1u);        // this cell's own viol| record
+    EXPECT_EQ(c.writebacks, 1u);
+    ASSERT_FALSE(b.exact) << "kernel too small to exercise sampling";
+
+    SampledStats none = ExperimentEngine(1).cellSampled(w, coll);
+    EXPECT_EQ(b.est, none.est);
+    EXPECT_EQ(b.intervals, none.intervals);
+    EXPECT_EQ(b.measuredCycles, none.measuredCycles);
+    EXPECT_EQ(b.ipcHat, none.ipcHat);
+    EXPECT_EQ(b.ipcRelCi95, none.ipcRelCi95);
+}
+
 TEST(StoreEndToEnd, CorruptedRecordsFallBackToIdenticalRecompute)
 {
     ScratchDir dir("e2e-corrupt");

@@ -164,8 +164,9 @@ TEST(Sampling, FastForwardSkipsMostWork)
 
 TEST(Sampling, SummarySharedAcrossConfigs)
 {
-    // The functional summary depends on the binary, not the machine:
-    // two different core configurations running the same program must
+    // The functional summary is keyed by the executed binary (the
+    // workload plus a hash of the text and template bodies), not by
+    // the machine: two core configurations running the same program
     // share one summary artifact.
     BoundKernel bk = bindKernel(findKernel("bitcount"));
     ExperimentEngine eng(1);
@@ -181,6 +182,69 @@ TEST(Sampling, SummarySharedAcrossConfigs)
     EXPECT_EQ(c.summaryComputes, 1u);
     EXPECT_EQ(c.summaryHits, 1u);
     EXPECT_EQ(c.sampledComputes, 2u);
+}
+
+TEST(Sampling, SummarySharedAcrossCollapsing)
+{
+    // Collapsing changes only the MGT's latencies: int and int+coll
+    // rewrite to one binary, so they share one pre-pass, and each
+    // cell's stats are bit-identical to a separate engine's.
+    EngineWorkload w = workload(bindKernel(findKernel("bitcount")));
+    // A grid fine enough that the ref-scale kernel really samples.
+    auto fine = [](SimConfig cfg) {
+        cfg = sampled(cfg);
+        cfg.sampling.interval = 200;
+        cfg.sampling.period = 2400;
+        cfg.sampling.warmup = 400;
+        cfg.sampling.ffWarm = 400;
+        return cfg;
+    };
+    SimConfig plain = fine(SimConfig::intMg());
+    SimConfig coll = fine(SimConfig::intMg(true));
+
+    ExperimentEngine eng(1);
+    EXPECT_EQ(eng.prepare(w, plain)->program.text,
+              eng.prepare(w, coll)->program.text);
+    SampledStats a = eng.cellSampled(w, plain);
+    SampledStats b = eng.cellSampled(w, coll);
+    EngineCounters c = eng.counters();
+    EXPECT_EQ(c.summaryComputes, 1u);
+    EXPECT_EQ(c.summaryHits, 1u);
+    EXPECT_EQ(c.sampledComputes, 2u);
+    ASSERT_FALSE(a.exact) << "kernel too small to exercise sampling";
+
+    const std::pair<const SimConfig *, const SampledStats *> cells[] = {
+        {&plain, &a}, {&coll, &b}};
+    for (const auto &[cfg, shared] : cells) {
+        SampledStats alone = ExperimentEngine(1).cellSampled(w, *cfg);
+        EXPECT_EQ(shared->est, alone.est);
+        EXPECT_EQ(shared->intervals, alone.intervals);
+        EXPECT_EQ(shared->measuredCycles, alone.measuredCycles);
+        EXPECT_EQ(shared->ipcHat, alone.ipcHat);
+        EXPECT_EQ(shared->ipcRelCi95, alone.ipcRelCi95);
+    }
+}
+
+TEST(Sampling, Figure6MatrixRunsOnePrePassPerDistinctBinary)
+{
+    // 23 kernels × 5 columns execute 67 distinct binaries: every
+    // +coll column reuses its sibling's, and so does a column whose
+    // rewrite selected nothing new.
+    SweepSpec spec;
+    spec.title = "fig6 summaries";
+    spec.workloads = suiteWorkloads();
+    spec.columns = standardColumns();
+    for (SweepColumn &col : spec.columns)
+        col.config = sampled(col.config);
+    ExperimentEngine eng(2);
+    SweepResult r = eng.sweep(spec);
+    for (const SweepCell &cell : r.cells)
+        EXPECT_EQ(cell.outcome, CellOutcome::Ok) << cell.error;
+    EngineCounters c = eng.counters();
+    EXPECT_EQ(r.cells.size(), 115u);
+    EXPECT_EQ(c.sampledComputes, 115u);
+    EXPECT_EQ(c.summaryComputes, 67u);
+    EXPECT_EQ(c.summaryHits, 48u);
 }
 
 TEST(Sampling, SweepReportsSamplingMetadata)
