@@ -66,7 +66,9 @@ BM_EmulationRateMiniGraph(benchmark::State &state)
     for (auto _ : state) {
         Emulator emu(prep->program, &prep->table);
         w.setup(emu);
-        work += emu.run().dynWork;
+        EmuResult r = emu.run();
+        benchmark::DoNotOptimize(r);
+        work += r.dynWork;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(work));
 }
@@ -83,6 +85,7 @@ BM_SummaryRate(benchmark::State &state)
     for (auto _ : state) {
         SampleSummary sum = collectSampleSummary(*bk.program, nullptr,
                                                  bk.setup, sp, ~0ull);
+        benchmark::DoNotOptimize(sum);
         work += sum.totalWork;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(work));
@@ -99,6 +102,7 @@ BM_FastForwardRate(benchmark::State &state)
         Core core(*bk.program, nullptr, CoreConfig{});
         bk.setup(core.oracle());
         core.fastForward(~0ull, true, 2.0);
+        benchmark::DoNotOptimize(core);
         work += core.oracle().dynWork();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(work));

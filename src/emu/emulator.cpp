@@ -125,29 +125,27 @@ Emulator::decodeTemplates()
     handles.resize(mgt->size());
     for (std::size_t id = 0; id < mgt->size(); ++id) {
         const MgTemplate &t = mgt->at(static_cast<MgId>(id));
-        HandleCode &h = handles[id];
         if (t.insns.size() > static_cast<std::size_t>(mgMaxSize))
-            continue;   // faults when a handle names it
+            panic("template %zu larger than mgMaxSize", id);
+        HandleCode &h = handles[id];
         h.first = static_cast<std::uint32_t>(handleOps.size());
         h.count = static_cast<std::uint32_t>(t.insns.size());
-        h.ok = true;
         if (t.outIdx >= 0 && t.outIdx < t.size())
-            h.out = static_cast<std::uint8_t>(4 + t.outIdx);
-        // Operand value slots; the immediate kind reads the op's
-        // immediate in an operate and zero elsewhere, as the
-        // template's B0/B1 directives define.
+            h.out = static_cast<std::uint8_t>(valInterior + t.outIdx);
+        // The immediate kind reads the op's immediate in an operate and
+        // zero elsewhere, as the template's B0/B1 directives define.
         auto slot = [&](const OpndRef &r, bool immIsValue) -> std::uint8_t {
             switch (r.kind) {
-              case OpndKind::E0: return 0;
-              case OpndKind::E1: return 1;
-              case OpndKind::Imm: return immIsValue ? 3 : 2;
-              case OpndKind::None: return 2;
+              case OpndKind::E0: return valE0;
+              case OpndKind::E1: return valE1;
+              case OpndKind::Imm: return immIsValue ? valImm : valZero;
+              case OpndKind::None: return valZero;
               case OpndKind::M:
                 if (r.m < 0 || r.m >= mgMaxSize)
-                    h.ok = false;
-                return static_cast<std::uint8_t>(4 + (r.m & 7));
+                    panic("template %zu operand M%d out of range", id, r.m);
+                return static_cast<std::uint8_t>(valInterior + r.m);
             }
-            return 2;
+            return valZero;
         };
         for (const TemplateInsn &ti : t.insns) {
             HandleOp op{};
@@ -169,7 +167,7 @@ Emulator::decodeTemplates()
             } else {
                 op.kind = HKind::Alu;
                 op.a = slot(ti.a, true);
-                op.b = ti.useImm ? 3 : slot(ti.b, true);
+                op.b = ti.useImm ? valImm : slot(ti.b, true);
             }
             handleOps.push_back(op);
         }
@@ -239,14 +237,12 @@ Emulator::decode()
             s.d = writeSlot(in.ra);
             break;
           case InsnClass::Handle: {
-              bool known = mgt && mgt->contains(static_cast<MgId>(in.imm)) &&
-                  handles[static_cast<std::size_t>(in.imm)].ok;
-              if (!known) {
+              auto id = static_cast<MgId>(in.imm);
+              if (!mgt || !mgt->contains(id)) {
                   s.op = Xop::FAULT;
                   break;
               }
-              const HandleCode &h = handles[static_cast<std::size_t>(in.imm)];
-              handleOut = h.out != 2;
+              handleOut = handles[static_cast<std::size_t>(id)].out != valZero;
               s.s0 = readSlot(in.ra);
               s.s1 = readSlot(in.rb);
               s.d = handleOut ? writeSlot(in.rc) : sinkSlot;
@@ -317,14 +313,9 @@ Emulator::fault(InsnIdx idx) const
     if (in.isHandle()) {
         if (!mgt)
             fatal("program contains handles but no MGT was supplied");
-        const MgTemplate &t = mgt->at(static_cast<MgId>(in.imm));
-        if (t.insns.size() > static_cast<std::size_t>(mgMaxSize))
-            panic("template larger than mgMaxSize");
-        const HandleCode &h = handles[static_cast<std::size_t>(in.imm)];
-        if (!h.ok)
-            panic("template %lld operand out of range",
-                  static_cast<long long>(in.imm));
-        handleOut = h.out != 2;
+        mgt->at(static_cast<MgId>(in.imm));   // panics on an unknown id
+        handleOut =
+            handles[static_cast<std::size_t>(in.imm)].out != valZero;
     }
     RegId r = firstBadReg(in, handleOut, numEmuRegs);
     if (r != regNone)
@@ -339,22 +330,22 @@ Emulator::execHandle(const Slot &s, ExecRecord *rec)
     // Atomic read of the interface inputs; interior values live in
     // the handle-local value array, never in registers.
     std::uint64_t v[handleValues] = {};
-    v[0] = regs[s.s0];
-    v[1] = regs[s.s1];
+    v[valE0] = regs[s.s0];
+    v[valE1] = regs[s.s1];
     Addr next = pc_ + insnBytes;
     const HandleOp *op = handleOps.data() + h.first;
     for (std::uint32_t i = 0; i < h.count; ++i, ++op) {
-        v[3] = static_cast<std::uint64_t>(op->imm);
+        v[valImm] = static_cast<std::uint64_t>(op->imm);
         switch (op->kind) {
           case HKind::Alu:
-            v[4 + i] = emu::aluValue(op->op, v[op->a], v[op->b]);
+            v[valInterior + i] = emu::aluValue(op->op, v[op->a], v[op->b]);
             break;
           case HKind::Load: {
               Addr a = v[op->a] + static_cast<Addr>(op->imm);
               std::uint64_t x = mem.read(a, op->bytes);
               if (op->sext)
                   x = emu::sextl(x);
-              v[4 + i] = x;
+              v[valInterior + i] = x;
               if (rec) {
                   rec->isMem = true;
                   rec->memIsStore = false;

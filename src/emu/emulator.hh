@@ -301,7 +301,8 @@ class Emulator
         PAD,                    ///< integer operate into r31: a no-op
                                 ///< that still counts one work unit
         HALT,
-        FAULT,                  ///< bad register or template: the
+        FAULT,                  ///< out-of-range register, or a
+                                ///< handle with no template: the
                                 ///< slot's error, raised on execution
     };
 
@@ -329,11 +330,17 @@ class Emulator
     /** Template-op kinds of a decoded handle body. */
     enum class HKind : std::uint8_t { Alu, Load, Store, CondBranch };
 
-    /**
-     * One decoded template instruction. Operands name a handle-local
-     * value array: 0 = E0, 1 = E1, 2 = zero, 3 = this op's immediate,
-     * 4 + i = interior value of template instruction i.
-     */
+    /** Slots of the handle-local value array template operands name:
+     *  the two interface inputs, a constant zero, the current op's
+     *  immediate, then one interior value per template instruction. */
+    static constexpr std::uint8_t valE0 = 0;
+    static constexpr std::uint8_t valE1 = 1;
+    static constexpr std::uint8_t valZero = 2;
+    static constexpr std::uint8_t valImm = 3;
+    static constexpr std::uint8_t valInterior = 4;
+    static constexpr int handleValues = valInterior + mgMaxSize;
+
+    /** One decoded template instruction; a and b are value slots. */
     struct HandleOp
     {
         std::int64_t imm;
@@ -349,12 +356,8 @@ class Emulator
     {
         std::uint32_t first = 0;
         std::uint32_t count = 0;
-        std::uint8_t out = 2;   ///< value slot of the output (zero slot
-                                ///< when there is none)
-        bool ok = false;        ///< size and operands in range
+        std::uint8_t out = valZero;     ///< valZero when it has none
     };
-
-    static constexpr int handleValues = 4 + mgMaxSize;
 
     const Program &prog;
     const MgTable *mgt;

@@ -143,8 +143,8 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
         return sum;
     }
 
-    // Deterministic per-slot signature bucket (the PC-histogram sketch
-    // phase clustering runs on).
+    // Deterministic per-instruction signature bucket (the PC-histogram
+    // sketch phase clustering runs on).
     std::vector<std::uint8_t> bucket(prog.text.size());
     for (std::size_t i = 0; i < bucket.size(); ++i)
         bucket[i] = static_cast<std::uint8_t>(

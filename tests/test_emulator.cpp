@@ -547,6 +547,33 @@ TEST(EmuSemantics, EveryOpcodeMatchesRecordedEffects)
     }
 }
 
+TEST(EmuSemantics, BadSlotsFaultOnlyWhenExecuted)
+{
+    // A slot the emulator cannot run decodes to a fault raised only if
+    // that slot executes: behind a halt it is harmless.
+    auto program = [](Instruction first, Instruction second) {
+        Program p;
+        p.text = {first, second};
+        return p;
+    };
+    const Instruction halt{Op::HALT};
+    const Instruction badReg{Op::ADDQ, 1, 70, 3};
+    const Instruction handle{Op::MG, 1, 2, 3, 0};
+
+    Program behind = program(halt, badReg);
+    EXPECT_EQ(Emulator(behind).run().stop, StopReason::Halted);
+    Program handleBehind = program(halt, handle);
+    EXPECT_EQ(Emulator(handleBehind).run().stop, StopReason::Halted);
+
+    Program ahead = program(badReg, halt);
+    EXPECT_DEATH(Emulator(ahead).run(), "register id 70 out of range");
+    Program noTable = program(handle, halt);
+    EXPECT_EXIT(Emulator(noTable).run(), ::testing::ExitedWithCode(1),
+                "handles but no MGT");
+    MgTable empty;
+    EXPECT_DEATH(Emulator(noTable, &empty).run(), "bad MGID 0");
+}
+
 TEST(EmuControl, LoopAndConditions)
 {
     Emulator e = runAsm(R"(
