@@ -228,8 +228,9 @@ TEST(Sampling, SummarySharedAcrossCollapsing)
 TEST(Sampling, Figure6MatrixRunsOnePrePassPerDistinctBinary)
 {
     // 23 kernels × 5 columns execute 67 distinct binaries: every
-    // +coll column reuses its sibling's, and so does a column whose
-    // rewrite selected nothing new.
+    // +coll column reuses its sibling's binary, and on bitcount and
+    // g721.enc int-mem selects no memory mini-graph and rewrites to
+    // the int binary.
     SweepSpec spec;
     spec.title = "fig6 summaries";
     spec.workloads = suiteWorkloads();
