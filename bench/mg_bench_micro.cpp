@@ -101,7 +101,7 @@ BM_FastForwardRate(benchmark::State &state)
     for (auto _ : state) {
         Core core(*bk.program, nullptr, CoreConfig{});
         bk.setup(core.oracle());
-        core.fastForward(~0ull, true, 2.0);
+        core.fastForward(~0ull, 2.0);
         benchmark::DoNotOptimize(core);
         work += core.oracle().dynWork();
     }
@@ -196,7 +196,6 @@ BM_SampledSimRate(benchmark::State &state)
     sc.sampling.interval = static_cast<std::uint64_t>(state.range(0));
     sc.sampling.period = 10 * sc.sampling.interval;
     sc.sampling.warmup = sc.sampling.interval / 4;
-    sc.sampling.ffWarm = 2 * sc.sampling.interval;
     auto sum = engine.summary(w, sc);      // amortised, as in a sweep
     std::uint64_t work = 0;
     for (auto _ : state) {

@@ -81,6 +81,8 @@ parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
                 fatal("--sample-interval must be positive");
         } else if (a == "--sample-period") {
             opt.samplePeriod = parseCount("--sample-period", next(a, i));
+            if (opt.samplePeriod == 0)
+                fatal("--sample-period must be positive");
         } else if (a == "--warmup") {
             opt.sampleWarmup = parseCount("--warmup", next(a, i));
         } else if (a == "--no-ss-shadow") {
@@ -130,8 +132,17 @@ parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
             opt.rest.push_back(std::move(a));
         }
     }
+    // The sampling sub-flags only shape a sampled run; without one
+    // they would silently run a full sweep.
+    if (!opt.sampleInterval && !opt.full &&
+        (opt.samplePeriod || opt.sampleWarmup || !opt.ssShadow))
+        fatal("--sample-period, --warmup and --no-ss-shadow need "
+              "--sample-interval");
     // The lengths derived from the interval must not wrap: a wrapped
-    // period silently degenerates every cell to exact simulation.
+    // period silently degenerates every cell to exact simulation. The
+    // bound on interval + warmup + 2 × interval is kept as it was when
+    // fast-forward ended in a two-interval tail, so the accepted range
+    // did not change.
     if (opt.sampleInterval) {
         std::uint64_t i = opt.sampleInterval;
         std::uint64_t twice = 0, period = 0, duty = 0;
@@ -162,7 +173,6 @@ CliOptions::samplingParams() const
     sp.interval = sampleInterval;
     sp.period = samplePeriod ? samplePeriod : 12 * sampleInterval;
     sp.warmup = sampleWarmup.value_or(2 * sampleInterval);
-    sp.ffWarm = 2 * sampleInterval;
     sp.ssShadow = ssShadow;
     return sp;
 }

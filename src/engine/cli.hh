@@ -8,10 +8,12 @@
  * `--list-kernels` (print the kernel registry and exit), and the
  * sampled simulation flags `--sample-interval N` (measure N work units
  * per period; enables sampling), `--sample-period N` (work between
- * measurement starts, default 12× interval), `--warmup N` (detailed
- * pre-measurement warmup work), `--no-ss-shadow` (disable store-set
- * shadow training during fast-forward), and `--full` (force full
- * cycle-accurate simulation, overriding the sampling flags). Sampled
+ * measurement starts, N > 0, default 12× interval), `--warmup N`
+ * (detailed pre-measurement warmup work), `--no-ss-shadow` (disable
+ * store-set shadow training during fast-forward), and `--full` (force
+ * full cycle-accurate simulation, overriding the sampling flags). The
+ * three sampling sub-flags without `--sample-interval` (or `--full`)
+ * are fatal, since they would silently run a full sweep. Sampled
  * runs get an on-disk checkpoint store that memoizes each binary's
  * sample summary and each cell's violation pairs across sessions:
  * `--checkpoint-dir PATH` overrides its location (default
@@ -62,7 +64,8 @@ struct CliOptions
     Scale scale = Scale::Ref;   ///< --scale ref|long|huge (workload
                                 ///< tier)
     std::uint64_t sampleInterval = 0;   ///< --sample-interval N (0 = off)
-    std::uint64_t samplePeriod = 0;     ///< --sample-period N (0 = 12×)
+    std::uint64_t samplePeriod = 0;     ///< --sample-period N (0 =
+                                        ///< unset: 12× interval)
     std::optional<std::uint64_t> sampleWarmup;  ///< --warmup N (unset =
                                                 ///< 2× interval)
     bool ssShadow = true;       ///< --no-ss-shadow clears it

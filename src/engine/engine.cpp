@@ -278,8 +278,7 @@ ExperimentEngine::cellSampledTimed(const EngineWorkload &w,
         // keying it would be redundant. De-correlates measurement placement
         // from the period grid (the huge-tier jpeg.dct alias).
         SimConfig run = cfg;
-        std::uint64_t salt = fnv1a64(key.data(), key.size());
-        run.sampling.phaseSalt = salt ? salt : 1;
+        run.sampling.phaseSalt = fnv1a64(key.data(), key.size());
         auto t0 = std::chrono::steady_clock::now();
         SampledStats s = runCellSampled(*w.program, prep, run, w.setup,
                                         *sum, client.get(), cancel);

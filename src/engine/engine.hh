@@ -187,8 +187,6 @@ class ExperimentEngine
     /** Install @p p (and start the deadline watchdog it needs). */
     void setFaultPolicy(const FaultPolicy &p);
 
-    const FaultPolicy &faultPolicy() const { return policy_; }
-
     /** Journal sweeps under @p dir (one file per sweep spec); "" (the
      *  default) disables journaling. See engine/journal.hh. */
     void setJournalDir(std::string dir) { journalDir_ = std::move(dir); }

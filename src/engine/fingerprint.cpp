@@ -118,14 +118,16 @@ addSampling(Fingerprint &fp, const SamplingParams &s)
     fp.add("sInt", s.interval)
         .add("sPer", s.period)
         .add("sWup", s.warmup)
-        .add("sFfw", s.ffWarm)
-        .add("sPre", s.prefix)
+        // Fixed tokens of the deleted fast-forward tail (always two
+        // intervals) and cold-prefix override (always one period),
+        // kept so keys (and the phase salt hashed from them) match
+        // byte-for-byte.
+        .add("sFfw", 2 * s.interval)
+        .add("sPre", std::uint64_t(0))
         .add("sCi", static_cast<std::uint64_t>(s.targetCi * 1e6))
         .add("sDuty", static_cast<std::uint64_t>(s.maxDuty * 1e6))
         .add("sShad", s.ssShadow)
-        // Fixed token of the deleted fast-forward mode switch, kept so
-        // keys (and the phase salt hashed from them) match
-        // byte-for-byte.
+        // Fixed token of the deleted fast-forward mode switch.
         .add("sWt", true);
 }
 

@@ -14,7 +14,6 @@ Hierarchy::Hierarchy(const HierarchyConfig &cfg)
 Cycle
 Hierarchy::dramAccess(Cycle start)
 {
-    ++dramCount;
     // The request occupies the bus for the line transfer after the DRAM
     // access latency. Transfers serialize on the shared bus.
     Cycle beats = (cfg.l2.lineBytes + cfg.busBytes - 1) / cfg.busBytes;
@@ -68,20 +67,6 @@ Hierarchy::instAccess(Addr addr, Cycle now)
         dramAccess(done);
     out.readyAt = done;
     return out;
-}
-
-void
-Hierarchy::warmData(Addr addr, bool write)
-{
-    if (!l1dCache.access(addr, write).hit)
-        l2Cache.access(addr, false);
-}
-
-void
-Hierarchy::warmInst(Addr addr)
-{
-    if (!l1iCache.access(addr, false).hit)
-        l2Cache.access(addr, false);
 }
 
 void

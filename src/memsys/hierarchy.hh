@@ -62,18 +62,6 @@ class Hierarchy
     /** Timed instruction fetch access. */
     MemAccess instAccess(Addr addr, Cycle now);
 
-    /**
-     * Tag-only warming accesses: same fill/LRU/dirty behaviour as the
-     * timed paths, but no bus occupancy and no DRAM bookkeeping. Used
-     * by clock-frozen fast-forwards (Core::fastForward without an IPC
-     * estimate), where going through the timed paths would push
-     * busFreeAt far past `now` and poison the next measurement;
-     * sampled runs instead advance a virtual clock and use the timed
-     * paths so bus queueing keeps evolving.
-     */
-    void warmData(Addr addr, bool write);
-    void warmInst(Addr addr);
-
     /** Invalidate all caches (used between runs). */
     void flush();
 
@@ -82,16 +70,12 @@ class Hierarchy
     Cache &l2() { return l2Cache; }
     const HierarchyConfig &config() const { return cfg; }
 
-    /** Total DRAM accesses (for stats). */
-    std::uint64_t dramAccesses() const { return dramCount; }
-
   private:
     HierarchyConfig cfg;
     Cache l1iCache;
     Cache l1dCache;
     Cache l2Cache;
     Cycle busFreeAt = 0;
-    std::uint64_t dramCount = 0;
 
     /** Charge a DRAM access beginning no earlier than @p start. */
     Cycle dramAccess(Cycle start);

@@ -158,7 +158,6 @@ struct MgTemplate
     MgHeader hdr;
 
     int size() const { return static_cast<int>(insns.size()); }
-    bool hasMem() const { return memIdx() >= 0; }
 
     /** Position of the mem op or -1. Cached by finalize(); templates
      *  queried before finalize fall back to the scan.

@@ -16,7 +16,6 @@
 #define MG_MG_MINIGRAPH_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cfg/basic_block.hh"
@@ -79,9 +78,6 @@ struct SelectionPolicy
     bool allowInternallySerial = true;
     bool allowInteriorLoads = true;    ///< loads before the last position
 };
-
-/** Pretty-print a candidate against its program. */
-std::string candidateStr(const Candidate &c, const Program &prog);
 
 } // namespace mg
 

@@ -1232,40 +1232,33 @@ Core::warmControl(const Instruction &in, const ExecRecord &rec)
 }
 
 void
-Core::fastForward(std::uint64_t workTarget, bool warm, double ipcEst)
+Core::fastForward(std::uint64_t workTarget, double ipcEst)
 {
     if (!pipelineEmpty())
         panic("fastForward with a non-empty pipeline");
+    if (!(ipcEst > 0))
+        panic("fastForward needs a positive IPC estimate, got %g", ipcEst);
     ExecRecord rec;
-    double cycleAccum = 0;
     Cycle base = now;
     std::uint64_t work0 = emu.dynWork();
     while (!emu.halted() && emu.dynWork() < workTarget) {
         pollCancel();
         if (!emu.step(&rec))
             break;
-        if (ipcEst > 0) {
-            cycleAccum = static_cast<double>(emu.dynWork() - work0) /
-                ipcEst;
-            now = base + static_cast<Cycle>(cycleAccum);
-        }
-        if (!warm || !rec.insn)
+        now = base + static_cast<Cycle>(
+                         static_cast<double>(emu.dynWork() - work0) /
+                         ipcEst);
+        if (!rec.insn)
             continue;
         Addr line = lineOf(rec.pc);
         if (line != lastFetchLine) {
-            if (ipcEst > 0)
-                mem.instAccess(rec.pc, now);
-            else
-                mem.warmInst(rec.pc);
+            mem.instAccess(rec.pc, now);
             lastFetchLine = line;
         }
         if (rec.padNop)
             continue;
         if (rec.isMem) {
-            if (ipcEst > 0)
-                mem.dataAccess(rec.memAddr, rec.memIsStore, now);
-            else
-                mem.warmData(rec.memAddr, rec.memIsStore);
+            mem.dataAccess(rec.memAddr, rec.memIsStore, now);
             if (ffShadow && !ffViolPairs.empty()) {
                 ffAliasScan(rec);
                 // Store-set shadow: re-merge every *active* pair
@@ -1288,8 +1281,7 @@ Core::fastForward(std::uint64_t workTarget, bool warm, double ipcEst)
         if (rec.insn->isControl() || rec.insn->isHandle())
             warmControl(*rec.insn, rec);
     }
-    if (warm)
-        ffGaps.emplace_back(work0, emu.dynWork());
+    ffGaps.emplace_back(work0, emu.dynWork());
     stats_.cycles = now;        // keep interval deltas pure-detailed
     lastFetchLine = ~Addr(0);   // fetch restarts on a cold line tracker
 }
@@ -1373,7 +1365,7 @@ Core::seededRunRetraces(const Core &discovery,
                     ffRecordViolation(loadPc, p.storePc);
             }
         }
-        // The gap, as fastForward's warm path walks it.
+        // The gap, as fastForward walks it.
         while (!emu.halted() && emu.dynWork() < gaps[g].second) {
             pollCancel();
             if (!emu.step(&rec))
@@ -1636,8 +1628,7 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             // refinement budget, so the last samples must average the
             // chunk's full intra-phase swing instead of re-reading a
             // fraction of it.
-            bool yes = sp.targetCi > 0 &&
-                a.ipcs.size() < maxPerCluster &&
+            bool yes = a.ipcs.size() < maxPerCluster &&
                 oi >= nextEligible[c->cluster] &&
                 a.relCi() * share > 5 * sp.targetCi;
             *wholeChunk = yes;
@@ -1649,23 +1640,20 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             return false;
         if (a.ipcs.size() < 2)
             return take(true);
-        if (sp.targetCi <= 0 || a.ipcs.size() >= maxPerCluster)
+        if (a.ipcs.size() >= maxPerCluster)
             return false;
-        // Extent-coverage guard (salted placement only): a tiny CI
-        // computed from samples confined to the head of a long
-        // cluster extent is not evidence about its tail. reed@long
-        // turns on store-set serialization mid-run; when the salted
-        // offsets happen to dodge the head's hiccup intervals, the
-        // first two samples agree to 0.4%, the CI gate stops
-        // refinement at the head, and the quantile samples that DO
-        // land past the onset read an untrained (rosy) pipeline
-        // because the onset is discovered at detailed-work rate. The
-        // grid-aligned plan only escaped by luck — its head samples
-        // disagreed enough to keep the stride march going. So under a
-        // salt, keep marching until the measured occurrences span
-        // half the extent; only then is the CI an honest summary of
-        // the cluster.
-        if (sp.phaseSalt && stride[c->cluster] > 1 &&
+        // Extent-coverage guard: a tiny CI computed from samples
+        // confined to the head of a long cluster extent is not
+        // evidence about its tail. reed@long turns on store-set
+        // serialization mid-run; when the salted offsets happen to
+        // dodge the head's hiccup intervals, the first two samples
+        // agree to 0.4%, the CI gate stops refinement at the head,
+        // and the quantile samples that DO land past the onset read an
+        // untrained (rosy) pipeline because the onset is discovered at
+        // detailed-work rate. So keep marching until the measured
+        // occurrences span half the extent; only then is the CI an
+        // honest summary of the cluster.
+        if (stride[c->cluster] > 1 &&
             nextEligible[c->cluster] * 2 < occ[c->cluster].size())
             return take(true);
         return take(a.relCi() * share > sp.targetCi / 2);
@@ -1707,12 +1695,11 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             continue;
         // Measurement placement and extent inside the chunk. A
         // whole-chunk measurement sizes its sub-intervals to cover the
-        // chunk. Otherwise, a phase-salted run starts the measured
-        // span at a deterministic per-chunk offset instead of always
-        // at the chunk start: period-aligned placement samples one
-        // fixed phase of any rate oscillation commensurate with the
-        // period (the huge-tier jpeg.dct alias). Salt zero keeps the
-        // legacy grid-aligned placement bit-exactly.
+        // chunk. Otherwise the measured span starts at a deterministic
+        // per-chunk offset hashed from the phase salt instead of
+        // always at the chunk start: period-aligned placement samples
+        // one fixed phase of any rate oscillation commensurate with
+        // the period (the huge-tier jpeg.dct alias).
         //
         // The salt dithers what is *measured*, not what is *executed*:
         // detailed (unmeasured) execution still begins at the chunk
@@ -1721,19 +1708,19 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
         // One-shot microarchitectural events discovered at
         // detailed-work rate — reed@long's store-set serialization
         // onset is a single violation that flips the rest of the run
-        // from IPC 4.9 to 2.65 — land inside the grid span, and a
+        // from IPC 4.9 to 2.65 — land inside the chunk's head, and a
         // salt that shifted the detailed region past one would
         // silently un-discover it (measured: 72% IPC error at a 1%
-        // CI). Keeping the detailed region a superset of the legacy
-        // grid span makes event discovery salt-independent; only the
-        // phase of the measured window moves.
+        // CI). Starting detailed execution at the chunk start makes
+        // event discovery salt-independent; only the phase of the
+        // measured window moves.
         int subs = measureSubs;
         std::uint64_t off = 0;
         if (wholeChunk) {
             std::uint64_t ivals = ch->work / sp.interval;
             if (ivals > static_cast<std::uint64_t>(subs) + 1)
                 subs = static_cast<int>(ivals - 1);
-        } else if (sp.phaseSalt) {
+        } else {
             std::uint64_t span =
                 (static_cast<std::uint64_t>(measureSubs) + 1) *
                 sp.interval;
@@ -1755,7 +1742,7 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             // Emulate the whole gap with warming so cumulative
             // cache/predictor state survives (footprint-bound
             // kernels).
-            fastForward(warmStart, sp.ffWarm > 0, lastIpc);
+            fastForward(warmStart, lastIpc);
             stats_.cycles = now;   // virtual advances stay unmeasured
         }
         out.ffWork = emu.dynWork() - stats_.committedWork;

@@ -283,18 +283,16 @@ class Core
 
     /**
      * Functionally execute the oracle until its constituent work
-     * reaches @p workTarget (or it halts). The pipeline must be empty.
-     * With @p warm, fetched lines touch the I-cache, memory accesses
-     * touch the D-cache hierarchy, and control ops train the branch
-     * predictor — functional warming. With @p ipcEst > 0 the core
-     * clock advances virtually at that rate and warming runs through
-     * the *timed* hierarchy paths, so bus queueing (the dominant
-     * cold-phase effect) keeps evolving across the gap; with 0 the
-     * clock freezes and warming is tag-only. Contributes nothing to
-     * stats() either way.
+     * reaches @p workTarget (or it halts), warming through every
+     * skipped instruction: fetched lines touch the I-cache, memory
+     * accesses touch the D-cache hierarchy, and control ops train the
+     * branch predictor. The core clock advances virtually at
+     * @p ipcEst (> 0) and warming runs through the timed hierarchy
+     * paths, so bus queueing (the dominant cold-phase effect) keeps
+     * evolving across the gap. The pipeline must be empty.
+     * Contributes nothing to stats().
      */
-    void fastForward(std::uint64_t workTarget, bool warm,
-                     double ipcEst = 0);
+    void fastForward(std::uint64_t workTarget, double ipcEst);
 
     /** Access the oracle (for architectural state checks in tests). */
     Emulator &oracle() { return emu; }

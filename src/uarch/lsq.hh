@@ -60,9 +60,6 @@ class Lsq
      */
     DynInst *violatingLoad(const DynInst *store) const;
 
-    const std::deque<DynInst *> &loadQueue() const { return loads; }
-    const std::deque<DynInst *> &storeQueue() const { return stores; }
-
   private:
     int cap;
     std::deque<DynInst *> loads;     ///< age order

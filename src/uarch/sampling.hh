@@ -47,15 +47,9 @@ struct SamplingParams
     std::uint64_t interval = 1000;  ///< detailed work measured per period
     std::uint64_t period = 12000;   ///< work between measurement starts
     std::uint64_t warmup = 2000;    ///< detailed pre-measurement work
-    std::uint64_t ffWarm = 2000;    ///< functionally-warmed fast-forward
-                                    ///< tail before each warmup
-    std::uint64_t prefix = 0;       ///< exactly-measured cold prefix
-                                    ///< (0 = one period): the startup
-                                    ///< transient never extrapolates
     double targetCi = 0.01;         ///< keep sampling a cluster while
                                     ///< its weighted 95% CI share
-                                    ///< exceeds this (0 = fixed two
-                                    ///< samples per cluster)
+                                    ///< exceeds this
     double maxDuty = 0.50;          ///< cap on the cycle-accurate
                                     ///< share of the run (coverage
                                     ///< beyond one sample per cluster
@@ -75,39 +69,25 @@ struct SamplingParams
      *  perfbench/mgperf.cpp, its only reader; it goes with that
      *  program's runCellTraced call in the next benchmark change. */
     static constexpr bool warmThrough = true;
-    /** Measurement-phase perturbation seed (0 = legacy grid-aligned
-     *  placement, bit-exact with salt-less builds). When set, each
-     *  measured chunk's span starts at a deterministic offset hashed
-     *  from (salt, chunk start) instead of always at the chunk start:
-     *  period-aligned placement samples one fixed phase of any rate
-     *  oscillation commensurate with the period, which read a
-     *  systematic ~2% bias on huge-tier jpeg.dct. The engine derives
-     *  the salt from the cell fingerprint, so it is stable across
-     *  sessions (stored violation pairs and resumed journals stay
-     *  coherent) while de-correlating placement between cells. Not
-     *  part of the cell fingerprint: the same cell key always maps to
-     *  the same salt, so keying it would be redundant. */
+    /** Measurement-phase perturbation seed. Each measured chunk's
+     *  span starts at a deterministic offset hashed from (salt, chunk
+     *  start) rather than at the chunk start: period-aligned
+     *  placement samples one fixed phase of any rate oscillation
+     *  commensurate with the period, which read a systematic ~2% bias
+     *  on huge-tier jpeg.dct. Every value, 0 included, is an ordinary
+     *  hash seed. The engine derives the salt from the cell
+     *  fingerprint, so it is stable across sessions (stored violation
+     *  pairs and resumed journals stay coherent) while de-correlating
+     *  placement between cells. Not part of the cell fingerprint: the
+     *  same cell key always maps to the same salt, so keying it would
+     *  be redundant. */
     std::uint64_t phaseSalt = 0;
 
-    /** Detailed + functionally-warmed work per period. */
-    std::uint64_t
-    dutyWork() const
-    {
-        return interval + warmup + ffWarm;
-    }
-
-    /** Chunks measured exactly at the start (prefix rounded up). */
-    std::uint64_t
-    prefixChunks() const
-    {
-        return prefix ? (prefix + period - 1) / period : 1;
-    }
-
-    /** Exactly-measured startup work. */
+    /** Exactly-measured startup work: one period. */
     std::uint64_t
     coldPrefixWork() const
     {
-        return prefixChunks() * period;
+        return period;
     }
 
     /** Sampling degenerates to a full detailed run. A zero interval

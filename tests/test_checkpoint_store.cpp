@@ -127,7 +127,6 @@ sampledSmall(SimConfig cfg)
     cfg.sampling.interval = 200;
     cfg.sampling.period = 2400;
     cfg.sampling.warmup = 400;
-    cfg.sampling.ffWarm = 400;
     return cfg;
 }
 

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/serial.hh"
 #include "engine/cli.hh"
 #include "engine/engine.hh"
 #include "engine/fingerprint.hh"
@@ -186,7 +189,7 @@ TEST(Engine, OverflowingSamplingLengthsAreFatal)
                             "1537228672809129302"};
     EXPECT_EXIT(parseCli(3, const_cast<char **>(period)),
                 ::testing::ExitedWithCode(1), "bad --sample-interval");
-    // 2 × interval (the fast-forward tail) wraps even with a period.
+    // 2 × interval (the default warmup) wraps even with a period.
     const char *tail[] = {"bench", "--sample-interval",
                           "9223372036854775808", "--sample-period",
                           "1000"};
@@ -205,7 +208,52 @@ TEST(Engine, OverflowingSamplingLengthsAreFatal)
                             .samplingParams();
     EXPECT_EQ(sp.period, 12000u);
     EXPECT_EQ(sp.warmup, 0u);
-    EXPECT_EQ(sp.ffWarm, 2000u);
+}
+
+TEST(Engine, ZeroSamplePeriodIsFatal)
+{
+    // A zero period leaves no room for a measurement; like a zero
+    // interval it is rejected, not read as "the default".
+    const char *argv[] = {"bench", "--sample-interval", "1000",
+                          "--sample-period", "0"};
+    EXPECT_EXIT(parseCli(5, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(1),
+                "--sample-period must be positive");
+    const char *ok[] = {"bench", "--sample-interval", "1000",
+                        "--sample-period", "5000"};
+    EXPECT_EQ(parseCli(5, const_cast<char **>(ok)).samplingParams().period,
+              5000u);
+}
+
+TEST(Engine, SamplingSubFlagsWithoutAnIntervalAreFatal)
+{
+    // Without --sample-interval the sweep is full, so a sub-flag
+    // would silently change nothing.
+    const std::vector<std::vector<const char *>> lone = {
+        {"bench", "--sample-period", "12000"},
+        {"bench", "--warmup", "500"},
+        {"bench", "--no-ss-shadow"},
+        {"bench", "--jobs", "2", "--warmup", "0"},
+    };
+    for (const auto &args : lone) {
+        std::vector<char *> argv;
+        for (const char *a : args)
+            argv.push_back(const_cast<char *>(a));
+        EXPECT_EXIT(parseCli(static_cast<int>(argv.size()), argv.data()),
+                    ::testing::ExitedWithCode(1), "need --sample-interval")
+            << args[1];
+    }
+    // --full overrides the sampling flags, so they stay accepted.
+    const char *full[] = {"bench", "--full", "--warmup", "500",
+                          "--no-ss-shadow"};
+    CliOptions o = parseCli(5, const_cast<char **>(full));
+    EXPECT_FALSE(o.samplingParams().enabled);
+    const char *sampled[] = {"bench", "--no-ss-shadow",
+                             "--sample-interval", "1000"};
+    SamplingParams sp = parseCli(4, const_cast<char **>(sampled))
+                            .samplingParams();
+    EXPECT_TRUE(sp.enabled);
+    EXPECT_FALSE(sp.ssShadow);
 }
 
 TEST(Engine, MalformedWhatIfIsFatal)
@@ -265,6 +313,47 @@ TEST(Engine, FingerprintIgnoresDisplayName)
     SimConfig d = a;
     d.policy.maxTemplates = 8;
     EXPECT_NE(cellFingerprint("k", a), cellFingerprint("k", d));
+}
+
+TEST(Engine, DefaultSampledCellKeysArePinned)
+{
+    // A default `--sample-interval 1000` int-mem cell. Its key hashes
+    // to the phase salt that places every measured span, and the
+    // summary key names its stored pre-pass, so a change to either
+    // silently moves every sampled cell or orphans every stored
+    // record. Literals recorded before the sampling knobs the keys
+    // still spell out as fixed tokens (sFfw, sPre, sWt) were deleted.
+    const char *argv[] = {"bench", "--sample-interval", "1000"};
+    SimConfig cfg = SimConfig::intMemMg();
+    cfg.sampling = parseCli(3, const_cast<char **>(argv)).samplingParams();
+    EngineWorkload w =
+        workload(bindKernel(findKernel("crc"), Scale::Long));
+    ExperimentEngine eng(1);
+    auto prep = eng.prepare(w, cfg);
+
+    std::string cell = cellFingerprint(w.id, cfg);
+    std::string summ = summaryFingerprint(
+        w.id + "|" + binaryFingerprint(prep->program, &prep->table),
+        cfg.sampling, cfg.runBudget);
+    std::uint64_t salt = fnv1a64(cell.data(), cell.size());
+    EXPECT_EQ(salt, 0x14c86db10414fd7bull) << std::hex << salt;
+    std::uint64_t summHash = fnv1a64(summ.data(), summ.size());
+    EXPECT_EQ(summHash, 0x8c7ac9a0116137d7ull) << std::hex << summHash;
+    EXPECT_NE(cell.find("sampled=1;sInt=1000;sPer=12000;sWup=2000;"
+                        "sFfw=2000;sPre=0;sCi=10000;sDuty=500000;"
+                        "sShad=1;sWt=1;"),
+              std::string::npos)
+        << cell;
+
+    // The engine measures the cell under exactly that salt.
+    SampledStats viaEngine = eng.cellSampled(w, cfg);
+    ASSERT_FALSE(viaEngine.exact);
+    SimConfig run = cfg;
+    run.sampling.phaseSalt = 0x14c86db10414fd7bull;
+    SampledStats direct = runCellSampled(*w.program, prep.get(), run,
+                                         w.setup, *eng.summary(w, cfg));
+    EXPECT_EQ(viaEngine.est, direct.est);
+    EXPECT_EQ(viaEngine.intervals, direct.intervals);
 }
 
 } // namespace

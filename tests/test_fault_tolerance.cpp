@@ -569,7 +569,6 @@ TEST(Journal, ResumingAStorelessJournalWithAStoreMatchesAStoreSweep)
     sc.sampling.interval = 200;
     sc.sampling.period = 2400;
     sc.sampling.warmup = 400;
-    sc.sampling.ffWarm = 400;
     spec.columns = {{"int-mem", sc, true}};
     auto attachStore = [](ExperimentEngine &e, const ScratchDir &d) {
         e.setCheckpointStore(std::make_shared<CheckpointStore>(

@@ -235,7 +235,9 @@ TEST_P(Fuzz, SampledStorelessColdAndWarmStoreAgree)
 {
     // Store leg (every tenth seed): a random program, a random
     // sampling grid, and three sampled runs — storeless, cold-store,
-    // and warm-store over the same directory. All three must agree bit
+    // and warm-store over the same directory, all placed with the
+    // default phase salt 0 (an ordinary hash seed, not a grid
+    // alignment). All three must agree bit
     // for bit: a storeless/cold drift means the store changed a result
     // instead of memoizing it, a cold/warm drift means a session that
     // loads the violation pairs measures something else.
@@ -256,7 +258,6 @@ TEST_P(Fuzz, SampledStorelessColdAndWarmStoreAgree)
     cfg.sampling.interval = 50;
     cfg.sampling.period = 600 + 60 * (GetParam() % 5);
     cfg.sampling.warmup = 100;
-    cfg.sampling.ffWarm = 100;
     PreparedMg prep = prepareMiniGraphs(prog, rr.profile, cfg.policy,
                                         cfg.machine, cfg.compress);
     SampleSummary sum = collectSampleSummary(

@@ -147,10 +147,10 @@ TEST(HugePerfIdentity, GoldenStatsHashEveryHugeKernelTimesThreeConfigs)
 TEST(HugeStoreSets, ClearIntervalSweepShowsShadowIsNoLongerNeutral)
 {
     // sha re-violates its learned (load PC, store PC) pairs after
-    // every store-set table clear. Under grid-aligned placement at
-    // the production clear interval (262144 accesses) a sampled run's
-    // detailed spans never cross a clear, so the shadow is neutral —
-    // on- and off-shadow runs are bit-identical. Shrink the interval
+    // every store-set table clear. At the production clear interval
+    // (262144 accesses) the detailed spans of a sampled run placed
+    // with phase salt 0 never cross a clear, so the shadow is neutral
+    // — on- and off-shadow runs are bit-identical. Shrink the interval
     // until clears fire inside the detailed spans of a 10M-unit run
     // and the shadow becomes measurably non-neutral: it re-trains
     // violated pairs across fast-forward gaps, suppressing
@@ -172,12 +172,13 @@ TEST(HugeStoreSets, ClearIntervalSweepShowsShadowIsNoLongerNeutral)
         return eng.cellSampled(w, sc);
     };
 
-    // Production interval: neutral, bit for bit. Pinned under
-    // explicit grid-aligned (salt-zero) placement through the sim
-    // layer: the engine's phase-salted placement can legitimately
-    // move a detailed span onto a clear boundary — exactly the
-    // regime the shrunk-interval half below exercises on purpose —
-    // so the controlled no-clears-in-span claim belongs to the grid.
+    // Production interval: neutral, bit for bit. Pinned under one
+    // fixed placement, phase salt 0 (an ordinary hash seed, not a
+    // grid alignment), through the sim layer: the engine's per-cell
+    // salt can legitimately move a detailed span onto a clear
+    // boundary — exactly the regime the shrunk-interval half below
+    // exercises on purpose — so the controlled no-clears-in-span
+    // claim belongs to one known placement.
     {
         SimConfig cfg = SimConfig::intMemMg();
         cfg.core.ss.clearInterval = 262144;
@@ -197,7 +198,7 @@ TEST(HugeStoreSets, ClearIntervalSweepShowsShadowIsNoLongerNeutral)
             runCellSampled(prep.program, &prep, sc, bk.setup, sum);
         EXPECT_EQ(defOn.est, defOff.est)
             << "shadow unexpectedly active at the production clear "
-               "interval under grid placement";
+               "interval under salt-0 placement";
     }
 
     // Clears inside the detailed spans: the shadow must change the
@@ -237,8 +238,9 @@ TEST(HugeSampling, WarmThroughAccuracyAndFastForwardDominance)
         EXPECT_FALSE(s.exact) << w.id;
         double err = std::abs(s.est.ipc() - full) / full;
         // Historic worst case was 1.99% (jpeg.dct, whose 16k-work
-        // block period aliases against a grid-aligned measurement
-        // placement); 3% trips loudly on a regression of the tier.
+        // block period aliased against the since-deleted grid-aligned
+        // measurement placement); 3% trips loudly on a regression of
+        // the tier.
         EXPECT_LE(err, 0.03)
             << w.id << " sampled " << s.est.ipc() << " vs full " << full;
         // The salted measurement phase (SamplingParams::phaseSalt,

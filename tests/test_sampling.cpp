@@ -127,9 +127,9 @@ TEST(Sampling, TierOneIpcWithinStatedBound)
 
 TEST(Sampling, FastForwardThenRunCompletesTheProgram)
 {
-    // Clock-frozen fast-forward (the public default): the skipped work
-    // never commits, the tail runs normally, and the drained machine
-    // ends with a full free list.
+    // Warm-through fast-forward on a virtual clock, as runSampled
+    // drives it: the skipped work never commits, the tail runs
+    // normally, and the drained machine ends with a full free list.
     BoundKernel bk = bindKernel(findKernel("crc"));
     Emulator probe(*bk.program);
     bk.kernel->setup(probe, 0);
@@ -138,7 +138,7 @@ TEST(Sampling, FastForwardThenRunCompletesTheProgram)
     Core core(*bk.program, nullptr, CoreConfig{});
     bk.kernel->setup(core.oracle(), 0);
     int freeAtReset = core.regFreeCount();
-    core.fastForward(total / 2, /*warm=*/true);
+    core.fastForward(total / 2, /*ipcEst=*/2.0);
     std::uint64_t skipped = core.oracle().dynWork();
     EXPECT_GE(skipped, total / 2);
     CoreStats tail = core.run();
@@ -196,7 +196,6 @@ TEST(Sampling, SummarySharedAcrossCollapsing)
         cfg.sampling.interval = 200;
         cfg.sampling.period = 2400;
         cfg.sampling.warmup = 400;
-        cfg.sampling.ffWarm = 400;
         return cfg;
     };
     SimConfig plain = fine(SimConfig::intMg());
@@ -273,11 +272,11 @@ TEST(Sampling, MeasurementPhaseSaltIsDeterministicAndAccurate)
 {
     // The sampling-alias fix: grid-aligned measurement spans sample
     // one fixed phase of any rate oscillation commensurate with the
-    // period (the jpeg.dct@huge ~2% systematic bias). A non-zero
-    // phaseSalt hashes a per-chunk span offset instead. Contract:
-    // salt 0 is the legacy placement, any fixed salt is fully
-    // deterministic, and no salt choice may push this kernel outside
-    // the stated 2% bound.
+    // period (the jpeg.dct@huge ~2% systematic bias), so phaseSalt
+    // hashes a per-chunk span offset instead. Contract: any fixed
+    // salt is fully deterministic, and no salt choice may push this
+    // kernel outside the stated 2% bound. Salt 0 is one more ordinary
+    // seed here, not the grid-aligned placement it once selected.
     const Program &p = syntheticLongProgram();
     SimConfig cfg = SimConfig::baseline();
     CoreStats full = runCell(p, nullptr, cfg, noSetup);
@@ -291,18 +290,18 @@ TEST(Sampling, MeasurementPhaseSaltIsDeterministicAndAccurate)
         return runCellSampled(p, nullptr, c, noSetup, sum);
     };
 
-    SampledStats legacy = runAt(0);
+    SampledStats zero = runAt(0);
     SampledStats a = runAt(0x9e3779b97f4a7c15ull);
     SampledStats a2 = runAt(0x9e3779b97f4a7c15ull);
     SampledStats b = runAt(0x5bf03635ull);
 
-    EXPECT_FALSE(legacy.exact);
+    EXPECT_FALSE(zero.exact);
     EXPECT_EQ(a.est, a2.est) << "salted placement not deterministic";
     EXPECT_EQ(a.intervals, a2.intervals);
 
     double fullIpc = full.ipc();
     ASSERT_GT(fullIpc, 0.0);
-    for (const SampledStats *s : {&legacy, &a, &b}) {
+    for (const SampledStats *s : {&zero, &a, &b}) {
         EXPECT_LE(std::abs(s->est.ipc() - fullIpc) / fullIpc, 0.02)
             << "salt variant missed the accuracy bound: sampled "
             << s->est.ipc() << " vs full " << fullIpc;
@@ -355,7 +354,6 @@ TEST(Sampling, SkippedSeededPassWouldRetraceDiscovery)
         cfg.sampling.interval = 200;
         cfg.sampling.period = 2400;
         cfg.sampling.warmup = 400;
-        cfg.sampling.ffWarm = 400;
         BlockProfile prof =
             collectProfile(*bk.program, bk.setup, cfg.profileBudget);
         PreparedMg prep = prepareMiniGraphs(*bk.program, prof, cfg.policy,
