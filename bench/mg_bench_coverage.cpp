@@ -251,11 +251,10 @@ main(int argc, char **argv)
         SweepResult intMem =
             appSpecific(engine, true, "integer-memory", cli.scale);
         domainSpecific(engine, cli.scale);
-        cli.applyReporting(intMem);
-        std::string json = writeSweepJson(intMem, cli.benchName("coverage"),
-                                          cli.jsonPath);
-        if (!json.empty())
-            printf("wrote %s\n", json.c_str());
+        // Untimed sweep: no throughput to show, and appSpecific has
+        // printed its outcome digest.
+        finishSweep(intMem, cli.benchName("coverage"), cli.jsonPath,
+                    !cli.noThroughput, false);
     }
     robustness(engine, cli.scale);
     return 0;

@@ -87,14 +87,7 @@ main(int argc, char **argv)
     printf("%s\n",
            reportSpeedups(spec.title, names, rows, {"text-ratio"})
                .c_str());
-    printf("%s\n", throughputTable(r).c_str());
-    std::string outcomes = outcomeSummary(r);
-    if (!outcomes.empty())
-        printf("%s\n", outcomes.c_str());
-    cli.applyReporting(r);
-    std::string json =
-        writeSweepJson(r, cli.benchName("icache"), cli.jsonPath);
-    if (!json.empty())
-        printf("wrote %s\n", json.c_str());
+    finishSweep(r, cli.benchName("icache"), cli.jsonPath,
+                !cli.noThroughput);
     return 0;
 }

@@ -46,14 +46,7 @@ main(int argc, char **argv)
            reportSpeedups(spec.title, speedupColumns(r), rows,
                           {"covg(int-mem)"})
                .c_str());
-    printf("%s\n", throughputTable(r).c_str());
-    std::string outcomes = outcomeSummary(r);
-    if (!outcomes.empty())
-        printf("%s\n", outcomes.c_str());
-    cli.applyReporting(r);
-    std::string json =
-        writeSweepJson(r, cli.benchName("performance"), cli.jsonPath);
-    if (!json.empty())
-        printf("wrote %s\n", json.c_str());
+    finishSweep(r, cli.benchName("performance"), cli.jsonPath,
+                !cli.noThroughput);
     return 0;
 }

@@ -44,14 +44,7 @@ main(int argc, char **argv)
     cli.applyAnalysis(spec);
     SweepResult r = engine.sweep(spec);
     printf("%s\n", sweepTable(r).c_str());
-    printf("%s\n", throughputTable(r).c_str());
-    std::string outcomes = outcomeSummary(r);
-    if (!outcomes.empty())
-        printf("%s\n", outcomes.c_str());
-    cli.applyReporting(r);
-    std::string json =
-        writeSweepJson(r, cli.benchName("regfile"), cli.jsonPath);
-    if (!json.empty())
-        printf("wrote %s\n", json.c_str());
+    finishSweep(r, cli.benchName("regfile"), cli.jsonPath,
+                !cli.noThroughput);
     return 0;
 }

@@ -82,14 +82,7 @@ main(int argc, char **argv)
         printf("Best-of-policies gmean over all benchmarks: %.3f\n",
                gmean(bests));
     }
-    printf("%s\n", throughputTable(r).c_str());
-    std::string outcomes = outcomeSummary(r);
-    if (!outcomes.empty())
-        printf("%s\n", outcomes.c_str());
-    cli.applyReporting(r);
-    std::string json =
-        writeSweepJson(r, cli.benchName("serialization"), cli.jsonPath);
-    if (!json.empty())
-        printf("wrote %s\n", json.c_str());
+    finishSweep(r, cli.benchName("serialization"), cli.jsonPath,
+                !cli.noThroughput);
     return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -60,10 +61,9 @@ parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--jobs" || a == "-j") {
-            char *end = nullptr;
-            long v = std::strtol(next(a, i), &end, 10);
-            if (!end || *end || v < 0)
-                fatal("bad job count '%s'", argv[i]);
+            std::uint64_t v = parseCount(a.c_str(), next(a, i));
+            if (v > static_cast<std::uint64_t>(INT_MAX))
+                fatal("bad %s value '%s'", a.c_str(), argv[i]);
             opt.jobs = static_cast<int>(v);
         } else if (a == "--json") {
             opt.jsonPath = next(a, i);
@@ -85,8 +85,6 @@ parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
                 fatal("--sample-period must be positive");
         } else if (a == "--warmup") {
             opt.sampleWarmup = parseCount("--warmup", next(a, i));
-        } else if (a == "--no-ss-shadow") {
-            opt.ssShadow = false;
         } else if (a == "--full") {
             opt.full = true;
         } else if (a == "--no-throughput") {
@@ -135,9 +133,8 @@ parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
     // The sampling sub-flags only shape a sampled run; without one
     // they would silently run a full sweep.
     if (!opt.sampleInterval && !opt.full &&
-        (opt.samplePeriod || opt.sampleWarmup || !opt.ssShadow))
-        fatal("--sample-period, --warmup and --no-ss-shadow need "
-              "--sample-interval");
+        (opt.samplePeriod || opt.sampleWarmup))
+        fatal("--sample-period and --warmup need --sample-interval");
     // The lengths derived from the interval must not wrap: a wrapped
     // period silently degenerates every cell to exact simulation. The
     // bound on interval + warmup + 2 × interval is kept as it was when
@@ -173,7 +170,6 @@ CliOptions::samplingParams() const
     sp.interval = sampleInterval;
     sp.period = samplePeriod ? samplePeriod : 12 * sampleInterval;
     sp.warmup = sampleWarmup.value_or(2 * sampleInterval);
-    sp.ssShadow = ssShadow;
     return sp;
 }
 

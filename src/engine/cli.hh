@@ -9,11 +9,10 @@
  * sampled simulation flags `--sample-interval N` (measure N work units
  * per period; enables sampling), `--sample-period N` (work between
  * measurement starts, N > 0, default 12× interval), `--warmup N`
- * (detailed pre-measurement warmup work), `--no-ss-shadow` (disable
- * store-set shadow training during fast-forward), and `--full` (force
- * full cycle-accurate simulation, overriding the sampling flags). The
- * three sampling sub-flags without `--sample-interval` (or `--full`)
- * are fatal, since they would silently run a full sweep. Sampled
+ * (detailed pre-measurement warmup work), and `--full` (force full
+ * cycle-accurate simulation, overriding the sampling flags). The two
+ * sampling sub-flags without `--sample-interval` (or `--full`) are
+ * fatal, since they would silently run a full sweep. Sampled
  * runs get an on-disk checkpoint store that memoizes each binary's
  * sample summary and each cell's violation pairs across sessions:
  * `--checkpoint-dir PATH` overrides its location (default
@@ -68,7 +67,6 @@ struct CliOptions
                                         ///< unset: 12× interval)
     std::optional<std::uint64_t> sampleWarmup;  ///< --warmup N (unset =
                                                 ///< 2× interval)
-    bool ssShadow = true;       ///< --no-ss-shadow clears it
     bool full = false;                  ///< --full wins over sampling
     bool noThroughput = false;  ///< --no-throughput: omit the
                                 ///< nondeterministic wall-clock fields

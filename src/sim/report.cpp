@@ -458,4 +458,20 @@ writeSweepJson(const SweepResult &r, const std::string &bench,
     return file;
 }
 
+void
+finishSweep(SweepResult &r, const std::string &bench,
+            const std::string &path, bool throughput, bool tables)
+{
+    if (tables) {
+        std::printf("%s\n", throughputTable(r).c_str());
+        std::string outcomes = outcomeSummary(r);
+        if (!outcomes.empty())
+            std::printf("%s\n", outcomes.c_str());
+    }
+    r.emitThroughput = throughput;
+    std::string json = writeSweepJson(r, bench, path);
+    if (!json.empty())
+        std::printf("wrote %s\n", json.c_str());
+}
+
 } // namespace mg

@@ -161,6 +161,16 @@ std::string writeSweepJson(const SweepResult &r, const std::string &bench,
                            const std::string &path = "");
 
 /**
+ * The tail every figure bench shares: with @p tables, print
+ * throughputTable and a non-empty outcomeSummary; then write the
+ * report as writeSweepJson does, with the wall-clock fields only when
+ * @p throughput, and print "wrote PATH".
+ */
+void finishSweep(SweepResult &r, const std::string &bench,
+                 const std::string &path, bool throughput,
+                 bool tables = true);
+
+/**
  * One-line cell-outcome digest ("cell outcomes: 44 ok, 1 failed,
  * 1 timed_out"), or "" when every cell is Ok — benches print it only
  * when there is something to say, keeping fault-free stdout

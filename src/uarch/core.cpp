@@ -20,10 +20,72 @@ ringSize(std::size_t want)
     return s;
 }
 
+/** BranchKind of the non-handle opcode @p op. */
+BranchKind
+branchKindOf(Op op)
+{
+    switch (op) {
+      case Op::BR: return BranchKind::Br;
+      case Op::BSR: return BranchKind::Bsr;
+      case Op::RET: return BranchKind::Ret;
+      case Op::JSR: return BranchKind::Jsr;
+      case Op::JMP: return BranchKind::Jmp;
+      default:
+        return isCondBranchOp(op) ? BranchKind::Cond : BranchKind::None;
+    }
+}
+
+/** Decode every text slot of @p prog for machine @p cfg. A handle
+ *  without a template keeps a plain record: the oracle faults on it
+ *  before fetch ever sees it. */
+std::vector<StaticInst>
+decodeStatics(const Program &prog, const MgTable *mgt, const CoreConfig &cfg)
+{
+    std::vector<StaticInst> out(prog.text.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const Instruction &in = prog.text[i];
+        StaticInst &s = out[i];
+        s.cls = in.cls();
+        s.src[0] = in.src(0);
+        s.src[1] = in.src(1);
+        s.dst = in.writesReg() ? in.dst() : regNone;
+        s.isLoad = in.isLoad();
+        s.isStore = in.isStore();
+        s.branch = branchKindOf(in.op);
+        // Unused fields of well-formed instructions hold regNone, so
+        // the raw fields cover every register role.
+        s.namesDiseReg = in.ra >= numArchRegs || in.rb >= numArchRegs ||
+            in.rc >= numArchRegs;
+        // Singleton issue slot and latency; multiplies keep IntAlu
+        // (the window lane distinction matters only in mini-graphs).
+        if (s.isLoad)
+            s.selFu = FuKind::LoadPort;
+        else if (s.isStore)
+            s.selFu = FuKind::StorePort;
+        else if (s.cls == InsnClass::FpAlu || s.cls == InsnClass::FpDiv)
+            s.selFu = FuKind::FpAlu;
+        s.selLat = static_cast<std::int16_t>(
+            s.isLoad ? 1 + cfg.mem.l1dLat : opLatency(in.op));
+        auto id = static_cast<MgId>(in.imm);
+        if (in.isHandle() && mgt && mgt->contains(id)) {
+            s.tmpl = &mgt->at(id);
+            s.work = s.tmpl->size();
+            s.isLoad = s.tmpl->hdr.hasLoad;
+            s.isStore = s.tmpl->hdr.hasStore;
+            s.branch = s.tmpl->hdr.endsInBranch ? BranchKind::Cond
+                                                : BranchKind::None;
+            if (s.tmpl->outIdx < 0)
+                s.dst = regNone;
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 Core::Core(const Program &p, const MgTable *t, const CoreConfig &c)
     : prog(p), mgt(t), cfg(c),
+      statics_(decodeStatics(p, t, c)),
       emu(p, t),
       mem(c.mem),
       bp(c.bp),
@@ -139,64 +201,9 @@ Core::pullOracle()
         if (ffShadow)
             ffAliasScan(d->rec);    // early-outs with no dormant edges
         d->pc = d->rec.pc;
-        d->insn = *d->rec.insn;
-        d->cls = d->rec.cls;        // classified once, at predecode
-        d->rec.insn = nullptr;      // records outlive emulator views
+        d->si = &staticAt(d->pc);
         d->memAddr = d->rec.memAddr;    // hot copies for the LSQ scans
         d->memBytes = d->rec.memBytes;
-        if (d->insn.isHandle()) {
-            d->tmpl = &mgt->at(static_cast<MgId>(d->insn.imm));
-            d->work = d->tmpl->size();
-            d->isLoadKind = d->tmpl->hdr.hasLoad;
-            d->isStoreKind = d->tmpl->hdr.hasStore;
-            d->isCtrl = d->tmpl->hdr.endsInBranch;
-        } else {
-            d->work = 1;
-            d->isLoadKind = d->cls == InsnClass::Load;
-            d->isStoreKind = d->cls == InsnClass::Store;
-            d->isCtrl = d->cls == InsnClass::CondBranch ||
-                d->cls == InsnClass::UncondBranch ||
-                d->cls == InsnClass::IndirectJump;
-            // Precompute the issue-slot kind and effective latency the
-            // select loop needs, once per slot instead of per attempt.
-            switch (d->cls) {
-              case InsnClass::IntAlu:
-              case InsnClass::CondBranch:
-              case InsnClass::UncondBranch:
-              case InsnClass::IndirectJump:
-                d->selFu = FuKind::IntAlu;
-                d->selLat = 1;
-                break;
-              case InsnClass::IntMult:
-                // Competes for the grouped integer slots (the window
-                // lane distinction matters only inside mini-graphs).
-                d->selFu = FuKind::IntAlu;
-                d->selLat = static_cast<std::int16_t>(
-                    opLatency(d->insn.op));
-                break;
-              case InsnClass::FpAlu:
-              case InsnClass::FpDiv:
-                d->selFu = FuKind::FpAlu;
-                d->selLat = static_cast<std::int16_t>(
-                    opLatency(d->insn.op));
-                break;
-              case InsnClass::Load:
-                d->selFu = FuKind::LoadPort;
-                d->selLat = static_cast<std::int16_t>(
-                    1 + cfg.mem.l1dLat);
-                break;
-              case InsnClass::Store:
-                d->selFu = FuKind::StorePort;
-                d->selLat = static_cast<std::int16_t>(
-                    opLatency(d->insn.op));
-                break;
-              default:
-                d->selFu = FuKind::IntAlu;
-                d->selLat = static_cast<std::int16_t>(
-                    opLatency(d->insn.op));
-                break;
-            }
-        }
         if (!more)
             oracleDone = true;
         return d;
@@ -209,34 +216,29 @@ Core::predictControl(DynInst *d)
     ++stats_.branches;
     bool actualTaken = d->rec.taken;
     Addr actualTarget = d->rec.nextPc;
-    InsnClass cls = d->cls;
-    bool condLike = cls == InsnClass::CondBranch ||
-        (d->isHandle() && d->tmpl->hdr.endsInBranch);
-
-    if (condLike) {
-        bool predTaken = bp.predictDirection(d->pc);
-        bp.updateDirection(d->pc, actualTaken);
-        if (predTaken != actualTaken) {
-            d->mispredicted = true;
-        } else if (actualTaken) {
-            Addr predTarget = bp.predictTarget(d->pc);
-            if (predTarget != actualTarget) {
-                // Direct target: computable at decode (misfetch).
-                fetchStalledUntil = std::max(
-                    fetchStalledUntil,
-                    now + static_cast<Cycle>(cfg.misfetchPenalty));
-                ++stats_.misfetches;
-            }
-            bp.updateTarget(d->pc, actualTarget);
-        }
-        return;
-    }
-
-    switch (d->insn.op) {
-      case Op::BR:
-      case Op::BSR: {
-          if (d->insn.op == Op::BSR)
-              bp.pushReturn(d->pc + insnBytes);
+    switch (d->si->branch) {
+      case BranchKind::Cond: {
+          bool predTaken = bp.predictDirection(d->pc);
+          bp.updateDirection(d->pc, actualTaken);
+          if (predTaken != actualTaken) {
+              d->mispredicted = true;
+          } else if (actualTaken) {
+              Addr predTarget = bp.predictTarget(d->pc);
+              if (predTarget != actualTarget) {
+                  // Direct target: computable at decode (misfetch).
+                  fetchStalledUntil = std::max(
+                      fetchStalledUntil,
+                      now + static_cast<Cycle>(cfg.misfetchPenalty));
+                  ++stats_.misfetches;
+              }
+              bp.updateTarget(d->pc, actualTarget);
+          }
+          return;
+      }
+      case BranchKind::Bsr:
+        bp.pushReturn(d->pc + insnBytes);
+        [[fallthrough]];
+      case BranchKind::Br: {
           Addr predTarget = bp.predictTarget(d->pc);
           if (predTarget != actualTarget) {
               fetchStalledUntil = std::max(
@@ -247,23 +249,23 @@ Core::predictControl(DynInst *d)
           }
           return;
       }
-      case Op::RET: {
+      case BranchKind::Ret: {
           Addr predTarget = bp.popReturn();
           if (predTarget != actualTarget)
               d->mispredicted = true;
           return;
       }
-      case Op::JSR:
-      case Op::JMP: {
-          if (d->insn.op == Op::JSR)
-              bp.pushReturn(d->pc + insnBytes);
+      case BranchKind::Jsr:
+        bp.pushReturn(d->pc + insnBytes);
+        [[fallthrough]];
+      case BranchKind::Jmp: {
           Addr predTarget = bp.predictTarget(d->pc);
           if (predTarget != actualTarget)
               d->mispredicted = true;
           bp.updateTarget(d->pc, actualTarget);
           return;
       }
-      default:
+      case BranchKind::None:
         return;
     }
 }
@@ -310,7 +312,7 @@ Core::doFetch()
         ++fetched;
 
         bool taken = false;
-        if (d->isCtrl) {
+        if (d->si->isCtrl()) {
             predictControl(d);
             taken = d->rec.taken;
             if (d->mispredicted)
@@ -320,33 +322,6 @@ Core::doFetch()
         if (taken || fetchBlockedBySeq != 0)
             return;   // taken branches end the fetch cycle
     }
-}
-
-RegId
-Core::renameDstOf(const DynInst *d) const
-{
-    // Class-driven mirror of Instruction::dst()/writesReg(), using the
-    // predecoded class instead of re-deriving it per lookup.
-    RegId dd;
-    switch (d->cls) {
-      case InsnClass::Handle:
-        return (d->tmpl->outIdx >= 0 && !isZeroReg(d->insn.rc))
-            ? d->insn.rc : regNone;
-      case InsnClass::IntAlu:
-      case InsnClass::IntMult:
-      case InsnClass::FpAlu:
-      case InsnClass::FpDiv:
-        dd = d->insn.rc;
-        break;
-      case InsnClass::Load:
-      case InsnClass::UncondBranch:
-      case InsnClass::IndirectJump:
-        dd = d->insn.ra;
-        break;
-      default:
-        return regNone;
-    }
-    return (dd != regNone && !isZeroReg(dd)) ? dd : regNone;
 }
 
 void
@@ -365,52 +340,19 @@ Core::doDispatch()
             ++stats_.iqFullStalls;
             break;
         }
-        if ((d->isLoadKind || d->isStoreKind) && lsq.full()) {
+        const StaticInst &si = *d->si;
+        if (si.isMem() && lsq.full()) {
             ++stats_.lsqFullStalls;
             break;
         }
 
         // Rename: two source lookups, at most one allocation. DISE's
-        // dedicated registers never reach renaming (expansion is a
-        // decode-stage mechanism); reject them loudly. (The raw-field
-        // guard subsumes the per-slot src()/dst() probes: unused
-        // operand fields of well-formed instructions hold regNone.)
-        if (d->insn.ra >= numArchRegs || d->insn.rb >= numArchRegs ||
-            d->insn.rc >= numArchRegs)
+        // dedicated registers never reach renaming; reject them loudly.
+        if (si.namesDiseReg)
             fatal("DISE register reached rename at PC 0x%llx; run "
                   "expanded programs through the emulator",
                   static_cast<unsigned long long>(d->pc));
-        // Class-driven mirror of Instruction::src(0)/src(1).
-        RegId s0 = regNone, s1 = regNone;
-        switch (d->cls) {
-          case InsnClass::IntAlu:
-          case InsnClass::IntMult:
-          case InsnClass::FpAlu:
-          case InsnClass::FpDiv:
-            s0 = d->insn.ra;
-            s1 = d->insn.useImm ? regNone : d->insn.rb;
-            break;
-          case InsnClass::Load:
-            s0 = d->insn.rb;
-            break;
-          case InsnClass::Store:
-            s0 = d->insn.rb;
-            s1 = d->insn.ra;
-            break;
-          case InsnClass::CondBranch:
-            s0 = d->insn.ra;
-            break;
-          case InsnClass::IndirectJump:
-            s0 = d->insn.rb;
-            break;
-          case InsnClass::Handle:
-            s0 = d->insn.ra;
-            s1 = d->insn.rb;
-            break;
-          default:
-            break;
-        }
-        RegId dst = renameDstOf(d);
+        RegId dst = si.dst;
         PhysReg np = physNone;
         if (dst != regNone) {
             np = regs.alloc();
@@ -419,8 +361,8 @@ Core::doDispatch()
                 break;
             }
         }
-        d->srcPhys[0] = rmap.lookup(s0);
-        d->srcPhys[1] = rmap.lookup(s1);
+        d->srcPhys[0] = rmap.lookup(si.src[0]);
+        d->srcPhys[1] = rmap.lookup(si.src[1]);
         if (dst != regNone) {
             d->archDst = dst;
             d->dstPhys = np;
@@ -451,9 +393,9 @@ Core::doDispatch()
         }
 
         // Memory dependence prediction by (handle) PC.
-        if (d->isStoreKind)
+        if (si.isStore)
             d->depStoreSeq = ss.dispatchStore(d->pc, d->seq);
-        else if (d->isLoadKind)
+        else if (si.isLoad)
             d->depStoreSeq = ss.dispatchLoad(d->pc);
 
         d->dispatched = true;
@@ -463,9 +405,9 @@ Core::doDispatch()
         DynInst *depStore = d->depStoreSeq
             ? findInWindow(d->depStoreSeq) : nullptr;
         iq.insert(d, regs, depStore, now);
-        if (d->isLoadKind)
+        if (si.isLoad)
             lsq.insertLoad(d);
-        else if (d->isStoreKind)
+        else if (si.isStore)
             lsq.insertStore(d);
         fetchQueue.pop_front();
         ++moved;
@@ -497,11 +439,11 @@ Core::publishDest(DynInst *d, int effLat, Cycle value)
 bool
 Core::issueSingleton(DynInst *d, int ports)
 {
-    InsnClass cls = d->cls;
-    // Slot kind and effective latency are precomputed at fetch
-    // (pullOracle); read ports were gathered by the select loop.
-    FuKind slotKind = d->selFu;
-    int effLat = d->selLat;
+    // Slot kind and effective latency come from the static record;
+    // read ports were gathered by the select loop.
+    const StaticInst &si = *d->si;
+    FuKind slotKind = si.selFu;
+    int effLat = si.selLat;
 
     // Probe every resource before claiming any: a failed claim after
     // a successful one would waste slots and skew saturation points.
@@ -522,7 +464,7 @@ Core::issueSingleton(DynInst *d, int ports)
     d->issueAt = now;
     iq.markIssued(d);
 
-    switch (cls) {
+    switch (si.cls) {
       case InsnClass::Load:
         d->memExecAt = now + static_cast<Cycle>(cfg.regReadLat) + 1;
         publishDest(d, effLat, completion);   // optimistic (hit)
@@ -552,7 +494,8 @@ Core::issueSingleton(DynInst *d, int ports)
 bool
 Core::issueHandle(DynInst *d, int ports)
 {
-    const MgTemplate &t = *d->tmpl;
+    const StaticInst &si = *d->si;
+    const MgTemplate &t = *si.tmpl;
     const MgHeader &h = t.hdr;
 
     if (fu.readPortsFree() < ports)
@@ -623,7 +566,7 @@ Core::issueHandle(DynInst *d, int ports)
     publishDest(d, h.lat, outReady);
     d->completeAt = now + static_cast<Cycle>(cfg.regReadLat) +
         static_cast<Cycle>(h.totalLat);
-    if (d->isLoadKind || d->isStoreKind) {
+    if (si.isMem()) {
         int b = 0;
         int mi = t.memIdx();
         if (mi >= 0)
@@ -632,7 +575,7 @@ Core::issueHandle(DynInst *d, int ports)
             static_cast<Cycle>(b);
         pendingMem.push_back({d, d->seq});
     }
-    if (d->isCtrl)
+    if (si.isCtrl())
         d->resolveAt = d->completeAt;
     return true;
 }
@@ -718,8 +661,7 @@ Core::doIssue()
             }
             // Store-set ordering: loads (and ordered stores) wait for
             // their predicted store.
-            if ((d->isLoadKind || d->isStoreKind) &&
-                d->depStoreSeq != 0) {
+            if (d->si->isMem() && d->depStoreSeq != 0) {
                 DynInst *st = findInWindow(d->depStoreSeq);
                 if (st && !st->memDone) {
                     iq.requeueDepWait(d, st);
@@ -755,7 +697,7 @@ Core::executeLoad(DynInst *d)
     Cycle plannedData = d->memExecAt + cfg.mem.l1dLat;
 
     if (d->isHandle()) {
-        const MgTemplate &t = *d->tmpl;
+        const MgTemplate &t = *d->si->tmpl;
         int mi = t.memIdx();
         bool terminal = (mi == t.size() - 1);
         if (dataAt > plannedData) {
@@ -775,7 +717,7 @@ Core::executeLoad(DynInst *d)
                                   regs.valueAt(d->dstPhys) + shift);
                     iq.rewakeReg(d->dstPhys, regs, now);
                 }
-                if (d->isCtrl)
+                if (d->si->isCtrl())
                     d->resolveAt = d->completeAt;
                 seqs.tryStart(now, t.hdr.totalLat);   // replay walk
             } else {
@@ -788,7 +730,7 @@ Core::executeLoad(DynInst *d)
                                   dataAt);
                     iq.rewakeReg(d->dstPhys, regs, now);
                 }
-                if (d->isCtrl)
+                if (d->si->isCtrl())
                     d->resolveAt = d->completeAt;
             }
         }
@@ -865,7 +807,7 @@ Core::doMemAndResolve()
     for (const auto &[d, seq] : memOps) {
         if (d->seq != seq)
             continue;   // squashed (and possibly recycled) mid-loop
-        if (d->isLoadKind)
+        if (d->si->isLoad)
             executeLoad(d);
         else
             executeStore(d);
@@ -906,22 +848,21 @@ Core::traceRetire(const DynInst *d)
     e.issueD = delta(d->issueAt);
     e.completeD = delta(d->completeAt);
     e.commitD = delta(now);
-    e.memExecD = (d->isLoadKind || d->isStoreKind)
-        ? delta(d->memExecAt) : 0;
+    const StaticInst &si = *d->si;
+    e.memExecD = si.isMem() ? delta(d->memExecAt) : 0;
     e.srcDist[0] = src0;
     e.srcDist[1] = src1;
     e.depStoreDist = dep;
-    e.work = static_cast<std::uint16_t>(
-        std::min(d->work, 0xffff));
+    e.work = static_cast<std::uint16_t>(std::min(si.work, 0xffff));
     e.handleReplays = static_cast<std::uint16_t>(
         std::min(d->handleReplays, 0xffff));
     e.flags = static_cast<std::uint8_t>(
-        (d->isLoadKind ? TraceEvent::FlagLoad : 0) |
-        (d->isStoreKind ? TraceEvent::FlagStore : 0) |
-        (d->isCtrl ? TraceEvent::FlagCtrl : 0) |
-        (d->isHandle() ? TraceEvent::FlagHandle : 0) |
+        (si.isLoad ? TraceEvent::FlagLoad : 0) |
+        (si.isStore ? TraceEvent::FlagStore : 0) |
+        (si.isCtrl() ? TraceEvent::FlagCtrl : 0) |
+        (si.isHandle() ? TraceEvent::FlagHandle : 0) |
         (d->mispredicted ? TraceEvent::FlagMispredicted : 0) |
-        (d->isCtrl && d->rec.taken ? TraceEvent::FlagTaken : 0));
+        (si.isCtrl() && d->rec.taken ? TraceEvent::FlagTaken : 0));
 }
 
 void
@@ -930,10 +871,10 @@ Core::retire(DynInst *d)
     if (trace_)
         traceRetire(d);
     ++stats_.committedSlots;
-    stats_.committedWork += static_cast<std::uint64_t>(d->work);
+    stats_.committedWork += static_cast<std::uint64_t>(d->si->work);
     if (d->isHandle())
         ++stats_.committedHandles;
-    if (d->isStoreKind) {
+    if (d->si->isStore) {
         // The retiring store (or the mini-graph's one store queue
         // entry) drains to the data cache.
         mem.dataAccess(d->memAddr, true, now);
@@ -951,13 +892,12 @@ Core::doCommit()
     while (n < cfg.commitWidth && !rob.empty()) {
         DynInst *d = rob.head();
         bool done = d->issued && d->completeAt <= now &&
-            (!d->isLoadKind || d->memDone) &&
-            (!d->isStoreKind || d->memDone);
+            (!d->si->isMem() || d->memDone);
         if (!done)
             break;
         retire(d);
         rob.popHead();
-        if (d->isLoadKind || d->isStoreKind)
+        if (d->si->isMem())
             lsq.remove(d);
         // Handles hold their scheduler entry until the terminal bank;
         // both paths removed the entry at issue, so nothing to do.
@@ -1008,7 +948,7 @@ Core::squashFrom(std::uint64_t fromSeq)
     // Resetting *before* any push keeps stale references (this
     // cycle's memOps, wakeup records) detectably dead via seq 0.
     for (DynInst *d : replayScratch)
-        d->resetForReplay();
+        d->reset();
     // Both groups sit youngest-first in the scratch; pushing each to
     // the front youngest-first leaves its oldest entry frontmost.
     for (std::size_t i = nGone; i < replayScratch.size(); ++i)
@@ -1079,8 +1019,7 @@ Core::idleSkipTarget(std::uint64_t **stallCounter)
     if (!rob.empty()) {
         DynInst *h = rob.head();
         if (h->issued) {
-            bool memPending =
-                (h->isLoadKind || h->isStoreKind) && !h->memDone;
+            bool memPending = h->si->isMem() && !h->memDone;
             if (!memPending) {
                 if (h->completeAt <= now)
                     return 0;
@@ -1102,9 +1041,9 @@ Core::idleSkipTarget(std::uint64_t **stallCounter)
             *stallCounter = &stats_.robFullStalls;
         } else if (iq.full()) {
             *stallCounter = &stats_.iqFullStalls;
-        } else if ((f->isLoadKind || f->isStoreKind) && lsq.full()) {
+        } else if (f->si->isMem() && lsq.full()) {
             *stallCounter = &stats_.lsqFullStalls;
-        } else if (renameDstOf(f) != regNone && regs.freeCount() == 0) {
+        } else if (f->si->dst != regNone && regs.freeCount() == 0) {
             *stallCounter = &stats_.regFullStalls;
         } else {
             return 0;   // dispatch progresses now
@@ -1196,37 +1135,32 @@ Core::drainPipeline()
 }
 
 void
-Core::warmControl(const Instruction &in, const ExecRecord &rec)
+Core::warmControl(BranchKind kind, const ExecRecord &rec)
 {
     // Functional-warming mirror of predictControl's *training* effects:
     // same tables, same PCs, but no penalties and no stats.
-    InsnClass cls = rec.cls;
-    bool condLike = cls == InsnClass::CondBranch ||
-        (in.isHandle() && mgt &&
-         mgt->at(static_cast<MgId>(in.imm)).hdr.endsInBranch);
-    if (condLike) {
+    switch (kind) {
+      case BranchKind::Cond:
         bp.updateDirection(rec.pc, rec.taken);
         if (rec.taken)
             bp.updateTarget(rec.pc, rec.nextPc);
-        return;
-    }
-    switch (in.op) {
-      case Op::BSR:
+        break;
+      case BranchKind::Bsr:
         bp.pushReturn(rec.pc + insnBytes);
         [[fallthrough]];
-      case Op::BR:
+      case BranchKind::Br:
         bp.updateTarget(rec.pc, rec.nextPc);
         break;
-      case Op::RET:
+      case BranchKind::Ret:
         bp.popReturn();
         break;
-      case Op::JSR:
+      case BranchKind::Jsr:
         bp.pushReturn(rec.pc + insnBytes);
         [[fallthrough]];
-      case Op::JMP:
+      case BranchKind::Jmp:
         bp.updateTarget(rec.pc, rec.nextPc);
         break;
-      default:
+      case BranchKind::None:
         break;
     }
 }
@@ -1278,8 +1212,8 @@ Core::fastForward(std::uint64_t workTarget, double ipcEst)
                 }
             }
         }
-        if (rec.insn->isControl() || rec.insn->isHandle())
-            warmControl(*rec.insn, rec);
+        if (BranchKind k = staticAt(rec.pc).branch; k != BranchKind::None)
+            warmControl(k, rec);
     }
     ffGaps.emplace_back(work0, emu.dynWork());
     stats_.cycles = now;        // keep interval deltas pure-detailed

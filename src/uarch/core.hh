@@ -342,6 +342,8 @@ class Core
     const Program &prog;
     const MgTable *mgt;
     CoreConfig cfg;
+    /** One static record per text slot, decoded at construction. */
+    std::vector<StaticInst> statics_;
 
     Emulator emu;
     Hierarchy mem;
@@ -486,7 +488,7 @@ class Core
     void runDetailedUntil(std::uint64_t targetWork);
     void drainPipeline();
     bool pipelineEmpty() const;
-    void warmControl(const Instruction &in, const ExecRecord &rec);
+    void warmControl(BranchKind kind, const ExecRecord &rec);
 
     /**
      * Event-aware idle skipping: when the coming cycle provably does
@@ -503,7 +505,13 @@ class Core
     DynInst *pullOracle();
     void windowInsert(DynInst *d);
     DynInst *findInWindow(std::uint64_t seq) const;
-    RegId renameDstOf(const DynInst *d) const;
+    /** Static record of the text slot at @p pc (a PC the oracle
+     *  executed, so already validated). */
+    const StaticInst &
+    staticAt(Addr pc) const
+    {
+        return statics_[(pc - textBase) / insnBytes];
+    }
     void predictControl(DynInst *d);
     bool issueHandle(DynInst *d, int ports);
     bool issueSingleton(DynInst *d, int ports);

@@ -12,10 +12,14 @@
  * ROB + fetch-queue capacity — no per-instruction heap traffic and no
  * lazily-reclaimed arena tail.
  *
- * Field order is deliberate: the scheduling state the wakeup/select/
- * commit loops touch every cycle leads the struct (first cache lines);
- * the decode payload (insn, oracle record, waiter list) that is mostly
- * read once trails it.
+ * Everything that never varies between a slot's dynamic instances
+ * lives in a StaticInst, decoded once per text slot when the core is
+ * built; a DynInst points at its slot's record instead of copying the
+ * class, register roles, FU kind, latency, template and kind flags at
+ * every fetch. Field order is deliberate: the scheduling state the
+ * wakeup/select/commit loops touch every cycle leads the struct
+ * (first cache lines); the oracle record and waiter list, mostly read
+ * once, trail it.
  */
 
 #ifndef MG_UARCH_DYNINST_HH
@@ -28,7 +32,6 @@
 
 #include "common/types.hh"
 #include "emu/emulator.hh"
-#include "isa/instruction.hh"
 #include "mg/mgt.hh"
 
 namespace mg {
@@ -43,23 +46,59 @@ enum class IqState : std::uint8_t
     Ready,     ///< in the ready set, competing for issue slots
 };
 
+/** How fetch predicts, and fast-forward trains, a control slot. */
+enum class BranchKind : std::uint8_t
+{
+    None,   ///< not a control transfer
+    Cond,   ///< conditional branch, or a handle ending in one
+    Br,
+    Bsr,
+    Ret,
+    Jsr,
+    Jmp,
+};
+
+/**
+ * Static identity of one text slot, decoded once when the core is
+ * built (paper Sections 4-5: a handle's MGID fixes its template,
+ * interface registers and latency for every instance).
+ */
+struct StaticInst
+{
+    const MgTemplate *tmpl = nullptr;   ///< handles: the MGT entry
+    RegId src[2] = {regNone, regNone};  ///< Instruction::src(0/1)
+    RegId dst = regNone;                ///< renamed destination, or
+                                        ///< regNone (handles: only
+                                        ///< with a template output)
+    std::int16_t selLat = 1;            ///< singleton effective latency
+    int work = 1;                       ///< constituent instructions
+    InsnClass cls = InsnClass::Nop;
+    /** Singleton issue slot kind (IntMult ops compete for the grouped
+     *  integer slots, so they carry IntAlu). */
+    FuKind selFu = FuKind::IntAlu;
+    BranchKind branch = BranchKind::None;
+    bool isLoad = false;                ///< handles: template has a load
+    bool isStore = false;
+    /** A register field names one of DISE's dedicated registers,
+     *  which never reach renaming (expansion is a decode-stage
+     *  mechanism). */
+    bool namesDiseReg = false;
+
+    bool isHandle() const { return cls == InsnClass::Handle; }
+    bool isCtrl() const { return branch != BranchKind::None; }
+    bool isMem() const { return isLoad || isStore; }
+};
+
 /** One in-flight pipeline slot. */
 struct DynInst
 {
     // --- hot scheduling state (touched every cycle) ---
+    const StaticInst *si = nullptr; ///< this slot's static record
     std::uint64_t seq = 0;          ///< global age (1-based)
     PhysReg srcPhys[2] = {physNone, physNone};
     PhysReg dstPhys = physNone;
     PhysReg prevPhys = physNone;
     RegId archDst = regNone;
-    InsnClass cls = InsnClass::Nop; ///< predecoded opcode class
-    /** Singleton issue slot kind, precomputed at fetch (IntMult ops
-     *  compete for the grouped integer slots, so they carry IntAlu). */
-    FuKind selFu = FuKind::IntAlu;
-    std::int16_t selLat = 1;        ///< singleton effective latency
-    bool isLoadKind = false;
-    bool isStoreKind = false;
-    bool isCtrl = false;
     bool memDone = false;           ///< address resolved (stores: +data)
     bool mispredicted = false;      ///< blocks fetch until resolve
     bool dispatched = false;
@@ -83,10 +122,8 @@ struct DynInst
     std::uint64_t depStoreSeq = 0;  ///< store-sets predicted dependence
     Addr memAddr = 0;               ///< hot copy of rec.memAddr
     std::int32_t memBytes = 0;      ///< hot copy of rec.memBytes
-    int work = 1;                   ///< constituent instructions
     int handleReplays = 0;          ///< interior-load miss replays
     Addr pc = 0;
-    const MgTemplate *tmpl = nullptr;
 
     // --- trace capture (observational; see uarch/trace.hh) ---
     Cycle dispatchedAt = 0;         ///< cycle the slot left rename
@@ -95,25 +132,22 @@ struct DynInst
      *  Only maintained while a trace is attached. */
     std::uint64_t traceSrcSeq[2] = {0, 0};
 
-    // --- cold decode payload (written once per fetch) ---
-    Instruction insn;
+    // --- cold oracle payload (written once per fetch) ---
     ExecRecord rec;                 ///< oracle-observed effects
     /** Loads/stores predicted to depend on this store, woken when its
      *  access resolves. (ptr, seq) pairs; stale seqs are skipped. */
     std::vector<std::pair<DynInst *, std::uint64_t>> depWaiters;
 
-    /** Hot-path handle test: reads the predecoded class instead of
-     *  faulting in the cold insn cache line. */
-    bool isHandle() const { return cls == InsnClass::Handle; }
+    bool isHandle() const { return si->isHandle(); }
 
     /**
-     * Reset for re-fetch after a squash: keep the static identity
-     * (pc, insn, oracle record, template, work, kind flags) and clear
-     * every piece of pipeline state, exactly like the freshly-pulled
-     * copy the replay queue used to receive.
+     * Clear every piece of pipeline state. The slot's identity (pc,
+     * si, oracle record and its memAddr/memBytes copies) is kept: a
+     * squashed slot re-fetches with it, and fetch assigns it to a
+     * fresh slot before any use.
      */
     void
-    resetForReplay()
+    reset()
     {
         seq = 0;
         srcPhys[0] = srcPhys[1] = physNone;
@@ -135,20 +169,6 @@ struct DynInst
         iqWaits = 0;
         iqWakeAt = 0;
         depWaiters.clear();          // keeps capacity: allocation-free
-    }
-
-    /** Full reset for a fresh slot from the slab. pc/insn/cls/rec and
-     *  the memAddr/memBytes copies are NOT cleared: the fetch path
-     *  assigns them before any use. */
-    void
-    resetAll()
-    {
-        resetForReplay();
-        tmpl = nullptr;
-        work = 1;
-        isLoadKind = isStoreKind = isCtrl = false;
-        selFu = FuKind::IntAlu;
-        selLat = 1;
     }
 };
 
@@ -176,7 +196,7 @@ class DynInstSlab
             grow();
         DynInst *d = freeList.back();
         freeList.pop_back();
-        d->resetAll();
+        d->reset();
         ++live_;
         if (live_ > peakLive_)
             peakLive_ = live_;

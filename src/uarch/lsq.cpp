@@ -7,7 +7,7 @@ namespace mg {
 void
 Lsq::remove(DynInst *d)
 {
-    auto &q = d->isLoadKind ? loads : stores;
+    auto &q = d->si->isLoad ? loads : stores;
     if (!q.empty() && q.front() == d) {
         q.pop_front();
         return;

@@ -166,5 +166,31 @@ TEST(CoreStatsTest, StallCountersAreConsistent)
     EXPECT_GT(st.dcacheMisses, 0u);   // mcf is cache-hostile
 }
 
+TEST(CoreRename, DiseRegisterFailsOnlyWhenExecuted)
+{
+    // DISE's dedicated registers exist in the emulator only: expansion
+    // is a decode-stage mechanism, so no slot naming one may reach
+    // renaming. Like the emulator's bad-slot faults, the check fires
+    // only for a slot that executes, never for one behind a halt.
+    const Instruction halt{Op::HALT};
+    for (int k = 0; k < 4; ++k) {
+        const auto dise = static_cast<RegId>(numArchRegs + k);
+        for (const Instruction &in : {Instruction{Op::ADDQ, 1, dise, 3},
+                                      Instruction{Op::ADDQ, 1, 2, dise}}) {
+            Program ahead;
+            ahead.text = {in, halt};
+            EXPECT_EXIT(Core(ahead, nullptr, CoreConfig()).run(),
+                        ::testing::ExitedWithCode(1),
+                        "DISE register reached rename")
+                << in.disasm();
+
+            Program behind;
+            behind.text = {halt, in};
+            Core core(behind, nullptr, CoreConfig());
+            EXPECT_EQ(core.run().committedWork, 1u) << in.disasm();
+        }
+    }
+}
+
 } // namespace
 } // namespace mg

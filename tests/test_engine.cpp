@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <vector>
 
 #include "common/serial.hh"
@@ -174,11 +175,36 @@ TEST(Engine, UnknownFlagsAreFatal)
     EXPECT_EXIT(parseCli(3, const_cast<char **>(inject)),
                 ::testing::ExitedWithCode(1),
                 "unknown option '--fault-inject'");
+    const char *noShadow[] = {"bench", "--no-ss-shadow"};
+    EXPECT_EXIT(parseCli(2, const_cast<char **>(noShadow)),
+                ::testing::ExitedWithCode(1),
+                "unknown option '--no-ss-shadow'");
     // strtoull clamps an out-of-range count to ULLONG_MAX.
     const char *overflow[] = {"bench", "--sample-interval",
                               "99999999999999999999999"};
     EXPECT_EXIT(parseCli(3, const_cast<char **>(overflow)),
                 ::testing::ExitedWithCode(1), "bad --sample-interval");
+}
+
+TEST(Engine, MalformedJobCountsAreFatal)
+{
+    // Only parseCli runs here: no engine is built from these values,
+    // so no thread is started. An empty count used to mean "every
+    // hardware thread", and 2^32 + 2 used to truncate to 2.
+    for (const char *jobs : {"", "-1", "+2", "2x", "4294967298",
+                             "2147483648", "99999999999999999999999"}) {
+        const char *argv[] = {"bench", "--jobs", jobs};
+        EXPECT_EXIT(parseCli(3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(1), "bad --jobs value")
+            << '"' << jobs << '"';
+    }
+    const char *shortForm[] = {"bench", "-j", ""};
+    EXPECT_EXIT(parseCli(3, const_cast<char **>(shortForm)),
+                ::testing::ExitedWithCode(1), "bad -j value");
+    const char *max[] = {"bench", "--jobs", "2147483647"};
+    EXPECT_EQ(parseCli(3, const_cast<char **>(max)).jobs, INT_MAX);
+    const char *zero[] = {"bench", "-j", "0"};
+    EXPECT_EQ(parseCli(3, const_cast<char **>(zero)).jobs, 0);
 }
 
 TEST(Engine, OverflowingSamplingLengthsAreFatal)
@@ -232,7 +258,6 @@ TEST(Engine, SamplingSubFlagsWithoutAnIntervalAreFatal)
     const std::vector<std::vector<const char *>> lone = {
         {"bench", "--sample-period", "12000"},
         {"bench", "--warmup", "500"},
-        {"bench", "--no-ss-shadow"},
         {"bench", "--jobs", "2", "--warmup", "0"},
     };
     for (const auto &args : lone) {
@@ -245,15 +270,15 @@ TEST(Engine, SamplingSubFlagsWithoutAnIntervalAreFatal)
     }
     // --full overrides the sampling flags, so they stay accepted.
     const char *full[] = {"bench", "--full", "--warmup", "500",
-                          "--no-ss-shadow"};
-    CliOptions o = parseCli(5, const_cast<char **>(full));
+                          "--sample-period", "5000"};
+    CliOptions o = parseCli(6, const_cast<char **>(full));
     EXPECT_FALSE(o.samplingParams().enabled);
-    const char *sampled[] = {"bench", "--no-ss-shadow",
+    const char *sampled[] = {"bench", "--warmup", "500",
                              "--sample-interval", "1000"};
-    SamplingParams sp = parseCli(4, const_cast<char **>(sampled))
+    SamplingParams sp = parseCli(5, const_cast<char **>(sampled))
                             .samplingParams();
     EXPECT_TRUE(sp.enabled);
-    EXPECT_FALSE(sp.ssShadow);
+    EXPECT_EQ(sp.warmup, 500u);
 }
 
 TEST(Engine, MalformedWhatIfIsFatal)

@@ -146,10 +146,13 @@ DynInst
 memInst(std::uint64_t seq, Addr addr, int bytes, bool store,
         bool done = true)
 {
+    static const StaticInst loadRec{.cls = InsnClass::Load,
+                                    .isLoad = true};
+    static const StaticInst storeRec{.cls = InsnClass::Store,
+                                     .isStore = true};
     DynInst d;
     d.seq = seq;
-    d.isLoadKind = !store;
-    d.isStoreKind = store;
+    d.si = store ? &storeRec : &loadRec;
     d.memDone = done;
     d.rec.memAddr = addr;
     d.rec.memBytes = bytes;
