@@ -457,20 +457,6 @@ struct Walker
     }
 };
 
-/**
- * The forward walk over the held events: the pure model (when
- * @p Pure) recomputes every node time from the modeled edges under
- * @p base, and the what-if model (when @p WhatIf) re-derives it under
- * @p wp and adds the node's recorded residual — the recorded time
- * minus the max of its modeled in-edges over the recorded times under
- * @p base. The residual is positive where the machine was slower than
- * the modeled in-edges and negative where an edge over-predicts the
- * recorded time; re-applying it makes the unmodified configuration
- * reproduce the recorded times exactly. Residuals are computed in the
- * walk that applies them, and both models share one pass over the
- * ring. Each model's first-fetch-to-last-commit span lands in
- * @p modeled / @p whatIf.
- */
 /** forwardWalk over the @p n events @p t holds, oldest first, in a
  *  ring of capacity @p cap. */
 template <bool Pure, bool WhatIf, class Events>

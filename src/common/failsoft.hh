@@ -9,31 +9,60 @@
  * journal) latches its first unrecoverable error, warns exactly once,
  * and silently degrades to a no-op from then on.
  *
- * CellTimeout is what the timing loop throws when its cooperative
- * cancellation flag fires; the engine's per-cell failure domains
- * report it as a timed-out cell. Anything else that escapes a cell (a
- * bug that throws, an exhausted allocator) is a failure of that cell
- * alone. Both are reached only through a cell's own compute and
- * inputs.
+ * CellDeadline is a cell's own wall-clock budget, and CellTimeout is
+ * what a poll point in the timing loop or the functional pre-pass
+ * throws once that budget is spent; the engine's per-cell failure
+ * domains report it as a timed-out cell. Anything else that escapes a
+ * cell (a bug that throws, an exhausted allocator) is a failure of
+ * that cell alone. Both are reached only through a cell's own compute
+ * and inputs.
  */
 
 #ifndef MG_COMMON_FAILSOFT_HH
 #define MG_COMMON_FAILSOFT_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdarg>
 #include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 
 namespace mg {
 
-/** Thrown by a cancellation poll point once the cell's wall-clock
- *  deadline has fired. */
+/** Thrown by a deadline poll point once the cell's wall-clock
+ *  deadline has passed. */
 class CellTimeout : public std::runtime_error
 {
   public:
     using std::runtime_error::runtime_error;
+};
+
+/**
+ * A cell's wall-clock deadline: when the cell started and how many
+ * seconds it may run. The cell's run loops call check() every 1024
+ * (timing core) or 4096 (functional pre-pass) iterations, so the hot
+ * path pays a counter increment, not a clock read, per step. Elapsed
+ * time is compared as a double, so a timeout past what the clock can
+ * represent (1e30 s) simply never fires. Each cell owns its deadline;
+ * no other thread touches it.
+ */
+struct CellDeadline
+{
+    std::chrono::steady_clock::time_point start;
+    double seconds = 0;
+
+    /** Throw CellTimeout, naming @p where, once the deadline passed. */
+    void
+    check(const char *where) const
+    {
+        std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        if (elapsed.count() >= seconds)
+            throw CellTimeout(std::string("cell deadline exceeded (") +
+                              where + ")");
+    }
 };
 
 /**

@@ -97,8 +97,8 @@ parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
             const char *v = next(a, i);
             char *end = nullptr;
             double s = std::strtod(v, &end);
-            // strtod also takes "inf", "nan" and 1e30, which no
-            // deadline can mean.
+            // strtod also takes "inf" and "nan", which no deadline
+            // can mean; a finite 1e30 is accepted and never fires.
             if (!end || *end || !std::isfinite(s) || s < 0)
                 fatal("bad --cell-timeout-s value '%s'", v);
             opt.cellTimeoutS = s;

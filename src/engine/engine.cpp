@@ -1,9 +1,6 @@
 #include "engine/engine.hh"
 
 #include <chrono>
-#include <condition_variable>
-#include <map>
-#include <mutex>
 #include <thread>
 
 #include "common/failsoft.hh"
@@ -27,100 +24,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 } // namespace
 
-/**
- * One timer thread enforcing every in-flight cell's deadline.
- * arm() registers a cancel flag with a deadline; the thread sets the
- * flag once the deadline passes (the cell's poll points then throw
- * CellTimeout); disarm() withdraws it. Flags are only ever set under
- * the watchdog lock, so after disarm() returns the flag — typically a
- * worker's stack variable — is guaranteed untouched.
- */
-class DeadlineWatchdog
-{
-  public:
-    DeadlineWatchdog() : th_([this] { loop(); }) {}
-
-    ~DeadlineWatchdog()
-    {
-        {
-            std::lock_guard<std::mutex> g(mu_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        th_.join();
-    }
-
-    std::uint64_t
-    arm(std::atomic<bool> *flag, double seconds)
-    {
-        using Clock = std::chrono::steady_clock;
-        std::lock_guard<std::mutex> g(mu_);
-        std::uint64_t id = ++seq_;
-        // Saturate: a deadline the clock cannot represent never fires
-        // (converting it to ticks would overflow into the past). Half
-        // the headroom keeps the double-to-tick rounding clear of it.
-        Clock::time_point now = Clock::now();
-        double room =
-            std::chrono::duration<double>(Clock::time_point::max() - now)
-                .count();
-        Clock::time_point deadline =
-            seconds < room / 2
-                ? now + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(seconds))
-                : Clock::time_point::max();
-        armed_[id] = {deadline, flag};
-        cv_.notify_all();
-        return id;
-    }
-
-    void
-    disarm(std::uint64_t id)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        armed_.erase(id);
-    }
-
-  private:
-    struct Entry
-    {
-        std::chrono::steady_clock::time_point deadline;
-        std::atomic<bool> *flag;
-    };
-
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> g(mu_);
-        while (!stop_) {
-            if (armed_.empty()) {
-                cv_.wait(g);
-                continue;
-            }
-            auto next = armed_.begin()->second.deadline;
-            for (const auto &[id, e] : armed_)
-                next = std::min(next, e.deadline);
-            cv_.wait_until(g, next);
-            auto now = std::chrono::steady_clock::now();
-            for (auto it = armed_.begin(); it != armed_.end();) {
-                if (it->second.deadline <= now) {
-                    it->second.flag->store(true,
-                                           std::memory_order_relaxed);
-                    it = armed_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
-    }
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::map<std::uint64_t, Entry> armed_;
-    std::uint64_t seq_ = 0;
-    bool stop_ = false;
-    std::thread th_;   ///< last member: starts after the state above
-};
-
 ExperimentEngine::ExperimentEngine(int jobs)
 {
     if (jobs == 0) {
@@ -128,16 +31,6 @@ ExperimentEngine::ExperimentEngine(int jobs)
         jobs = hw ? static_cast<int>(hw) : 1;
     }
     jobs_ = jobs < 1 ? 1 : jobs;
-}
-
-ExperimentEngine::~ExperimentEngine() = default;
-
-void
-ExperimentEngine::setFaultPolicy(const FaultPolicy &p)
-{
-    policy_ = p;
-    if (policy_.cellTimeoutS > 0 && !watchdog_)
-        watchdog_ = std::make_unique<DeadlineWatchdog>();
 }
 
 std::shared_ptr<const BlockProfile>
@@ -170,7 +63,7 @@ ExperimentEngine::cell(const EngineWorkload &w, const SimConfig &cfg)
 
 TimedStats
 ExperimentEngine::cellTimed(const EngineWorkload &w, const SimConfig &cfg,
-                            const std::atomic<bool> *cancel)
+                            const CellDeadline *deadline)
 {
     std::string key = cellFingerprint(w.id, cfg);
     return *runs.get(key, [&]() -> TimedStats {
@@ -184,7 +77,7 @@ ExperimentEngine::cellTimed(const EngineWorkload &w, const SimConfig &cfg,
         }
         TimedStats ts;
         auto t0 = std::chrono::steady_clock::now();
-        ts.stats = runCell(*w.program, prep, cfg, w.setup, cancel,
+        ts.stats = runCell(*w.program, prep, cfg, w.setup, deadline,
                            &ts.critpath);
         ts.seconds = secondsSince(t0);
         return ts;
@@ -203,7 +96,7 @@ ExperimentEngine::storeFor(const SamplingParams &sp) const
 
 std::shared_ptr<const SampleSummary>
 ExperimentEngine::summary(const EngineWorkload &w, const SimConfig &cfg,
-                          const std::atomic<bool> *cancel)
+                          const CellDeadline *deadline)
 {
     // The summary depends on the executed binary, not on the machine:
     // key it by the workload plus a hash of what the emulator runs, so
@@ -237,7 +130,7 @@ ExperimentEngine::summary(const EngineWorkload &w, const SimConfig &cfg,
         }
         SampleSummary sum = collectSampleSummary(*prog, mgt, w.setup,
                                                  cfg.sampling,
-                                                 cfg.runBudget, cancel);
+                                                 cfg.runBudget, deadline);
         if (cs) {
             SerialWriter sw;
             serializeSampleSummary(sum, sw);
@@ -256,11 +149,11 @@ ExperimentEngine::cellSampled(const EngineWorkload &w, const SimConfig &cfg)
 TimedSampled
 ExperimentEngine::cellSampledTimed(const EngineWorkload &w,
                                    const SimConfig &cfg,
-                                   const std::atomic<bool> *cancel)
+                                   const CellDeadline *deadline)
 {
     std::string key = cellFingerprint(w.id, cfg);
     return *sampledRuns.get(key, [&]() -> TimedSampled {
-        auto sum = summary(w, cfg, cancel);
+        auto sum = summary(w, cfg, deadline);
         const PreparedMg *prep = nullptr;
         std::shared_ptr<const PreparedMg> hold;
         if (cfg.useMiniGraphs) {
@@ -281,7 +174,7 @@ ExperimentEngine::cellSampledTimed(const EngineWorkload &w,
         run.sampling.phaseSalt = fnv1a64(key.data(), key.size());
         auto t0 = std::chrono::steady_clock::now();
         SampledStats s = runCellSampled(*w.program, prep, run, w.setup,
-                                        *sum, client.get(), cancel);
+                                        *sum, client.get(), deadline);
         return {s, secondsSince(t0)};
     });
 }
@@ -289,7 +182,7 @@ ExperimentEngine::cellSampledTimed(const EngineWorkload &w,
 SweepCell
 ExperimentEngine::computeCell(const EngineWorkload &w,
                               const SweepColumn &col,
-                              const std::atomic<bool> *cancel)
+                              const CellDeadline *deadline)
 {
     SweepCell out;
     if (col.config.useMiniGraphs) {
@@ -302,7 +195,7 @@ ExperimentEngine::computeCell(const EngineWorkload &w,
     }
     if (col.timing) {
         if (col.config.sampling.enabled) {
-            TimedSampled ts = cellSampledTimed(w, col.config, cancel);
+            TimedSampled ts = cellSampledTimed(w, col.config, deadline);
             out.sampled = ts.stats;
             out.stats = out.sampled.est;
             out.sampledRun = true;
@@ -310,7 +203,7 @@ ExperimentEngine::computeCell(const EngineWorkload &w,
         } else {
             // The critical-path trace rides in this same run; sampled
             // cells above never trace.
-            TimedStats ts = cellTimed(w, col.config, cancel);
+            TimedStats ts = cellTimed(w, col.config, deadline);
             out.stats = ts.stats;
             out.critpath = ts.critpath;
             out.wallSeconds = ts.seconds;
@@ -328,18 +221,14 @@ ExperimentEngine::computeCell(const EngineWorkload &w,
 SweepCell
 ExperimentEngine::runOne(const EngineWorkload &w, const SweepColumn &col)
 {
-    // Per-cell deadline: the watchdog sets the flag, the timing loop /
-    // functional pre-pass polls it and throws CellTimeout. The flag
-    // lives on this frame; the watchdog never touches it after
-    // disarm() returns.
-    std::atomic<bool> cancelFlag{false};
-    const bool armed = watchdog_ && policy_.cellTimeoutS > 0;
-    std::uint64_t wdId = 0;
-    if (armed)
-        wdId = watchdog_->arm(&cancelFlag, policy_.cellTimeoutS);
+    // Per-cell deadline: the timing loop and the functional pre-pass
+    // check it themselves and throw CellTimeout once it has passed.
+    const CellDeadline deadline{std::chrono::steady_clock::now(),
+                                policy_.cellTimeoutS};
     SweepCell out;
     try {
-        out = computeCell(w, col, &cancelFlag);
+        out = computeCell(w, col,
+                          policy_.cellTimeoutS > 0 ? &deadline : nullptr);
     } catch (const CellTimeout &e) {
         out.outcome = CellOutcome::TimedOut;
         out.error = e.what();
@@ -350,8 +239,6 @@ ExperimentEngine::runOne(const EngineWorkload &w, const SweepColumn &col)
         out.outcome = CellOutcome::Failed;
         out.error = "unknown exception";
     }
-    if (armed)
-        watchdog_->disarm(wdId);
     return out;
 }
 

@@ -12,7 +12,9 @@
  * Each cell is its own failure domain: whatever its compute throws
  * (including a workload setup that throws, or a cell overrunning its
  * FaultPolicy deadline) becomes that cell's outcome, and every other
- * cell is unaffected. The engine has no other way to fail a cell.
+ * cell is unaffected. The engine has no other way to fail a cell. A
+ * cell checks its own deadline on the thread that runs it, so the
+ * only threads a sweep starts are ThreadPool::parallelFor's workers.
  *
  * Concurrency contract (audited across emu/uarch/mg): a cell touches
  * only its own Emulator/Core plus shared *const* artifacts; the only
@@ -25,7 +27,6 @@
 #ifndef MG_ENGINE_ENGINE_HH
 #define MG_ENGINE_ENGINE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -37,8 +38,6 @@
 #include "sim/simulator.hh"
 
 namespace mg {
-
-class DeadlineWatchdog;   // engine.cpp
 
 /** One unit of work a cell can run: a program plus its inputs. */
 struct EngineWorkload
@@ -98,10 +97,10 @@ struct TimedSampled
 struct FaultPolicy
 {
     /** Wall-clock deadline per cell in seconds; 0 disables, and one
-     *  past what the clock can represent never fires. Enforced
-     *  cooperatively: a watchdog thread sets the cell's cancel flag,
-     *  and the timing loop / functional pre-pass polls it and throws
-     *  CellTimeout. */
+     *  past what the clock can represent never fires. Enforced by
+     *  the cell itself: the timing loop and the functional pre-pass
+     *  check a CellDeadline every few thousand iterations and throw
+     *  CellTimeout once it has passed. */
     double cellTimeoutS = 0;
 };
 
@@ -128,8 +127,6 @@ class ExperimentEngine
      *         hardware threads. */
     explicit ExperimentEngine(int jobs = 1);
 
-    ~ExperimentEngine();
-
     /** Profile @p w (cached). */
     std::shared_ptr<const BlockProfile>
     profile(const EngineWorkload &w, std::uint64_t budget);
@@ -143,10 +140,10 @@ class ExperimentEngine
 
     /** cell() plus the wall-clock seconds its compute took and, when
      *  @p cfg sets critpath, the critical-path analysis of that same
-     *  run. A non-null @p cancel attaches the cell's deadline flag to
-     *  the compute (cache hits never consult it). */
+     *  run. A non-null @p deadline attaches the cell's deadline to the
+     *  compute (cache hits never consult it). */
     TimedStats cellTimed(const EngineWorkload &w, const SimConfig &cfg,
-                         const std::atomic<bool> *cancel = nullptr);
+                         const CellDeadline *deadline = nullptr);
 
     /**
      * Functional sample summary for the binary @p cfg executes on
@@ -156,16 +153,16 @@ class ExperimentEngine
      */
     std::shared_ptr<const SampleSummary>
     summary(const EngineWorkload &w, const SimConfig &cfg,
-            const std::atomic<bool> *cancel = nullptr);
+            const CellDeadline *deadline = nullptr);
 
     /** Sampled end-to-end timing of one cell (cached). */
     SampledStats cellSampled(const EngineWorkload &w, const SimConfig &cfg);
 
     /** cellSampled() plus the wall-clock seconds its compute took.
-     *  @p cancel as in cellTimed. */
+     *  @p deadline as in cellTimed. */
     TimedSampled cellSampledTimed(const EngineWorkload &w,
                                   const SimConfig &cfg,
-                                  const std::atomic<bool> *cancel =
+                                  const CellDeadline *deadline =
                                       nullptr);
 
     /**
@@ -184,8 +181,8 @@ class ExperimentEngine
     int jobs() const { return jobs_; }
     EngineCounters counters() const;
 
-    /** Install @p p (and start the deadline watchdog it needs). */
-    void setFaultPolicy(const FaultPolicy &p);
+    /** Install @p p. */
+    void setFaultPolicy(const FaultPolicy &p) { policy_ = p; }
 
     /** Journal sweeps under @p dir (one file per sweep spec); "" (the
      *  default) disables journaling. See engine/journal.hh. */
@@ -214,21 +211,20 @@ class ExperimentEngine
     }
 
   private:
-    /** One cell inside its failure domain: a watchdog-armed compute
+    /** One cell inside its failure domain: a deadline-checked compute
      *  and exception-to-outcome conversion. Never throws. */
     SweepCell runOne(const EngineWorkload &w, const SweepColumn &col);
 
     /** The cell's actual compute (the pre-fault-tolerance runOne
      *  body); throws on failure. */
     SweepCell computeCell(const EngineWorkload &w, const SweepColumn &col,
-                          const std::atomic<bool> *cancel);
+                          const CellDeadline *deadline);
 
     /** The store, when it should serve @p sp; else null. */
     CheckpointStore *storeFor(const SamplingParams &sp) const;
 
     int jobs_;
     FaultPolicy policy_;
-    std::unique_ptr<DeadlineWatchdog> watchdog_;
     std::string journalDir_;
     std::shared_ptr<CheckpointStore> store_;
     ArtifactCache<BlockProfile> profiles;

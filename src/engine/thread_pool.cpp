@@ -1,85 +1,13 @@
 #include "engine/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace mg {
-
-ThreadPool::ThreadPool(int threads)
-{
-    if (threads <= 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        threads = hw ? static_cast<int>(hw) : 1;
-    }
-    workers.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i)
-        workers.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> g(lock);
-        stopping = true;
-    }
-    wakeWorker.notify_all();
-    for (std::thread &w : workers)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::unique_lock<std::mutex> g(lock);
-        queue.push_back(std::move(task));
-        ++inFlight;
-    }
-    wakeWorker.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> g(lock);
-    idle.wait(g, [this] { return inFlight == 0; });
-    if (taskError) {
-        std::exception_ptr e = taskError;
-        taskError = nullptr;
-        std::rethrow_exception(e);
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> g(lock);
-            wakeWorker.wait(g,
-                            [this] { return stopping || !queue.empty(); });
-            if (queue.empty())
-                return;         // stopping and drained
-            task = std::move(queue.front());
-            queue.pop_front();
-        }
-        // A leaked exception must not unwind the worker thread
-        // (std::terminate) or silently vanish: capture the first one
-        // for wait() to rethrow and keep draining the queue.
-        try {
-            task();
-        } catch (...) {
-            std::unique_lock<std::mutex> g(lock);
-            if (!taskError)
-                taskError = std::current_exception();
-        }
-        {
-            std::unique_lock<std::mutex> g(lock);
-            if (--inFlight == 0)
-                idle.notify_all();
-        }
-    }
-}
 
 void
 ThreadPool::parallelFor(int jobs, std::size_t n,
@@ -108,20 +36,28 @@ ThreadPool::parallelFor(int jobs, std::size_t n,
         for (std::size_t i = 0; i < n; ++i)
             run(i);
     } else {
-        ThreadPool pool(static_cast<int>(
-            std::min<std::size_t>(static_cast<std::size_t>(jobs), n)));
         std::atomic<std::size_t> next{0};
-        for (int w = 0; w < pool.threads(); ++w) {
-            pool.submit([&] {
-                for (;;) {
-                    std::size_t i = next.fetch_add(1);
-                    if (i >= n)
-                        return;
-                    run(i);
-                }
-            });
+        auto drain = [&] {
+            for (std::size_t i; (i = next.fetch_add(1)) < n;)
+                run(i);
+        };
+        std::vector<std::thread> workers;
+        try {
+            std::size_t count =
+                std::min(static_cast<std::size_t>(jobs), n);
+            workers.reserve(count);
+            for (std::size_t t = 0; t < count; ++t)
+                workers.emplace_back(drain);
+        } catch (...) {
+            // A thread failed to start: hand out no further indices,
+            // join the workers that did start, and report the failure.
+            next.store(n);
+            for (std::thread &t : workers)
+                t.join();
+            throw;
         }
-        pool.wait();
+        for (std::thread &t : workers)
+            t.join();
     }
     if (err)
         std::rethrow_exception(err);

@@ -1,77 +1,43 @@
 /**
  * @file
- * Fixed-size worker pool for the experiment engine. Tasks are plain
- * closures; wait() blocks until every submitted task has finished, so
- * a sweep can scatter cells and then gather results deterministically
- * (results land in caller-owned slots indexed by cell, never in
- * submission-completion order).
+ * The experiment engine's one threading primitive: a parallel loop
+ * over cell indices. Results land in caller-owned slots indexed by
+ * cell, never in completion order, so a sweep scatters cells and
+ * gathers them deterministically.
  */
 
 #ifndef MG_ENGINE_THREAD_POOL_HH
 #define MG_ENGINE_THREAD_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace mg {
 
-/** A fixed set of workers draining one FIFO task queue. */
+/** Scope of parallelFor; holds no state and has no instances. */
 class ThreadPool
 {
   public:
-    /**
-     * @param threads worker count; 0 picks the hardware concurrency
-     *        (at least 1)
-     */
-    explicit ThreadPool(int threads = 0);
-
-    /** Drains the queue, then joins the workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue @p task for execution on some worker. A task that
-     *  throws does not kill its worker: the first escaped exception
-     *  is captured and rethrown by the next wait(). */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has completed, then rethrow
-     *  the first exception any task leaked (if one did). */
-    void wait();
-
-    int threads() const { return static_cast<int>(workers.size()); }
+    ThreadPool() = delete;
 
     /**
      * Run @p fn(0..n-1), spreading indices over @p jobs workers.
      * With jobs <= 1 (or n <= 1) everything runs on the calling
      * thread — the serial reference a parallel sweep must match.
+     * Otherwise exactly min(jobs, n) fresh threads claim indices from
+     * a shared counter while the caller waits to join them, so each
+     * call's per-thread state (thread_local trace rings) lives and
+     * dies with it.
+     *
      * A throwing index never aborts the loop: every index still runs,
      * and the exception from the lowest throwing index is rethrown on
      * the calling thread afterwards — identical behavior at every
-     * jobs count, regardless of thread schedule.
+     * jobs count, regardless of thread schedule. If a worker thread
+     * fails to start, the workers already started finish the index
+     * they hold and are joined, and the start failure is rethrown.
      */
     static void parallelFor(int jobs, std::size_t n,
                             const std::function<void(std::size_t)> &fn);
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers;
-    std::deque<std::function<void()>> queue;
-    std::mutex lock;
-    std::condition_variable wakeWorker;
-    std::condition_variable idle;
-    std::size_t inFlight = 0;
-    bool stopping = false;
-    /** First exception to escape a task; rethrown by wait(). */
-    std::exception_ptr taskError;
 };
 
 } // namespace mg

@@ -30,7 +30,7 @@ enum class CellOutcome : std::uint8_t
 {
     Ok = 0,         ///< stats are valid
     Failed = 1,     ///< permanent error (error holds the message)
-    TimedOut = 2,   ///< cancelled by the per-cell deadline watchdog
+    TimedOut = 2,   ///< ran past its own per-cell deadline
 };
 
 /** Stable lowercase name ("ok", "failed", "timed_out"). */

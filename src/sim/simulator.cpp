@@ -47,10 +47,11 @@ prepareMiniGraphs(const Program &prog, const BlockProfile &prof,
 CoreStats
 runCore(const Program &prog, const MgTable *mgt, const CoreConfig &coreCfg,
         const SetupFn &setup, std::uint64_t maxWork,
-        const std::atomic<bool> *cancel)
+        const CellDeadline *deadline, TraceBuffer *trace)
 {
     Core core(prog, mgt, coreCfg);
-    core.setCancel(cancel);
+    core.setCancel(deadline);
+    core.setTrace(trace);
     if (setup)
         setup(core.oracle());
     return core.run(maxWork);
@@ -58,7 +59,7 @@ runCore(const Program &prog, const MgTable *mgt, const CoreConfig &coreCfg,
 
 CoreStats
 runCell(const Program &prog, const PreparedMg *prep, const SimConfig &cfg,
-        const SetupFn &setup, const std::atomic<bool> *cancel,
+        const SetupFn &setup, const CellDeadline *deadline,
         CritPathSummary *critpath)
 {
     const Program *p = &prog;
@@ -68,18 +69,14 @@ runCell(const Program &prog, const PreparedMg *prep, const SimConfig &cfg,
         mgt = &prep->table;
     }
     if (!cfg.critpath || !critpath)
-        return runCore(*p, mgt, cfg.core, setup, cfg.runBudget, cancel);
-    Core core(*p, mgt, cfg.core);
-    core.setCancel(cancel);
+        return runCore(*p, mgt, cfg.core, setup, cfg.runBudget, deadline);
     // One ring per worker thread: a cell reuses the storage of the
     // cells before it instead of faulting in a fresh ring.
     thread_local TraceBuffer trace;
     trace.clear(cfg.traceDepth ? static_cast<std::size_t>(cfg.traceDepth)
                                : TraceBuffer::defaultCapacity);
-    core.setTrace(&trace);
-    if (setup)
-        setup(core.oracle());
-    CoreStats stats = core.run(cfg.runBudget);
+    CoreStats stats = runCore(*p, mgt, cfg.core, setup, cfg.runBudget,
+                              deadline, &trace);
     *critpath = analyzeCritPath(trace, cfg.core, cfg.whatIf);
     return stats;
 }
@@ -87,10 +84,10 @@ runCell(const Program &prog, const PreparedMg *prep, const SimConfig &cfg,
 CritPathSummary
 runCellTraced(const Program &prog, const PreparedMg *prep,
               const SimConfig &cfg, const SetupFn &setup,
-              const std::atomic<bool> *cancel)
+              const CellDeadline *deadline)
 {
     CritPathSummary s;
-    runCell(prog, prep, cfg, setup, cancel, &s);
+    runCell(prog, prep, cfg, setup, deadline, &s);
     return s;
 }
 
@@ -113,22 +110,19 @@ SampleSummary
 collectSampleSummary(const Program &prog, const MgTable *mgt,
                      const SetupFn &setup, const SamplingParams &sp,
                      std::uint64_t maxWork,
-                     const std::atomic<bool> *cancel)
+                     const CellDeadline *deadline)
 {
     Emulator emu(prog, mgt);
     if (setup)
         setup(emu);
 
     // The functional pre-pass can dominate a huge-tier cell's wall
-    // clock, so it honors the same cooperative deadline as the timing
-    // loops (one counter bump per instruction, an atomic load every
-    // 4096).
+    // clock, so it honors the same deadline as the timing loops (one
+    // counter bump per instruction, a clock read every 4096).
     std::uint64_t pollCtr = 0;
     auto pollCancel = [&] {
-        if (cancel && (++pollCtr & 4095) == 0 &&
-            cancel->load(std::memory_order_relaxed))
-            throw CellTimeout("cell deadline exceeded (functional "
-                              "pre-pass cancelled by watchdog)");
+        if (deadline && (++pollCtr & 4095) == 0)
+            deadline->check("functional pre-pass");
     };
 
     SampleSummary sum;
@@ -212,14 +206,14 @@ SampledStats
 runCellSampled(const Program &prog, const PreparedMg *prep,
                const SimConfig &cfg, const SetupFn &setup,
                const SampleSummary &sum, CellCheckpointClient *store,
-               const std::atomic<bool> *cancel)
+               const CellDeadline *deadline)
 {
     const Program &p = prep ? prep->program : prog;
     const MgTable *mgt = prep ? &prep->table : nullptr;
     const SamplingParams &sp = cfg.sampling;
     auto freshCore = [&]() {
         auto core = std::make_unique<Core>(p, mgt, cfg.core);
-        core->setCancel(cancel);
+        core->setCancel(deadline);
         if (setup)
             setup(core->oracle());
         return core;

@@ -8,7 +8,6 @@
 #ifndef MG_SIM_SIMULATOR_HH
 #define MG_SIM_SIMULATOR_HH
 
-#include <atomic>
 #include <functional>
 
 #include "analysis/critpath.hh"
@@ -43,13 +42,16 @@ PreparedMg prepareMiniGraphs(const Program &prog,
                              const MgtMachine &machine,
                              bool compress = false);
 
-/** Run the timing core over (@p prog, @p mgt). A non-null @p cancel
- *  attaches the engine's cooperative deadline flag (Core::setCancel);
- *  the run then throws CellTimeout once the flag fires. */
+/** Run the timing core over (@p prog, @p mgt). A non-null
+ *  @p deadline attaches the cell's wall-clock deadline
+ *  (Core::setCancel); the run then throws CellTimeout once it passes.
+ *  A non-null @p trace attaches a retired-event ring (Core::setTrace),
+ *  which leaves the returned stats unchanged. */
 CoreStats runCore(const Program &prog, const MgTable *mgt,
                   const CoreConfig &coreCfg, const SetupFn &setup,
                   std::uint64_t maxWork = ~0ull,
-                  const std::atomic<bool> *cancel = nullptr);
+                  const CellDeadline *deadline = nullptr,
+                  TraceBuffer *trace = nullptr);
 
 /**
  * The experiment engine's single-cell primitive: time one
@@ -58,7 +60,7 @@ CoreStats runCore(const Program &prog, const MgTable *mgt,
  * (@p prog, @p cfg) — its rewritten program and table are what run;
  * for a baseline config @p prep is null and @p prog runs unmodified.
  * Reads only const state, so concurrent cells may share @p prog and
- * @p prep freely. @p cancel as in runCore.
+ * @p prep freely. @p deadline as in runCore.
  *
  * When cfg.critpath is set and @p critpath is non-null, the same run
  * carries a retired-event trace ring (capacity cfg.traceDepth, 0 =
@@ -71,14 +73,14 @@ CoreStats runCore(const Program &prog, const MgTable *mgt,
  */
 CoreStats runCell(const Program &prog, const PreparedMg *prep,
                   const SimConfig &cfg, const SetupFn &setup,
-                  const std::atomic<bool> *cancel = nullptr,
+                  const CellDeadline *deadline = nullptr,
                   CritPathSummary *critpath = nullptr);
 
 /** runCell's critical-path summary alone (absent unless cfg.critpath
  *  is set). Kept for callers that want only the analysis. */
 CritPathSummary runCellTraced(const Program &prog, const PreparedMg *prep,
                               const SimConfig &cfg, const SetupFn &setup,
-                              const std::atomic<bool> *cancel = nullptr);
+                              const CellDeadline *deadline = nullptr);
 
 /**
  * Functional pre-pass for sampled cells: run the executed binary (the
@@ -93,7 +95,7 @@ SampleSummary collectSampleSummary(const Program &prog, const MgTable *mgt,
                                    const SetupFn &setup,
                                    const SamplingParams &sp,
                                    std::uint64_t maxWork = ~0ull,
-                                   const std::atomic<bool> *cancel =
+                                   const CellDeadline *deadline =
                                        nullptr);
 
 /**
@@ -162,7 +164,7 @@ SampledStats runCellSampled(const Program &prog, const PreparedMg *prep,
                             const SimConfig &cfg, const SetupFn &setup,
                             const SampleSummary &sum,
                             CellCheckpointClient *store = nullptr,
-                            const std::atomic<bool> *cancel = nullptr);
+                            const CellDeadline *deadline = nullptr);
 
 /** Append @p sum to @p w (the checkpoint store's summary record). */
 void serializeSampleSummary(const SampleSummary &sum, SerialWriter &w);

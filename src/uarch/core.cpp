@@ -1083,10 +1083,8 @@ Core::stepCycle()
 void
 Core::pollCancel()
 {
-    if (cancel_ && (++cancelPoll_ & cancelPollMask) == 0 &&
-        cancel_->load(std::memory_order_relaxed))
-        throw CellTimeout("cell deadline exceeded (timing loop "
-                          "cancelled by watchdog)");
+    if (deadline_ && (++cancelPoll_ & cancelPollMask) == 0)
+        deadline_->check("timing loop");
 }
 
 void

@@ -22,7 +22,6 @@
 #ifndef MG_UARCH_CORE_HH
 #define MG_UARCH_CORE_HH
 
-#include <atomic>
 #include <cmath>
 #include <deque>
 #include <unordered_map>
@@ -47,6 +46,8 @@
 #include "uarch/trace.hh"
 
 namespace mg {
+
+struct CellDeadline;   // common/failsoft.hh
 
 /** Machine configuration (defaults = the paper's baseline). */
 struct CoreConfig
@@ -298,14 +299,13 @@ class Core
     Emulator &oracle() { return emu; }
 
     /**
-     * Attach a cooperative cancellation flag (null detaches). The
-     * run loops poll it every few hundred iterations and throw
-     * CellTimeout once it reads true, abandoning the run — the
-     * engine's watchdog sets it when a cell's wall-clock deadline
-     * fires. A cancelled core is dead: the pipeline is mid-flight,
-     * so the caller must discard it rather than resume.
+     * Attach the cell's wall-clock deadline (null detaches). The run
+     * loops check it every 1024 iterations and throw CellTimeout once
+     * it has passed, abandoning the run. A cancelled core is dead:
+     * the pipeline is mid-flight, so the caller must discard it
+     * rather than resume.
      */
-    void setCancel(const std::atomic<bool> *c) { cancel_ = c; }
+    void setCancel(const CellDeadline *d) { deadline_ = d; }
 
     /**
      * Attach a retired-event trace ring (null detaches). Capture is
@@ -363,10 +363,10 @@ class Core
     CoreStats stats_;
     int fetchLineShift = -1;    ///< log2(l1i line) when a power of two
 
-    // Cooperative cancellation (per-cell deadlines). The flag is
-    // sampled every pollEvery loop iterations so the hot loop pays
-    // one counter increment, not an atomic load, per cycle.
-    const std::atomic<bool> *cancel_ = nullptr;
+    // Per-cell deadline, checked every cancelPollMask + 1 loop
+    // iterations so the hot loop pays one counter increment, not a
+    // clock read, per cycle.
+    const CellDeadline *deadline_ = nullptr;
     std::uint32_t cancelPoll_ = 0;
     static constexpr std::uint32_t cancelPollMask = 1023;
     void pollCancel();

@@ -14,10 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,16 +61,35 @@ constexpr int kJobs = 8;
 
 TEST(StressThreadPool, ParallelForSumsExactlyOnce)
 {
-    constexpr std::size_t n = 20000;
-    std::vector<std::uint8_t> hit(n, 0);
-    std::atomic<std::uint64_t> sum{0};
-    ThreadPool::parallelFor(kJobs, n, [&](std::size_t i) {
-        hit[i]++;   // distinct slots: racy only if indices collide
-        sum.fetch_add(i, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-    EXPECT_TRUE(std::all_of(hit.begin(), hit.end(),
-                            [](std::uint8_t h) { return h == 1; }));
+    const std::thread::id caller = std::this_thread::get_id();
+    // The thread layout is part of the contract: at most min(jobs, n)
+    // workers, never the caller, and jobs = 1 runs on the caller alone
+    // (per-thread trace rings and peak memory scale with it).
+    for (auto [jobs, n] : {std::pair<int, std::size_t>{kJobs, 20000},
+                           {kJobs, 3}, {1, 64}}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs) + " n " +
+                     std::to_string(n));
+        std::vector<std::uint8_t> hit(n, 0);
+        std::vector<std::thread::id> ran(n);
+        std::atomic<std::uint64_t> sum{0};
+        ThreadPool::parallelFor(jobs, n, [&](std::size_t i) {
+            hit[i]++;   // distinct slots: racy only if indices collide
+            ran[i] = std::this_thread::get_id();
+            sum.fetch_add(i, std::memory_order_relaxed);
+        });
+        EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+        EXPECT_TRUE(std::all_of(hit.begin(), hit.end(),
+                                [](std::uint8_t h) { return h == 1; }));
+
+        std::set<std::thread::id> ids(ran.begin(), ran.end());
+        if (jobs == 1) {
+            EXPECT_EQ(ids, std::set<std::thread::id>{caller});
+        } else {
+            EXPECT_LE(ids.size(),
+                      std::min(static_cast<std::size_t>(jobs), n));
+            EXPECT_EQ(ids.count(caller), 0u);
+        }
+    }
 }
 
 TEST(StressThreadPool, ThrowingIndicesStillRunEveryIndex)
@@ -86,19 +107,6 @@ TEST(StressThreadPool, ThrowingIndicesStillRunEveryIndex)
         EXPECT_STREQ(e.what(), "index 3");
     }
     EXPECT_EQ(ran.load(), n);
-}
-
-TEST(StressThreadPool, ReusedPoolAcrossWaves)
-{
-    ThreadPool pool(kJobs);
-    std::atomic<std::uint64_t> total{0};
-    for (int wave = 0; wave < 50; ++wave) {
-        for (int t = 0; t < 64; ++t)
-            pool.submit(
-                [&] { total.fetch_add(1, std::memory_order_relaxed); });
-        pool.wait();
-    }
-    EXPECT_EQ(total.load(), 50u * 64u);
 }
 
 TEST(StressArtifactCache, OncePerKeyUnderContention)

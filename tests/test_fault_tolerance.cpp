@@ -10,8 +10,8 @@
  *
  * Three layers, innermost out:
  *  - primitives: FailSoftGate latching, SweepCell serialization round
- *    trips, ThreadPool exception containment (a throwing task must
- *    not kill its worker or be silently swallowed);
+ *    trips, parallelFor exception containment (a throwing index must
+ *    not skip its neighbours or be silently swallowed);
  *  - per-cell failure domains: a failing or hung row costs exactly
  *    its own cells, and the sweep always completes;
  *  - the crash-safe journal: resume skips finished cells and
@@ -227,21 +227,6 @@ TEST(FailSoft, TruncatedCellRecordIsRejected)
     }
 }
 
-TEST(Pool, WaitRethrowsATaskExceptionAndPoolSurvives)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("task boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-
-    // The worker must survive the throw and the error must not stick:
-    // the pool keeps executing and the next wait() is clean.
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    EXPECT_NO_THROW(pool.wait());
-    EXPECT_EQ(ran.load(), 8);
-}
-
 TEST(Pool, ParallelForRunsEveryIndexAndRethrowsLowest)
 {
     for (int jobs : {1, 4}) {
@@ -315,21 +300,31 @@ TEST(FaultSweep, AllocFailureIsContained)
 
 TEST(FaultSweep, StallTimesOutUnderDeadline)
 {
-    // crc's setup hangs past the deadline; the timing loop's first
-    // cancellation poll after it then ends the cell. The deadline must
-    // be long enough that the healthy cells always finish inside it,
-    // including under TSan's ~10x slowdown.
-    SweepSpec spec = failingRow(testSpec(), "crc", [](Emulator &) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-    });
-    ExperimentEngine engine(2);
-    engine.setFaultPolicy(FaultPolicy{1.0});
-    SweepResult r = engine.sweep(spec);
+    // crc's setup hangs past the deadline; the first deadline poll
+    // after it then ends the cell: the timing loop's in a full run,
+    // the functional pre-pass's in a sampled one (--sample-interval
+    // 1000). The deadline must be long enough that the healthy cells
+    // always finish inside it, including under TSan's ~10x slowdown.
+    for (bool sampled : {false, true}) {
+        SCOPED_TRACE(sampled ? "sampled" : "full");
+        SweepSpec spec = failingRow(testSpec(), "crc", [](Emulator &) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+        });
+        for (SweepColumn &c : spec.columns)
+            c.config.sampling.enabled = sampled;
+        ExperimentEngine engine(2);
+        engine.setFaultPolicy(FaultPolicy{1.0});
+        SweepResult r = engine.sweep(spec);
 
-    for (std::size_t col = 0; col < r.columns.size(); ++col) {
-        EXPECT_EQ(r.at(0, col).outcome, CellOutcome::TimedOut);
-        EXPECT_FALSE(r.at(0, col).timed);
-        EXPECT_EQ(r.at(1, col).outcome, CellOutcome::Ok);
+        const char *site = sampled ? "functional pre-pass" : "timing loop";
+        for (std::size_t col = 0; col < r.columns.size(); ++col) {
+            EXPECT_EQ(r.at(0, col).outcome, CellOutcome::TimedOut);
+            EXPECT_NE(r.at(0, col).error.find(site), std::string::npos)
+                << r.at(0, col).error;
+            EXPECT_FALSE(r.at(0, col).timed);
+            EXPECT_EQ(r.at(1, col).outcome, CellOutcome::Ok);
+            EXPECT_EQ(r.at(1, col).sampledRun, sampled);
+        }
     }
 }
 

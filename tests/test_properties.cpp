@@ -115,12 +115,15 @@ TEST_P(PolicySweep, SelectionRespectsPolicyEverywhere)
                                      MgtMachine{});
     for (const auto &si : sel.instances) {
         EXPECT_LE(si.cand.size(), size);
-        if (!ext)
+        if (!ext) {
             EXPECT_FALSE(si.cand.externallySerial);
-        if (!inte)
+        }
+        if (!inte) {
             EXPECT_FALSE(si.cand.internallySerial);
-        if (!repl)
+        }
+        if (!repl) {
             EXPECT_FALSE(si.cand.interiorLoad);
+        }
     }
 }
 

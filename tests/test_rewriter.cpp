@@ -77,10 +77,12 @@ TEST(Rewriter, HandleEncodesInterface)
         const Instruction &h = rw.text[si.cand.anchor];
         ASSERT_TRUE(h.isHandle());
         EXPECT_EQ(h.imm, si.mgid);
-        if (!si.cand.inputs.empty())
+        if (!si.cand.inputs.empty()) {
             EXPECT_EQ(h.ra, si.cand.inputs[0]);
-        if (si.cand.output != regNone)
+        }
+        if (si.cand.output != regNone) {
             EXPECT_EQ(h.rc, si.cand.output);
+        }
     }
 }
 
@@ -112,8 +114,9 @@ TEST(Rewriter, CompressionRelinksBranchTargets)
     World w = prepare(loopSrc);
     RewriteResult rr = rewriteCompress(w.prog, w.sel, MgtMachine{});
     for (const Instruction &in : rr.program.text) {
-        if (in.cls() == InsnClass::CondBranch)
+        if (in.cls() == InsnClass::CondBranch) {
             EXPECT_TRUE(rr.program.validPc(static_cast<Addr>(in.imm)));
+        }
     }
     // Symbols move consistently.
     EXPECT_LE(rr.program.symbol("main"), w.prog.symbol("main"));

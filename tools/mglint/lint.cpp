@@ -150,8 +150,8 @@ scanFile(const std::string &path)
                 ++i;
                 continue;
             }
-            std::string close =
-                ")" + src.substr(i + 2, po - (i + 2)) + "\"";
+            std::string close = ")";
+            close.append(src, i + 2, po - (i + 2)).append("\"");
             std::size_t end = src.find(close, po + 1);
             end = end == std::string::npos ? n : end + close.size();
             line += static_cast<int>(
