@@ -4,15 +4,16 @@
  * assembly, the functional layers' single-thread rates (bare and
  * handle-bearing emulation, the sampling pre-pass, warm-through
  * fast-forward), enumeration + selection, cache access,
- * branch prediction, end-to-end cycle simulation rate, and the
- * experiment engine's artifact-cache and sweep paths. Useful when
- * tuning the infrastructure itself.
+ * branch prediction, end-to-end cycle simulation rate, critical-path
+ * analysis of a traced run, and the experiment engine's artifact-cache
+ * and sweep paths. Useful when tuning the infrastructure itself.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "analysis/critpath.hh"
 #include "assembler/assembler.hh"
 
 #include "sim/simulator.hh"
@@ -184,6 +185,30 @@ BM_CycleSimRateMiniGraph(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(work));
 }
 
+/** Critical-path analysis of one traced ref cell (gzip baseline, which
+ *  links producers 4096 or more events back): attribution, the forward
+ *  model and a what-if walk, without the simulation. Items are traced
+ *  events. */
+void
+BM_CritPathAnalyze(benchmark::State &state)
+{
+    BoundKernel bk = bindKernel(findKernel("gzip"));
+    CoreConfig cfg;
+    TraceBuffer trace;
+    Core core(*bk.program, nullptr, cfg);
+    core.setTrace(&trace);
+    bk.setup(core.oracle());
+    core.run();
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        CritPathSummary s =
+            analyzeCritPath(trace, cfg, "robsize=256,l1dlat=3");
+        benchmark::DoNotOptimize(s.whatIfCycles);
+        events += trace.size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+
 /** Sampled-cell rate against BM_CycleSimRate: the raw win of
  *  fast-forward + measurement intervals on one kernel. */
 void
@@ -333,6 +358,7 @@ BENCHMARK(BM_BranchPredict);
 BENCHMARK(BM_CycleSimRate);
 BENCHMARK(BM_CycleSimRateMiniGraph);
 BENCHMARK(BM_SampledSimRate)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_CritPathAnalyze);
 BENCHMARK(BM_WindowConflictReserve);
 BENCHMARK(BM_WindowConflictReserveUnpacked);
 BENCHMARK(BM_SelectStageDense);

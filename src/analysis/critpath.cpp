@@ -5,7 +5,9 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cstdint>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 namespace mg {
@@ -195,55 +197,98 @@ struct Recorded
     std::uint64_t i(std::size_t k) const { return t[k].issueAt(); }
     std::uint64_t x(std::size_t k) const { return t[k].completeAt(); }
     std::uint64_t c(std::size_t k) const { return t[k].commitAt(); }
+
+    /** Issue and completion of producer @p j, linked from @p dist
+     *  events later. */
+    std::pair<std::uint64_t, std::uint64_t>
+    link(std::size_t j, std::uint32_t) const
+    {
+        return {t[j].issueAt(), t[j].completeAt()};
+    }
 };
+
+/** Links shorter than this read a producer's modeled issue and
+ *  completion times from the forward walk's ring; longer ones (under
+ *  1% of links on the ref tier) from its side table of far producers.
+ *  A power of two. */
+constexpr std::size_t nearLinks = 4096;
 
 /** Storage of one forward walk's node times, kept per thread so a
  *  walk reuses the memory of the walks before it. */
 struct WalkBuf
 {
-    std::vector<std::uint64_t> ix;       ///< issue, complete per event
+    std::vector<std::uint64_t> ix;       ///< issue, complete ring
     std::vector<std::uint64_t> f, d, c;  ///< ring windows
+    std::vector<std::uint64_t> farIx;    ///< issue, complete per far
+                                         ///< producer
 };
 
 thread_local WalkBuf pureBuf, whatIfBuf;
 
 /**
- * Node times one forward walk computes. Producers read issue and
- * completion times back from anywhere in the window, so those are
- * full-length; fetch, dispatch and commit are only read back as far as
- * the widest width, queue or ROB, so they live in a power-of-two ring.
+ * Node times one forward walk computes, each in a power-of-two ring.
+ * Fetch, dispatch and commit are only read back as far as the widest
+ * width, queue or ROB. Issue and completion are read back by producer
+ * links: from a nearLinks-event ring when the link is shorter than
+ * that, and otherwise from a side table of the far producers (the
+ * sorted window indices some link reaches from nearLinks or more
+ * events later), which the walk fills as it passes them.
  */
 struct Modeled
 {
     std::uint64_t *ixp;
     std::uint64_t *fp, *dp, *cp;
+    std::uint64_t *farp;
     std::size_t mask;
+    const std::size_t *far, *farEnd;
 
-    /** Bind @p b to a walk over @p n events of a ring holding up to
-     *  @p cap, so the storage never moves between walks. */
-    Modeled(WalkBuf &b, std::size_t n, std::size_t cap, const Edges &e)
+    /** Bind @p b to a walk over @p n events with far producers
+     *  @p farIdx. */
+    Modeled(WalkBuf &b, std::size_t n,
+            const std::vector<std::size_t> &farIdx, const Edges &e)
     {
         std::size_t win = std::bit_ceil(std::min(e.reach, n) + 1);
-        if (b.ix.size() < 2 * n) {
-            b.ix.reserve(2 * cap);
-            b.ix.resize(2 * n);
-        }
         for (auto *v : {&b.f, &b.d, &b.c}) {
             if (v->size() < win)
                 v->resize(win);
         }
+        if (b.ix.size() < 2 * nearLinks)
+            b.ix.resize(2 * nearLinks);
+        if (b.farIx.size() < 2 * farIdx.size())
+            b.farIx.resize(2 * farIdx.size());
         ixp = b.ix.data();
         fp = b.f.data();
         dp = b.d.data();
         cp = b.c.data();
+        farp = b.farIx.data();
         mask = win - 1;
+        far = farIdx.data();
+        farEnd = far + farIdx.size();
     }
 
     std::uint64_t f(std::size_t k) const { return fp[k & mask]; }
     std::uint64_t d(std::size_t k) const { return dp[k & mask]; }
-    std::uint64_t i(std::size_t k) const { return ixp[2 * k]; }
-    std::uint64_t x(std::size_t k) const { return ixp[2 * k + 1]; }
+    std::uint64_t i(std::size_t k) const { return ixAt(k)[0]; }
+    std::uint64_t x(std::size_t k) const { return ixAt(k)[1]; }
     std::uint64_t c(std::size_t k) const { return cp[k & mask]; }
+
+    /** Issue and completion of producer @p j, linked from @p dist
+     *  events later: the only reads that can reach past the ring. */
+    std::pair<std::uint64_t, std::uint64_t>
+    link(std::size_t j, std::uint32_t dist) const
+    {
+        const std::uint64_t *p = dist < nearLinks ? ixAt(j) : farAt(j);
+        return {p[0], p[1]};
+    }
+
+    /** Keep event @p k's issue and completion as far producer
+     *  @p pos. */
+    void
+    keepFar(std::size_t pos, std::size_t k)
+    {
+        farp[2 * pos] = i(k);
+        farp[2 * pos + 1] = x(k);
+    }
 
     template <Stage St>
     void
@@ -254,11 +299,24 @@ struct Modeled
         else if constexpr (St == StD)
             dp[k & mask] = t;
         else if constexpr (St == StI)
-            ixp[2 * k] = t;
+            ixAt(k)[0] = t;
         else if constexpr (St == StX)
-            ixp[2 * k + 1] = t;
+            ixAt(k)[1] = t;
         else
             cp[k & mask] = t;
+    }
+
+  private:
+    std::uint64_t *ixAt(std::size_t k) const
+    {
+        return ixp + 2 * (k & (nearLinks - 1));
+    }
+
+    /** Far producer @p j's entry; j is always on the far list. */
+    const std::uint64_t *
+    farAt(std::size_t j) const
+    {
+        return farp + 2 * (std::lower_bound(far, farEnd, j) - far);
     }
 };
 
@@ -342,10 +400,10 @@ forEachCand(const Events &t, const Edges &w, const Times &tm,
             std::size_t j = k - dist;
             // Producer value-ready: completion minus the register-read
             // overlap, floored at the scheduler's wakeup latency.
-            std::uint64_t xj = tm.x(j);
+            auto [ij, xj] = tm.link(j, dist);
             std::uint64_t ready = std::max(
                 xj > w.regReadLat ? xj - w.regReadLat : 0,
-                tm.i(j) + w.sched);
+                ij + w.sched);
             add(static_cast<std::uint32_t>(j), StI, ready,
                 prodCat(t[j]));
         };
@@ -355,8 +413,8 @@ forEachCand(const Events &t, const Edges &w, const Times &tm,
             // Store-set order: the consumer waits for the predicted
             // store's memory access to resolve.
             std::size_t j = k - e.depStoreDist;
-            add(static_cast<std::uint32_t>(j), StI, tm.x(j) + 1,
-                CpCat::memory);
+            add(static_cast<std::uint32_t>(j), StI,
+                tm.link(j, e.depStoreDist).second + 1, CpCat::memory);
         }
     } else if constexpr (St == StX) {
         // Execution latency, re-weighted for loads under an L1-D
@@ -420,6 +478,8 @@ struct Walker
     Events t;
     Edges bw, ww;       ///< traced and what-if weights
     Modeled pm, wm;     ///< pure-model and what-if times
+    const std::size_t *nextFar;  ///< next far producer to keep
+    std::size_t farK;            ///< its window index
 
     template <Stage St, bool C>
     [[gnu::always_inline]] void
@@ -454,21 +514,29 @@ struct Walker
         node<StI, C>(k, e.issueAt());
         node<StX, C>(k, e.completeAt());
         node<StC, C>(k, e.commitAt());
+        if (k == farK) [[unlikely]] {
+            std::size_t pos = static_cast<std::size_t>(nextFar - pm.far);
+            if constexpr (Pure)
+                pm.keepFar(pos, k);
+            if constexpr (WhatIf)
+                wm.keepFar(pos, k);
+            farK = *++nextFar;
+        }
     }
 };
 
-/** forwardWalk over the @p n events @p t holds, oldest first, in a
- *  ring of capacity @p cap. */
+/** forwardWalk over the @p n events @p t holds, oldest first. */
 template <bool Pure, bool WhatIf, class Events>
 void
-walkEvents(const Events &t, std::size_t n, std::size_t cap,
-           const CpParams &base, const CpParams &wp,
-           std::uint64_t *modeled, std::uint64_t *whatIf)
+walkEvents(const Events &t, std::size_t n,
+           const std::vector<std::size_t> &far, const CpParams &base,
+           const CpParams &wp, std::uint64_t *modeled,
+           std::uint64_t *whatIf)
 {
     const Edges bw(base), ww(wp);
     Walker<Pure, WhatIf, Events> w{
-        t, bw, ww, Modeled(pureBuf, Pure ? n : 0, cap, bw),
-        Modeled(whatIfBuf, WhatIf ? n : 0, cap, ww)};
+        t, bw, ww, Modeled(pureBuf, Pure ? n : 0, far, bw),
+        Modeled(whatIfBuf, WhatIf ? n : 0, far, ww), far.data(), far[0]};
     // Past the longest look-back (the steady state) the look-back
     // tests are compiled out.
     const std::size_t steady = std::min(n, std::max(bw.reach, ww.reach));
@@ -501,19 +569,19 @@ walkEvents(const Events &t, std::size_t n, std::size_t cap,
  */
 template <bool Pure, bool WhatIf>
 void
-forwardWalk(const TraceBuffer &trace, const CpParams &base,
-            const CpParams &wp, std::uint64_t *modeled,
-            std::uint64_t *whatIf)
+forwardWalk(const TraceBuffer &trace, const std::vector<std::size_t> &far,
+            const CpParams &base, const CpParams &wp,
+            std::uint64_t *modeled, std::uint64_t *whatIf)
 {
     // A window that does not wrap around the storage is walked as a
     // plain array, with no wrap test on every read.
     const TraceBuffer::View v = trace.view();
     if (const TraceEvent *events = v.contiguous())
-        walkEvents<Pure, WhatIf>(events, trace.size(), trace.capacity(),
-                                 base, wp, modeled, whatIf);
+        walkEvents<Pure, WhatIf>(events, trace.size(), far, base, wp,
+                                 modeled, whatIf);
     else
-        walkEvents<Pure, WhatIf>(v, trace.size(), trace.capacity(), base,
-                                 wp, modeled, whatIf);
+        walkEvents<Pure, WhatIf>(v, trace.size(), far, base, wp, modeled,
+                                 whatIf);
 }
 
 } // namespace
@@ -524,6 +592,10 @@ struct CritPathAnalyzer::Impl
     CpParams base;
     CritPathSummary sum;
     bool modeled = false;   ///< sum.modeledCycles is computed
+    /** Window indices of the producers some link reaches from
+     *  nearLinks or more events later, ascending, then a sentinel
+     *  above every index. */
+    std::vector<std::size_t> far;
 
     Impl(const TraceBuffer &t, const CoreConfig &cfg)
         : trace(t), base(CpParams::fromConfig(cfg))
@@ -541,10 +613,29 @@ CritPathAnalyzer::CritPathAnalyzer(const TraceBuffer &trace,
         return;
     s.present = true;
     s.tracedSlots = n;
-    for (std::size_t k = 0; k < n; ++k)
-        s.tracedWork += trace.at(k).work;
-    s.traceWrapped = trace.wrapped();
     Recorded<TraceBuffer::View> rec{trace.view()};
+    // Producers some link reaches from nearLinks or more events later.
+    std::vector<std::size_t> &far = impl->far;
+    std::uint64_t work = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        const TraceEvent &e = rec.t[k];
+        work += e.work;
+        // nearLinks is a power of two, so the OR of the three links
+        // reaches it iff one of them does.
+        if ((e.srcDist[0] | e.srcDist[1] | e.depStoreDist) >= nearLinks)
+            [[unlikely]] {
+            for (std::uint32_t dist :
+                 {e.srcDist[0], e.srcDist[1], e.depStoreDist}) {
+                if (dist >= nearLinks && dist <= k)
+                    far.push_back(k - dist);
+            }
+        }
+    }
+    s.tracedWork = work;
+    std::sort(far.begin(), far.end());
+    far.erase(std::unique(far.begin(), far.end()), far.end());
+    far.push_back(SIZE_MAX);
+    s.traceWrapped = trace.wrapped();
     s.actualCycles = rec.c(n - 1) - rec.f(0);
 
     const Edges edges(impl->base);
@@ -564,9 +655,11 @@ CritPathAnalyzer::CritPathAnalyzer(const TraceBuffer &trace,
         bool haveBest = false;
         Cand best{};
         std::uint64_t bestCont = 0;
+        // Inlined by force: left to the inliner's budget, this sink can
+        // become a call per candidate.
         forEachCandOf(rec.t, edges, rec, cur,
                       [&](std::uint32_t ci, Stage cs, std::uint64_t time,
-                          CpCat cat) {
+                          CpCat cat) __attribute__((always_inline)) {
                           std::uint64_t contAt = timeAt(rec, Node{ci, cs});
                           if (contAt > here)
                               return;
@@ -589,7 +682,7 @@ CritPathAnalyzer::summary() const
 {
     Impl &im = *impl;
     if (im.sum.present && !im.modeled) {
-        forwardWalk<true, false>(im.trace, im.base, im.base,
+        forwardWalk<true, false>(im.trace, im.far, im.base, im.base,
                                  &im.sum.modeledCycles, nullptr);
         im.modeled = true;
     }
@@ -621,10 +714,10 @@ CritPathAnalyzer::whatIf(const std::string &spec, std::string *err)
     // in the same pass.
     std::uint64_t cycles = 0;
     if (im.modeled) {
-        forwardWalk<false, true>(im.trace, im.base, wp, nullptr,
+        forwardWalk<false, true>(im.trace, im.far, im.base, wp, nullptr,
                                  &cycles);
     } else {
-        forwardWalk<true, true>(im.trace, im.base, wp,
+        forwardWalk<true, true>(im.trace, im.far, im.base, wp,
                                 &im.sum.modeledCycles, &cycles);
         im.modeled = true;
     }

@@ -147,7 +147,8 @@ Core::windowInsert(DynInst *d)
             window_.swap(bigger);
             windowMask = n - 1;
             clean = true;
-            for (DynInst *r : rob) {
+            for (int i = 0; i < rob.size(); ++i) {
+                DynInst *r = rob.at(i);
                 DynInst *&s = window_[r->seq & windowMask];
                 if (s && s->inWindow && s->seq != r->seq) {
                     clean = false;
@@ -371,27 +372,6 @@ Core::doDispatch()
         }
 
         d->dispatchedAt = now;
-        if (trace_) {
-            // Observational producer tracking: the writer table maps
-            // physical registers to the seq that last renamed them, so
-            // the retired trace carries register dependence edges. A
-            // squashed producer's entry is simply overwritten when the
-            // register is reallocated; it never retires, and the trace
-            // drops links whose producer seq is absent.
-            for (int s = 0; s < 2; ++s) {
-                PhysReg p = d->srcPhys[s];
-                d->traceSrcSeq[s] =
-                    p != physNone &&
-                        static_cast<std::size_t>(p) < physWriterSeq_.size()
-                    ? physWriterSeq_[p]
-                    : 0;
-            }
-            if (d->dstPhys != physNone &&
-                static_cast<std::size_t>(d->dstPhys) <
-                    physWriterSeq_.size())
-                physWriterSeq_[d->dstPhys] = d->seq;
-        }
-
         // Memory dependence prediction by (handle) PC.
         if (si.isStore)
             d->depStoreSeq = ss.dispatchStore(d->pc, d->seq);
@@ -838,11 +818,18 @@ Core::traceRetire(const DynInst *d)
     };
     // Filled in place: a record built on the stack and copied into
     // the ring stalls on store forwarding.
-    TraceEvent &e = trace_->push(d->seq);
+    TraceEvent &e = trace_->push();
     // Producers retired before this slot, so their links resolve now.
-    std::uint32_t src0 = trace_->distanceTo(d->traceSrcSeq[0]);
-    std::uint32_t src1 = trace_->distanceTo(d->traceSrcSeq[1]);
-    std::uint32_t dep = trace_->distanceTo(d->depStoreSeq);
+    // A source's producer is its register's last retired writer: the
+    // register stays allocated until the next writer of its
+    // architectural register commits, and that writer is younger than
+    // this slot.
+    auto srcLink = [&](PhysReg p) {
+        return p == physNone ? 0u : trace_->linkBack(physStamp_[p]);
+    };
+    std::uint32_t src0 = srcLink(d->srcPhys[0]);
+    std::uint32_t src1 = srcLink(d->srcPhys[1]);
+    std::uint32_t dep = trace_->storeLink(d->depStoreSeq);
     e.fetchAt = d->fetchAt;
     e.dispatchD = delta(d->dispatchedAt);
     e.issueD = delta(d->issueAt);
@@ -863,6 +850,10 @@ Core::traceRetire(const DynInst *d)
         (si.isHandle() ? TraceEvent::FlagHandle : 0) |
         (d->mispredicted ? TraceEvent::FlagMispredicted : 0) |
         (si.isCtrl() && d->rec.taken ? TraceEvent::FlagTaken : 0));
+    if (d->dstPhys != physNone)
+        physStamp_[d->dstPhys] = trace_->totalPushed();
+    if (si.isStore)
+        trace_->noteStore(d->seq);
 }
 
 void

@@ -23,7 +23,6 @@
 #define MG_UARCH_CORE_HH
 
 #include <cmath>
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -313,17 +312,15 @@ class Core
      * copied into @p t at retirement, with each dependence resolved
      * there to a link back to its retired producer, so an attached
      * trace never changes stats() — the determinism contract the
-     * critical-path analyzer relies on. Attach before run(); the
-     * producer-tracking table it enables is maintained from the next
-     * dispatch on.
+     * critical-path analyzer relies on. Attach a freshly cleared ring
+     * before run().
      */
     void
     setTrace(TraceBuffer *t)
     {
         trace_ = t;
-        if (t && physWriterSeq_.empty())
-            physWriterSeq_.assign(
-                static_cast<std::size_t>(cfg.physRegs), 0);
+        physStamp_.assign(
+            t ? static_cast<std::size_t>(cfg.physRegs) : 0, 0);
     }
 
     /** Free physical registers (rename-resource checks in tests). */
@@ -372,11 +369,11 @@ class Core
     void pollCancel();
 
     // Retired-event trace capture (observational; null = off). The
-    // phys-writer table maps each physical register to the seq of the
-    // in-flight slot that produces it, giving the trace its register
-    // dependence edges without touching the rename map's hot path.
+    // stamp table maps each physical register to the trace stamp of
+    // its last retired writer (0 = none), giving the trace its
+    // register dependence edges without touching the rename path.
     TraceBuffer *trace_ = nullptr;
-    std::vector<std::uint64_t> physWriterSeq_;
+    std::vector<std::uint64_t> physStamp_;
     void traceRetire(const DynInst *d);
 
     // Allocation-free instruction lifecycle: every DynInst lives in

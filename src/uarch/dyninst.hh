@@ -127,10 +127,6 @@ struct DynInst
 
     // --- trace capture (observational; see uarch/trace.hh) ---
     Cycle dispatchedAt = 0;         ///< cycle the slot left rename
-    /** Producer seqs of the renamed sources, sampled at dispatch from
-     *  the core's phys-writer table (0 = value already architectural).
-     *  Only maintained while a trace is attached. */
-    std::uint64_t traceSrcSeq[2] = {0, 0};
 
     // --- cold oracle payload (written once per fetch) ---
     ExecRecord rec;                 ///< oracle-observed effects
@@ -160,7 +156,6 @@ struct DynInst
         resolveAt = 0;
         fetchAt = dispatchReadyAt = issueAt = completeAt = 0;
         dispatchedAt = 0;
-        traceSrcSeq[0] = traceSrcSeq[1] = 0;
         dispatched = issued = inWindow = false;
         handleReplays = 0;
         iqPrev = iqNext = nullptr;

@@ -1,11 +1,12 @@
 /**
  * @file
- * Fixed-capacity power-of-two ring deque for pointers. The core's
- * fetch and replay queues are bounded by machine capacities and sit on
- * the per-instruction hot path, where std::deque's segment bookkeeping
- * is measurable; this ring does O(1) branch-light pushes and pops at
- * both ends, and doubles (rarely, defensively) if a sizing assumption
- * is ever violated.
+ * Power-of-two ring deque for small copyable values. The core's
+ * reorder buffer and its fetch and replay queues are bounded by
+ * machine capacities and sit on the per-instruction hot path, where
+ * std::deque's segment bookkeeping is measurable; this ring does O(1)
+ * branch-light pushes and pops at both ends, and doubles when full:
+ * for those queues only if a sizing assumption is ever violated, for
+ * the trace's retired-store ring (uarch/trace.hh) as the trace grows.
  */
 
 #ifndef MG_UARCH_RING_HH
@@ -53,6 +54,8 @@ class RingDeque
 
     T front() const { return buf[head]; }
     T back() const { return buf[(tail - 1) & mask]; }
+    /** The @p i-th element from the front, i < size(). */
+    T at(std::size_t i) const { return buf[(head + i) & mask]; }
 
     void pop_front() { head = (head + 1) & mask; }
     void pop_back() { tail = (tail - 1) & mask; }

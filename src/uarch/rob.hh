@@ -9,10 +9,10 @@
 #define MG_UARCH_ROB_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "uarch/dyninst.hh"
+#include "uarch/ring.hh"
 
 namespace mg {
 
@@ -20,9 +20,12 @@ namespace mg {
 class Rob
 {
   public:
-    explicit Rob(int capacity) : cap(capacity) {}
+    explicit Rob(int capacity)
+        : cap(capacity), q(static_cast<std::size_t>(capacity))
+    {
+    }
 
-    bool full() const { return static_cast<int>(q.size()) >= cap; }
+    bool full() const { return size() >= cap; }
     bool empty() const { return q.empty(); }
     int size() const { return static_cast<int>(q.size()); }
     int capacity() const { return cap; }
@@ -33,19 +36,18 @@ class Rob
 
     void popHead() { q.pop_front(); }
 
+    /** The @p i-th oldest entry, i < size(). */
+    DynInst *at(int i) const { return q.at(static_cast<std::size_t>(i)); }
+
     /**
      * Remove every entry with seq >= @p fromSeq, youngest first.
      * @return the removed entries in removal (youngest-first) order
      */
     std::vector<DynInst *> squashFrom(std::uint64_t fromSeq);
 
-    /** Iteration support (age order). */
-    auto begin() { return q.begin(); }
-    auto end() { return q.end(); }
-
   private:
     int cap;
-    std::deque<DynInst *> q;
+    RingDeque<DynInst *> q;
 };
 
 } // namespace mg

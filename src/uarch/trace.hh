@@ -9,9 +9,11 @@
  * run (stats stay bit-identical with tracing on or off). Dependence
  * links are resolved as slots retire, in the style of an incremental
  * dependence-graph builder: each producer is a backward distance in
- * events, found in O(1) through a seq -> event table the ring keeps
- * beside its records. Events go into a caller-owned ring whose memory
- * is touched only as events arrive and is kept across clear(), so a
+ * events from its push stamp. The core keeps each physical register's
+ * last retired writer's stamp; store-set producers, named by seq, are
+ * found in a small seq-ordered ring of the retired stores the trace
+ * still holds. Events go into a caller-owned ring whose memory is
+ * touched only as events arrive and is kept across clear(), so a
  * reused ring stops faulting in memory once it has held its largest
  * trace. Once the ring wraps, the oldest events are overwritten and
  * the analyzer sees the most recent window.
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "uarch/ring.hh"
 
 namespace mg {
 
@@ -88,13 +91,16 @@ static_assert(sizeof(TraceEvent) == 48, "trace records stay compact");
  * Ring of retired events. The ring keeps the @e newest `capacity()`
  * events and counts everything ever pushed, so consumers can tell a
  * complete trace (totalPushed() == size()) from a wrapped window.
+ * Events are stamped 1, 2, ... in push order since the last clear():
+ * an event's stamp is totalPushed() just after its push.
  */
 class TraceBuffer
 {
   public:
-    /** Default ring capacity: ~256k events (~12 MB when full) keeps
-     *  every ref- and long-tier kernel complete while bounding
-     *  huge-tier runs. */
+    /** Default ring capacity: 2^18 events (12 MB when full). Most
+     *  ref-tier kernels fit whole, but twolf and reed baseline fill it
+     *  and wrap, and so does every long-tier cell; those are analyzed
+     *  over their newest 2^18 events. Huge-tier runs stay bounded. */
     static constexpr std::size_t defaultCapacity = 1u << 18;
 
     explicit TraceBuffer(std::size_t capacity = defaultCapacity)
@@ -102,24 +108,11 @@ class TraceBuffer
         clear(capacity);
     }
 
-    /** Append a record for the slot retired as @p seq and return it,
-     *  default-initialized, for the caller to fill in place.
-     *  Retirement is in program order, so seqs must strictly
-     *  increase. */
+    /** Append a record for the next retired slot and return it,
+     *  default-initialized, for the caller to fill in place. */
     TraceEvent &
-    push(std::uint64_t seq)
+    push()
     {
-        // Claim every seq since the last push: skipped ones were
-        // squashed and read as absent (0), not as whatever an earlier
-        // seq left in their slot. Entries at or above keepFrom belong
-        // to events still held after this push; evicting one would
-        // lose its links, so the table grows first.
-        std::uint64_t keepFrom =
-            stamp0 + 1 + (head + 1 > cap ? head + 1 - cap : 0);
-        for (std::uint64_t s = head ? lastSeq + 1 : seq; s < seq; ++s)
-            claimSeq(s, 0, keepFrom);
-        claimSeq(seq, stamp0 + head + 1, keepFrom);
-        lastSeq = seq;
         ++head;
         if (buf.size() < cap)
             return buf.emplace_back();
@@ -132,25 +125,56 @@ class TraceBuffer
     }
 
     /**
-     * Distance from the newest event back to the held event retired
-     * as @p seq: the value for the newest event's links. 0 when
-     * @p seq is 0, never retired (squashed), or is no longer held.
+     * Distance from the newest event back to the event stamped
+     * @p stamp: the value for the newest event's links. 0 when
+     * @p stamp is 0 (no producer) or that event is no longer held.
      */
     std::uint32_t
-    distanceTo(std::uint64_t seq) const
+    linkBack(std::uint64_t stamp) const
     {
         // Branch-free: whether an operand has a producer at all varies
-        // slot by slot. A masked read is always in bounds, and the
-        // answer only counts when 0 < seq <= lastSeq lies inside the
-        // table's span, its entry was written by this trace and not
-        // for a squashed seq (st > stamp0), and it is held
-        // (dist < cap).
-        std::uint64_t st = stampOfSeq[seq & seqMask];
-        std::uint64_t dist = stamp0 + head - st;
-        bool held = (seq != 0) & (lastSeq - seq < stampOfSeq.size()) &
-            (st > stamp0) & (dist < cap);
+        // slot by slot.
+        std::uint64_t dist = head - stamp;
+        bool held = (stamp != 0) & (dist < cap);
         return static_cast<std::uint32_t>(dist) &
             (0u - static_cast<std::uint32_t>(held));
+    }
+
+    /** Record that the newest event retired the store @p seq. Stores
+     *  retire in program order, so seqs must strictly increase. */
+    void
+    noteStore(std::uint64_t seq)
+    {
+        // Stores whose events fell off the ring can never be linked.
+        while (!stores.empty() && head - stores.front().stamp >= cap)
+            stores.pop_front();
+        stores.push_back({seq, head});
+    }
+
+    /**
+     * Distance from the newest event back to the held store retired
+     * as @p seq (see noteStore). 0 when @p seq is 0, never retired as
+     * a store (squashed), or is no longer held.
+     */
+    std::uint32_t
+    storeLink(std::uint64_t seq) const
+    {
+        // Most slots have no store-set link; the rest binary-search the
+        // seq-ordered ring, rare enough to cost nothing measurable.
+        if (seq == 0)
+            return 0;
+        std::size_t lo = 0, hi = stores.size();
+        while (lo < hi) {
+            std::size_t mid = lo + (hi - lo) / 2;
+            if (stores.at(mid).seq < seq)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo == stores.size())
+            return 0;
+        StoreRec r = stores.at(lo);
+        return r.seq == seq ? linkBack(r.stamp) : 0;
     }
 
     /** Events currently held (<= capacity). */
@@ -217,12 +241,8 @@ class TraceBuffer
         // pages are only touched, and counted, as events arrive.
         buf.reserve(cap);
         oldest = 0;
-        stamp0 += head;
         head = 0;
-        if (stampOfSeq.empty()) {
-            stampOfSeq.assign(4096, 0);
-            seqMask = stampOfSeq.size() - 1;
-        }
+        stores.clear();
     }
 
   private:
@@ -231,42 +251,14 @@ class TraceBuffer
     std::size_t oldest = 0;        ///< oldest event's slot once full
     std::uint64_t head = 0;        ///< events pushed since clear()
 
-    // Seq -> event table: the slot of seq s holds 1 + the stamp of the
-    // event retired as s, or 0 when s was squashed. Stamps count
-    // pushes across clear()s, so entries at or below stamp0 belong to
-    // an earlier trace and read as absent without refilling the table.
-    // The table always covers every seq from the oldest held event's
-    // to lastSeq, doubling when a claim would evict a held event, so
-    // lookups stay exact however the ring wraps.
-    std::vector<std::uint64_t> stampOfSeq;
-    std::uint64_t seqMask = 0;
-    std::uint64_t lastSeq = 0;     ///< newest seq claimed
-    std::uint64_t stamp0 = 0;      ///< pushes before this trace
-
-    void
-    claimSeq(std::uint64_t s, std::uint64_t v, std::uint64_t keepFrom)
+    /** A retired store: its seq and its event's stamp. */
+    struct StoreRec
     {
-        if (stampOfSeq[s & seqMask] >= keepFrom)
-            growSeqTable(s - 1);
-        stampOfSeq[s & seqMask] = v;
-    }
-
-    /** Double the seq table, keeping the entries of the seqs up to
-     *  @p newest it covers. Out of line: it runs a few times per
-     *  ring, and inlined it slows every push. */
-    [[gnu::noinline, gnu::cold]] void
-    growSeqTable(std::uint64_t newest)
-    {
-        std::vector<std::uint64_t> grown(stampOfSeq.size() * 2, 0);
-        std::uint64_t mask = grown.size() - 1;
-        for (std::uint64_t i = 0; i < stampOfSeq.size() && i < newest;
-             ++i) {
-            std::uint64_t s = newest - i;
-            grown[s & mask] = stampOfSeq[s & seqMask];
-        }
-        stampOfSeq.swap(grown);
-        seqMask = mask;
-    }
+        std::uint64_t seq, stamp;
+    };
+    /** The retired stores whose events may still be held, oldest
+     *  first. */
+    RingDeque<StoreRec> stores{256};
 };
 
 } // namespace mg

@@ -18,7 +18,7 @@
  *    the recorded count on a pinned ref-kernel set; the what-if walk
  *    must reproduce the recorded count exactly under an identity spec
  *    and respond monotonically to widening/narrowing. A golden pins
- *    every summary field on three kernels across ring shapes.
+ *    every summary field on four kernels across ring shapes.
  */
 
 #include <gtest/gtest.h>
@@ -73,11 +73,11 @@ breakdownSum(const CritPathSummary &s)
 // Trace ring.
 // ------------------------------------------------------------------
 
-/** Push an event tagged (via fetchAt) with its own seq. */
+/** Push an event tagged (via fetchAt) with @p tag. */
 void
-pushTagged(TraceBuffer &tb, std::uint64_t seq)
+pushTagged(TraceBuffer &tb, std::uint64_t tag)
 {
-    tb.push(seq).fetchAt = seq;
+    tb.push().fetchAt = tag;
 }
 
 TEST(TraceRing, KeepsNewestEventsOldestFirst)
@@ -117,15 +117,12 @@ TEST(TraceRing, FullButNotWrappedAtExactCapacity)
     EXPECT_FALSE(tb.wrapped());
     for (std::size_t i = 0; i < 4; ++i)
         EXPECT_EQ(tb.at(i).fetchAt, 1 + i);
-    // The oldest event is still linkable, and drops off with the next
-    // push.
-    EXPECT_EQ(tb.distanceTo(1), 3u);
-    EXPECT_EQ(tb.distanceTo(4), 0u);   // the newest links to no one
+    // The oldest event drops off with the next push.
     pushTagged(tb, 5);
     EXPECT_TRUE(tb.wrapped());
-    EXPECT_EQ(tb.at(0).fetchAt, 2u);
-    EXPECT_EQ(tb.distanceTo(1), 0u);
-    EXPECT_EQ(tb.distanceTo(2), 3u);
+    EXPECT_EQ(tb.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(tb.at(i).fetchAt, 2 + i);
 }
 
 TEST(TraceRing, ReuseAfterClearWithADifferentCapacity)
@@ -135,22 +132,19 @@ TEST(TraceRing, ReuseAfterClearWithADifferentCapacity)
         pushTagged(tb, s);
     ASSERT_TRUE(tb.wrapped());
 
-    // Shrink: the new trace starts empty, holds 3, and never links
-    // into the old trace's seqs, even where they repeat.
+    // Shrink: the new trace starts empty and holds 3.
     tb.clear(3);
     EXPECT_EQ(tb.capacity(), 3u);
     EXPECT_EQ(tb.size(), 0u);
-    EXPECT_EQ(tb.distanceTo(20), 0u);
+    EXPECT_EQ(tb.totalPushed(), 0u);
+    EXPECT_FALSE(tb.wrapped());
     for (std::uint64_t s = 15; s <= 19; ++s)
         pushTagged(tb, s);
     EXPECT_EQ(tb.size(), 3u);
+    EXPECT_EQ(tb.totalPushed(), 5u);
     EXPECT_TRUE(tb.wrapped());
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_EQ(tb.at(i).fetchAt, 17 + i);
-    EXPECT_EQ(tb.distanceTo(18), 1u);
-    EXPECT_EQ(tb.distanceTo(17), 2u);
-    EXPECT_EQ(tb.distanceTo(16), 0u);   // dropped off the ring
-    EXPECT_EQ(tb.distanceTo(20), 0u);   // the old trace's seq
 
     // Grow past the old capacity: nothing wraps until 16 are held.
     tb.clear(16);
@@ -159,36 +153,71 @@ TEST(TraceRing, ReuseAfterClearWithADifferentCapacity)
     EXPECT_FALSE(tb.wrapped());
     for (std::size_t i = 0; i < 16; ++i)
         EXPECT_EQ(tb.at(i).fetchAt, 1 + i);
-    EXPECT_EQ(tb.distanceTo(5), 11u);
+    pushTagged(tb, 17);
+    EXPECT_TRUE(tb.wrapped());
+    EXPECT_EQ(tb.at(0).fetchAt, 2u);
 }
 
-TEST(TraceRing, LinksSkipSquashedSeqsAndSurviveTableGrowth)
+TEST(TraceRing, WrapsAroundTheStorageManyTimes)
 {
-    // Seqs skipped between pushes were squashed and never link; held
-    // events link at their exact backward distance, however far the
-    // seqs spread and however often the ring wraps.
+    // Many laps of a ring whose capacity is not a power of two: the
+    // held window is always the newest events, oldest first.
     TraceBuffer tb(3000);
-    std::vector<std::uint64_t> seqs;
-    std::uint64_t seq = 0;
-    for (int k = 0; k < 10000; ++k) {
-        std::uint64_t prev = seq;
-        seq += 1 + static_cast<std::uint64_t>((k * 7919) % 13);
-        pushTagged(tb, seq);
-        seqs.push_back(seq);
-        if (k == 0)
-            continue;
-        // Link to a pseudo-random earlier event, and to the seq just
-        // before this one, squashed unless it is the previous event.
-        std::size_t back = 1 + static_cast<std::size_t>(
-            (k * 104729) % std::min(k, 3500));
-        EXPECT_EQ(tb.distanceTo(seqs[seqs.size() - 1 - back]),
-                  back < 3000 ? back : 0)
-            << "event " << k;
-        EXPECT_EQ(tb.distanceTo(seq - 1), seq - 1 == prev ? 1u : 0u)
-            << "event " << k;
+    for (std::uint64_t s = 1; s <= 10000; ++s) {
+        pushTagged(tb, s);
+        std::size_t held =
+            static_cast<std::size_t>(std::min<std::uint64_t>(s, 3000));
+        ASSERT_EQ(tb.size(), held);
+        EXPECT_EQ(tb.at(0).fetchAt, s + 1 - held) << "push " << s;
+        EXPECT_EQ(tb.at(held - 1).fetchAt, s) << "push " << s;
     }
-    EXPECT_EQ(tb.distanceTo(0), 0u);
-    EXPECT_EQ(tb.distanceTo(seq + 1), 0u);
+    EXPECT_TRUE(tb.wrapped());
+    EXPECT_EQ(tb.totalPushed(), 10000u);
+    for (std::size_t i = 0; i < 3000; ++i)
+        EXPECT_EQ(tb.at(i).fetchAt, 7001 + i);
+}
+
+TEST(TraceRing, LinksReachOnlyHeldEvents)
+{
+    // linkBack turns a push stamp (totalPushed() just after the push)
+    // into a backward distance; storeLink does the same for a store
+    // noted by seq. Seqs never pushed (squashed), never noted (not a
+    // store) or whose events fell off the ring give no link.
+    TraceBuffer tb(8);
+    EXPECT_EQ(tb.linkBack(0), 0u);
+    for (std::uint64_t seq = 1; seq <= 40; ++seq) {
+        if (seq % 3 == 0)
+            continue;                  // squashed
+        tb.push();
+        if (seq % 2 == 0)
+            tb.noteStore(seq);         // even seqs are stores
+    }
+    ASSERT_EQ(tb.totalPushed(), 27u);  // seq 40 is stamp 27
+    EXPECT_EQ(tb.linkBack(26), 1u);
+    EXPECT_EQ(tb.linkBack(20), 7u);
+    EXPECT_EQ(tb.linkBack(19), 0u);    // dropped off the ring
+    EXPECT_EQ(tb.storeLink(38), 1u);   // stamp 26
+    EXPECT_EQ(tb.storeLink(34), 4u);   // stamp 23
+    EXPECT_EQ(tb.storeLink(32), 5u);   // stamp 22
+    EXPECT_EQ(tb.storeLink(28), 0u);   // stamp 19: dropped
+    EXPECT_EQ(tb.storeLink(36), 0u);   // squashed
+    EXPECT_EQ(tb.storeLink(37), 0u);   // not a store
+    EXPECT_EQ(tb.storeLink(0), 0u);
+    EXPECT_EQ(tb.storeLink(42), 0u);   // never retired
+
+    // The store ring grows past its initial size and stays exact, and
+    // a cleared trace forgets its stores.
+    tb.clear(600);
+    for (std::uint64_t i = 1; i <= 1000; ++i) {
+        tb.push();
+        tb.noteStore(2 * i);
+    }
+    for (std::uint64_t d = 1; d < 700; ++d)
+        EXPECT_EQ(tb.storeLink(2 * (1000 - d)), d < 600 ? d : 0u)
+            << "distance " << d;
+    tb.clear();
+    tb.push();
+    EXPECT_EQ(tb.storeLink(1998), 0u);
 }
 
 TEST(TraceRing, ZeroCapacityDegradesToOne)
@@ -648,12 +677,15 @@ TEST(CritPathWhatIf, TwoAnalyzersOnOneThreadStayIndependent)
 
 // ------------------------------------------------------------------
 // Golden: the analyzer's exact outputs on pinned kernels, under both
-// machine shapes, over a complete ring, a wrapped one, and one exactly
-// as long as the trace. A change to how the trace is captured or
-// walked must not move a single cycle.
+// machine shapes, over a complete ring, a wrapped one, one exactly as
+// long as the trace, and one between the forward walks' 4096-event
+// window and the trace length. gzip and crc link producers 4096 or
+// more events back; sha squashes and links loads to stores through
+// the store sets. A change to how the trace is captured or walked must
+// not move a single cycle.
 // ------------------------------------------------------------------
 
-enum class Ring { Default, Wrapped, Exact };
+enum class Ring { Default, Wrapped, Exact, Mid };
 
 struct GoldenCell
 {
@@ -703,12 +735,40 @@ const GoldenCell goldenCells[] = {
      {701, 95, 0, 0, 4, 0, 257, 3, 0}},
     {"adpcm.dec", true, Ring::Exact, 51008u, 89710u, false, 25849u, 25494u, 25806u,
      {20494, 2558, 2374, 0, 7, 0, 403, 12, 1}},
+    {"gzip", false, Ring::Mid, 6000u, 6000u, true, 2386u, 2375u, 2386u,
+     {1986, 7, 239, 2, 2, 3, 147, 0, 0}},
+    {"gzip", true, Ring::Mid, 6000u, 11235u, true, 2771u, 2795u, 2609u,
+     {1703, 46, 121, 20, 21, 0, 741, 98, 21}},
+    {"crc", false, Ring::Mid, 6000u, 6000u, true, 4890u, 4612u, 5076u,
+     {20, 0, 4401, 1, 200, 0, 268, 0, 0}},
+    {"crc", true, Ring::Mid, 6000u, 13196u, true, 14024u, 13818u, 16422u,
+     {47, 0, 0, 0, 0, 0, 11409, 2568, 0}},
+    {"adpcm.dec", false, Ring::Mid, 6000u, 6000u, true, 2370u, 2359u, 2368u,
+     {1957, 103, 8, 3, 1, 6, 292, 0, 0}},
+    {"adpcm.dec", true, Ring::Mid, 6000u, 10572u, true, 3054u, 3012u, 3071u,
+     {2263, 289, 238, 0, 4, 0, 257, 3, 0}},
+    {"sha", false, Ring::Default, 118710u, 118710u, false, 56430u, 58295u, 56936u,
+     {30697, 0, 25727, 1, 2, 0, 3, 0, 0}},
+    {"sha", false, Ring::Wrapped, 2048u, 2048u, true, 708u, 697u, 708u,
+     {702, 0, 0, 1, 2, 0, 3, 0, 0}},
+    {"sha", false, Ring::Exact, 118710u, 118710u, false, 56430u, 58295u, 56936u,
+     {30697, 0, 25727, 1, 2, 0, 3, 0, 0}},
+    {"sha", false, Ring::Mid, 6000u, 6000u, true, 2691u, 2714u, 2706u,
+     {1509, 0, 1176, 1, 2, 0, 3, 0, 0}},
+    {"sha", true, Ring::Default, 59918u, 118710u, false, 83247u, 85788u, 89127u,
+     {2838, 2, 79295, 1, 151, 0, 660, 300, 0}},
+    {"sha", true, Ring::Wrapped, 2048u, 4029u, true, 2755u, 2734u, 2972u,
+     {65, 0, 1578, 1, 151, 0, 660, 300, 0}},
+    {"sha", true, Ring::Exact, 59918u, 118710u, false, 83247u, 85788u, 89127u,
+     {2838, 2, 79295, 1, 151, 0, 660, 300, 0}},
+    {"sha", true, Ring::Mid, 6000u, 11829u, true, 7976u, 8177u, 8521u,
+     {199, 0, 6665, 1, 151, 0, 660, 300, 0}},
 };
 
 TEST(CritPathGolden, ExactSummariesAcrossRingShapes)
 {
     const char *spec = "robsize=256,l1dlat=3";
-    for (const char *name : {"gzip", "crc", "adpcm.dec"}) {
+    for (const char *name : {"gzip", "crc", "adpcm.dec", "sha"}) {
         BoundKernel bk = bindKernel(findKernel(name));
         for (SimConfig cfg :
              {SimConfig::baseline(), SimConfig::intMemMg()}) {
@@ -723,7 +783,8 @@ TEST(CritPathGolden, ExactSummariesAcrossRingShapes)
                 prep = &prepStore;
             }
             CoreStats plain = runCell(*bk.program, prep, cfg, bk.setup);
-            for (Ring ring : {Ring::Default, Ring::Wrapped, Ring::Exact}) {
+            for (Ring ring :
+                 {Ring::Default, Ring::Wrapped, Ring::Exact, Ring::Mid}) {
                 const GoldenCell *g = nullptr;
                 for (const GoldenCell &c : goldenCells) {
                     if (std::string(c.kernel) == name &&
@@ -736,6 +797,7 @@ TEST(CritPathGolden, ExactSummariesAcrossRingShapes)
                 c.whatIf = spec;
                 c.traceDepth = ring == Ring::Default ? 0
                     : ring == Ring::Wrapped          ? 2048
+                    : ring == Ring::Mid              ? 6000
                                                      : plain.committedSlots;
                 CritPathSummary s;
                 runCell(*bk.program, prep, c, bk.setup, nullptr, &s);

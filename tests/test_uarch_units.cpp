@@ -75,6 +75,7 @@ TEST(RobTest, FifoAndSquash)
     rob.push(&c);
     EXPECT_EQ(rob.size(), 3);
     EXPECT_EQ(rob.head(), &a);
+    EXPECT_EQ(rob.at(1), &b);   // age order
     auto gone = rob.squashFrom(2);
     ASSERT_EQ(gone.size(), 2u);
     EXPECT_EQ(gone[0], &c);     // youngest first
