@@ -5,8 +5,8 @@
  *
  * FailSoftGate is the warn-once fail-soft pattern the checkpoint
  * store introduced, promoted to a reusable helper: a component that
- * must never fail the simulation (an on-disk cache, the sweep
- * journal) latches its first unrecoverable error, warns exactly once,
+ * must never fail the simulation (the on-disk checkpoint store)
+ * latches its first unrecoverable error, warns exactly once,
  * and silently degrades to a no-op from then on.
  *
  * CellDeadline is a cell's own wall-clock budget, and CellTimeout is

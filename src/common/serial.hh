@@ -1,7 +1,7 @@
 /**
  * @file
- * Minimal binary serialization for the checkpoint store and the sweep
- * journal: fixed-width little-endian primitives appended to a byte
+ * Minimal binary serialization for the checkpoint store: fixed-width
+ * little-endian primitives appended to a byte
  * vector, and a bounds-checked reader with an error latch. Both copy
  * whole words, never single bytes in a loop. Readers never throw and
  * never read past the end: the first malformed field
@@ -27,8 +27,8 @@ namespace mg {
 static_assert(std::endian::native == std::endian::little,
               "serial.hh copies host words as little-endian bytes");
 
-/** FNV-1a 64-bit over a byte range (journal record checksums, store
- *  file names, fingerprints). */
+/** FNV-1a 64-bit over a byte range (store file names, fingerprints,
+ *  sampling phase hashes). */
 inline std::uint64_t
 fnv1a64(const void *data, std::size_t len,
         std::uint64_t h = 0xcbf29ce484222325ull)
@@ -45,22 +45,8 @@ fnv1a64(const void *data, std::size_t len,
 class SerialWriter
 {
   public:
-    void
-    u8(std::uint8_t v)
-    {
-        buf.push_back(v);
-    }
-
     void u32(std::uint32_t v) { std::memcpy(grow(4), &v, 4); }
     void u64(std::uint64_t v) { std::memcpy(grow(8), &v, 8); }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, 8);
-        u64(bits);
-    }
 
     void
     bytes(const void *data, std::size_t len)
@@ -78,7 +64,6 @@ class SerialWriter
     }
 
     const std::vector<std::uint8_t> &data() const { return buf; }
-    std::vector<std::uint8_t> take() { return std::move(buf); }
     std::size_t size() const { return buf.size(); }
 
   private:
@@ -107,14 +92,6 @@ class SerialReader
     {
     }
 
-    std::uint8_t
-    u8()
-    {
-        if (!need(1))
-            return 0;
-        return p[pos_++];
-    }
-
     std::uint32_t
     u32()
     {
@@ -128,15 +105,6 @@ class SerialReader
     {
         std::uint64_t v = 0;
         bytes(&v, 8);
-        return v;
-    }
-
-    double
-    f64()
-    {
-        std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, 8);
         return v;
     }
 

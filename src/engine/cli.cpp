@@ -102,10 +102,6 @@ parseCli(int argc, char **argv, const std::vector<std::string> &benchFlags)
             if (!end || *end || !std::isfinite(s) || s < 0)
                 fatal("bad --cell-timeout-s value '%s'", v);
             opt.cellTimeoutS = s;
-        } else if (a == "--journal-dir") {
-            opt.journalDirOpt = next(a, i);
-        } else if (a == "--no-journal") {
-            opt.journal = false;
         } else if (a == "--critpath") {
             opt.critpath = true;
         } else if (a == "--trace") {
@@ -190,37 +186,21 @@ CliOptions::configureStore(ExperimentEngine &engine) const
         std::make_shared<CheckpointStore>(std::move(cfg)));
 }
 
-std::string
-CliOptions::journalDir() const
-{
-    if (!journal)
-        return "";
-    if (!journalDirOpt.empty())
-        return journalDirOpt;
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read at startup only
-    const char *env = std::getenv("MG_JOURNAL_DIR");
-    return env && *env ? env : "";
-}
-
 void
 CliOptions::configureFaultTolerance(ExperimentEngine &engine) const
 {
-    FaultPolicy p;
-    if (cellTimeoutS >= 0) {
-        p.cellTimeoutS = cellTimeoutS;
-    } else {
+    double s = cellTimeoutS;
+    if (s < 0) {
         // Tier-scaled defaults, generous enough that a healthy cell
         // never comes close — the deadline exists to catch hangs, not
         // to race honest work.
         switch (scale) {
-          case Scale::Ref: p.cellTimeoutS = 600; break;
-          case Scale::Long: p.cellTimeoutS = 3600; break;
-          case Scale::Huge: p.cellTimeoutS = 14400; break;
+          case Scale::Ref: s = 600; break;
+          case Scale::Long: s = 3600; break;
+          case Scale::Huge: s = 14400; break;
         }
     }
-    engine.setFaultPolicy(p);
-
-    engine.setJournalDir(journalDir());
+    engine.setCellTimeout(s);
 }
 
 void

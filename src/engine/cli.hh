@@ -19,12 +19,10 @@
  * `$MG_CHECKPOINT_DIR`, else `.mg-cache/checkpoints`) and
  * `--no-checkpoint-store` disables it.
  *
- * Fault tolerance (see engine.hh FaultPolicy and engine/journal.hh):
+ * Fault tolerance (see ExperimentEngine::setCellTimeout):
  * `--cell-timeout-s S` caps each cell's wall clock (S finite; the
  * default scales with the tier — 600s ref, 3600s long, 14400s huge;
- * 0 disables),
- * `--journal-dir PATH` enables the crash-safe sweep journal (default
- * `$MG_JOURNAL_DIR`, else off; `--no-journal` forces off).
+ * 0 disables).
  *
  * Critical-path analysis (see analysis/critpath.hh): `--critpath`
  * attaches a retired-event trace to every timing cell's only run and
@@ -78,9 +76,10 @@ struct CliOptions
     bool checkpointStore = true;    ///< --no-checkpoint-store clears it
     double cellTimeoutS = -1;   ///< --cell-timeout-s S (-1 = tier
                                 ///< default, 0 = no deadline)
-    std::string journalDirOpt;  ///< --journal-dir PATH ("" = env
-                                ///< MG_JOURNAL_DIR, else no journal)
-    bool journal = true;        ///< --no-journal clears it
+    /** Inert journal switch: nothing reads it and no flag sets it.
+     *  Only perfbench/mgperf.cpp still assigns it; it goes with that
+     *  harness's engine-native spans change (ROADMAP item 3). */
+    bool journal = true;
     bool critpath = false;      ///< --critpath (also set by --trace /
                                 ///< --whatif)
     std::uint64_t traceDepth = 0;   ///< --trace N ring bound (0 =
@@ -120,16 +119,11 @@ struct CliOptions
     void configureStore(ExperimentEngine &engine) const;
 
     /**
-     * Apply the fault-tolerance flags to @p engine: install the
-     * FaultPolicy (tier-scaled default deadline unless
-     * --cell-timeout-s overrides it) and enable the sweep journal
-     * when a directory is configured. Call once per bench, right
-     * after configureStore.
+     * Apply the fault-tolerance flags to @p engine: set its per-cell
+     * deadline (tier-scaled default unless --cell-timeout-s overrides
+     * it). Call once per bench, right after configureStore.
      */
     void configureFaultTolerance(ExperimentEngine &engine) const;
-
-    /** The journal directory these flags resolve to ("" = none). */
-    std::string journalDir() const;
 
     /** Apply the throughput-reporting choice to a finished sweep. */
     void

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "engine/fingerprint.hh"
-#include "engine/journal.hh"
 #include "engine/thread_pool.hh"
 
 namespace mg {
@@ -166,10 +165,10 @@ ExperimentEngine::cellSampledTimed(const EngineWorkload &w,
         // Measurement-phase salt, derived from the cell fingerprint on
         // an execution copy: deterministic across sessions (the same
         // cell always measures the same spans, so stored violation
-        // pairs and journal replays stay coherent) without being part
-        // of the key itself — the mapping key -> salt is fixed, so
-        // keying it would be redundant. De-correlates measurement placement
-        // from the period grid (the huge-tier jpeg.dct alias).
+        // pairs stay coherent) without being part of the key itself —
+        // the mapping key -> salt is fixed, so keying it would be
+        // redundant. De-correlates measurement placement from the
+        // period grid (the huge-tier jpeg.dct alias).
         SimConfig run = cfg;
         run.sampling.phaseSalt = fnv1a64(key.data(), key.size());
         auto t0 = std::chrono::steady_clock::now();
@@ -224,11 +223,11 @@ ExperimentEngine::runOne(const EngineWorkload &w, const SweepColumn &col)
     // Per-cell deadline: the timing loop and the functional pre-pass
     // check it themselves and throw CellTimeout once it has passed.
     const CellDeadline deadline{std::chrono::steady_clock::now(),
-                                policy_.cellTimeoutS};
+                                cellTimeoutS_};
     SweepCell out;
     try {
         out = computeCell(w, col,
-                          policy_.cellTimeoutS > 0 ? &deadline : nullptr);
+                          cellTimeoutS_ > 0 ? &deadline : nullptr);
     } catch (const CellTimeout &e) {
         out.outcome = CellOutcome::TimedOut;
         out.error = e.what();
@@ -258,29 +257,6 @@ ExperimentEngine::sweep(const SweepSpec &spec)
     std::size_t cols = spec.columns.size();
     out.cells.resize(spec.workloads.size() * cols);
 
-    // Journal keys: the computation fingerprint (not the display
-    // name) per cell, and a whole-spec fingerprint naming the journal
-    // file — rerunning the same spec resumes its journal, any other
-    // spec gets its own.
-    std::vector<std::uint64_t> fps;
-    std::unique_ptr<SweepJournal> journal;
-    if (!journalDir_.empty()) {
-        fps.resize(out.cells.size());
-        std::uint64_t specFp =
-            fnv1a64(spec.title.data(), spec.title.size());
-        for (std::size_t i = 0; i < out.cells.size(); ++i) {
-            const SweepColumn &col = spec.columns[i % cols];
-            std::string fp =
-                cellFingerprint(spec.workloads[i / cols].id,
-                                col.config) +
-                (col.timing ? "|timed" : "|prepare-only");
-            fps[i] = fnv1a64(fp.data(), fp.size());
-            specFp = fnv1a64(&fps[i], sizeof fps[i], specFp);
-        }
-        journal = std::make_unique<SweepJournal>();
-        journal->open(journalDir_, specFp);
-    }
-
     CheckpointStoreCounters before;
     if (store_)
         before = store_->counters();
@@ -291,20 +267,8 @@ ExperimentEngine::sweep(const SweepSpec &spec)
     std::size_t rows = spec.workloads.size();
     ThreadPool::parallelFor(jobs_, out.cells.size(), [&](std::size_t k) {
         std::size_t i = (k % rows) * cols + k / rows;
-        if (journal) {
-            SweepCell hit;
-            if (journal->lookup(fps[i], hit)) {
-                out.cells[i] = std::move(hit);
-                return;
-            }
-        }
         out.cells[i] = runOne(spec.workloads[i / cols],
                               spec.columns[i % cols]);
-        // Only Ok cells are journaled: a failed or timed-out cell
-        // re-simulates on resume, so a resumed sweep converges to
-        // exactly what an uninterrupted one reports.
-        if (journal && out.cells[i].outcome == CellOutcome::Ok)
-            journal->record(fps[i], out.cells[i]);
     });
     if (store_) {
         CheckpointStoreCounters d = store_->counters() - before;
@@ -313,10 +277,6 @@ ExperimentEngine::sweep(const SweepSpec &spec)
         out.storeMisses = d.misses;
         out.storeWritebacks = d.writebacks;
         out.storeCorrupt = d.corrupt;
-    }
-    if (journal) {
-        out.journalAttached = true;
-        out.journalRecorded = journal->recorded();
     }
     return out;
 }

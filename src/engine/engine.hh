@@ -11,7 +11,7 @@
  *
  * Each cell is its own failure domain: whatever its compute throws
  * (including a workload setup that throws, or a cell overrunning its
- * FaultPolicy deadline) becomes that cell's outcome, and every other
+ * deadline) becomes that cell's outcome, and every other
  * cell is unaffected. The engine has no other way to fail a cell. A
  * cell checks its own deadline on the thread that runs it, so the
  * only threads a sweep starts are ThreadPool::parallelFor's workers.
@@ -89,21 +89,6 @@ struct TimedSampled
     double seconds = 0;
 };
 
-/**
- * Per-cell failure handling: how long a cell may run. The default (no
- * deadline) keeps a policy-less engine byte-identical to the
- * pre-fault-tolerance one — nothing fires unless something fails.
- */
-struct FaultPolicy
-{
-    /** Wall-clock deadline per cell in seconds; 0 disables, and one
-     *  past what the clock can represent never fires. Enforced by
-     *  the cell itself: the timing loop and the functional pre-pass
-     *  check a CellDeadline every few thousand iterations and throw
-     *  CellTimeout once it has passed. */
-    double cellTimeoutS = 0;
-};
-
 /** Cache effectiveness counters for one engine. */
 struct EngineCounters
 {
@@ -172,23 +157,21 @@ class ExperimentEngine
      *
      * Every cell runs inside its own failure domain: an exception
      * becomes that cell's CellOutcome (Failed/TimedOut) and the sweep
-     * always completes with every other cell intact. A configured
-     * journal replays finished cells from a previous (possibly killed)
-     * run of the same spec and records each Ok cell as it completes.
+     * always completes with every other cell intact.
      */
     SweepResult sweep(const SweepSpec &spec);
 
     int jobs() const { return jobs_; }
     EngineCounters counters() const;
 
-    /** Install @p p. */
-    void setFaultPolicy(const FaultPolicy &p) { policy_ = p; }
-
-    /** Journal sweeps under @p dir (one file per sweep spec); "" (the
-     *  default) disables journaling. See engine/journal.hh. */
-    void setJournalDir(std::string dir) { journalDir_ = std::move(dir); }
-
-    const std::string &journalDir() const { return journalDir_; }
+    /**
+     * Wall-clock deadline per cell in @p seconds; 0 (the default)
+     * disables, and one past what the clock can represent never
+     * fires. Enforced by the cell itself: the timing loop and the
+     * functional pre-pass check a CellDeadline every few thousand
+     * iterations and throw CellTimeout once it has passed.
+     */
+    void setCellTimeout(double seconds) { cellTimeoutS_ = seconds; }
 
     /**
      * Attach an on-disk checkpoint store. Sampled cells then persist
@@ -224,8 +207,7 @@ class ExperimentEngine
     CheckpointStore *storeFor(const SamplingParams &sp) const;
 
     int jobs_;
-    FaultPolicy policy_;
-    std::string journalDir_;
+    double cellTimeoutS_ = 0;
     std::shared_ptr<CheckpointStore> store_;
     ArtifactCache<BlockProfile> profiles;
     ArtifactCache<PreparedMg> prepared;

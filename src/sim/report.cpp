@@ -214,13 +214,6 @@ sweepJson(const SweepResult &r, const std::string &bench)
                       static_cast<unsigned long long>(r.storeWritebacks),
                       static_cast<unsigned long long>(r.storeCorrupt));
     }
-    // Journal block only when one was attached, and only its
-    // resume-invariant total — a resumed run and an uninterrupted run
-    // must produce byte-identical reports.
-    if (r.journalAttached) {
-        out += strfmt("  \"journal\": {\"recorded\": %llu},\n",
-                      static_cast<unsigned long long>(r.journalRecorded));
-    }
     out += "  \"cells\": [\n";
     for (std::size_t row = 0; row < r.rows.size(); ++row) {
         for (std::size_t col = 0; col < r.columns.size(); ++col) {
@@ -344,102 +337,6 @@ outcomeSummary(const SweepResult &r)
                           cellOutcomeName(static_cast<CellOutcome>(o)));
     }
     return out;
-}
-
-void
-serializeSweepCell(const SweepCell &c, SerialWriter &w)
-{
-#define MG_W(f) w.u64(c.stats.f);
-    MG_CORE_STATS_COUNTERS(MG_W)
-#undef MG_W
-    w.u8(c.timed ? 1 : 0);
-    w.f64(c.staticCoverage);
-    w.u64(c.templates);
-    w.u64(c.textSlots);
-    w.u8(c.sampledRun ? 1 : 0);
-#define MG_W(f) w.u64(c.sampled.est.f);
-    MG_CORE_STATS_COUNTERS(MG_W)
-#undef MG_W
-    w.u64(c.sampled.totalWork);
-    w.u64(c.sampled.prefixWork);
-    w.u64(c.sampled.measuredWork);
-    w.u64(c.sampled.measuredCycles);
-    w.u64(c.sampled.detailedWork);
-    w.u64(c.sampled.ffWork);
-    w.u32(c.sampled.intervals);
-    w.f64(c.sampled.ipcHat);
-    w.f64(c.sampled.ipcRelCi95);
-    w.u8(c.sampled.exact ? 1 : 0);
-    w.f64(c.wallSeconds);
-    w.f64(c.workPerSec);
-    w.u8(static_cast<std::uint8_t>(c.outcome));
-    w.str(c.error);
-    // Critical-path fields trail the record. Pre-analyzer journal
-    // records are shorter and fail deserialization cleanly, which the
-    // journal treats as a miss — the cell just recomputes.
-    w.u8(c.critpath.present ? 1 : 0);
-    if (c.critpath.present) {
-        w.u64(c.critpath.tracedSlots);
-        w.u64(c.critpath.tracedWork);
-        w.u8(c.critpath.traceWrapped ? 1 : 0);
-        w.u64(c.critpath.actualCycles);
-        w.u64(c.critpath.modeledCycles);
-        for (int cat = 0; cat < cpCatCount; ++cat)
-            w.u64(c.critpath.breakdown[cat]);
-        w.str(c.critpath.whatIf);
-        w.u64(c.critpath.whatIfCycles);
-        w.str(c.critpath.error);
-    }
-}
-
-bool
-deserializeSweepCell(SerialReader &r, SweepCell &c)
-{
-    c = SweepCell();
-#define MG_R(f) c.stats.f = r.u64();
-    MG_CORE_STATS_COUNTERS(MG_R)
-#undef MG_R
-    c.timed = r.u8() != 0;
-    c.staticCoverage = r.f64();
-    c.templates = r.u64();
-    c.textSlots = r.u64();
-    c.sampledRun = r.u8() != 0;
-#define MG_R(f) c.sampled.est.f = r.u64();
-    MG_CORE_STATS_COUNTERS(MG_R)
-#undef MG_R
-    c.sampled.totalWork = r.u64();
-    c.sampled.prefixWork = r.u64();
-    c.sampled.measuredWork = r.u64();
-    c.sampled.measuredCycles = r.u64();
-    c.sampled.detailedWork = r.u64();
-    c.sampled.ffWork = r.u64();
-    c.sampled.intervals = r.u32();
-    c.sampled.ipcHat = r.f64();
-    c.sampled.ipcRelCi95 = r.f64();
-    c.sampled.exact = r.u8() != 0;
-    c.wallSeconds = r.f64();
-    c.workPerSec = r.f64();
-    std::uint8_t o = r.u8();
-    if (o > static_cast<std::uint8_t>(CellOutcome::TimedOut)) {
-        r.fail();
-        return false;
-    }
-    c.outcome = static_cast<CellOutcome>(o);
-    c.error = r.str();
-    c.critpath.present = r.u8() != 0;
-    if (c.critpath.present) {
-        c.critpath.tracedSlots = r.u64();
-        c.critpath.tracedWork = r.u64();
-        c.critpath.traceWrapped = r.u8() != 0;
-        c.critpath.actualCycles = r.u64();
-        c.critpath.modeledCycles = r.u64();
-        for (int cat = 0; cat < cpCatCount; ++cat)
-            c.critpath.breakdown[cat] = r.u64();
-        c.critpath.whatIf = r.str();
-        c.critpath.whatIfCycles = r.u64();
-        c.critpath.error = r.str();
-    }
-    return r.ok();
 }
 
 std::string

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "analysis/critpath.hh"
-#include "common/serial.hh"
 #include "common/stats.hh"
 #include "uarch/core.hh"
 
@@ -105,13 +104,6 @@ struct SweepResult
     std::uint64_t storeMisses = 0;
     std::uint64_t storeWritebacks = 0;
     std::uint64_t storeCorrupt = 0;
-    /** Sweep-journal presence and its resume-invariant total: how many
-     *  cells the journal holds after this sweep. Replay/append splits
-     *  are deliberately absent — they differ between a resumed and an
-     *  uninterrupted run, and the JSON must not. Emitted only when a
-     *  journal was attached. */
-    bool journalAttached = false;
-    std::uint64_t journalRecorded = 0;
 
     const SweepCell &at(std::size_t row, std::size_t col) const;
 
@@ -177,13 +169,6 @@ void finishSweep(SweepResult &r, const std::string &bench,
  * unchanged.
  */
 std::string outcomeSummary(const SweepResult &r);
-
-/** Append @p c to @p w (journal payloads). */
-void serializeSweepCell(const SweepCell &c, SerialWriter &w);
-
-/** Parse a serializeSweepCell record. @return false (leaving @p c
- *  unspecified) on malformed input. */
-bool deserializeSweepCell(SerialReader &r, SweepCell &c);
 
 /**
  * Render rows grouped by suite with per-suite gmean speedup lines,

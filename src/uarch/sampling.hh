@@ -77,7 +77,7 @@ struct SamplingParams
      *  on huge-tier jpeg.dct. Every value, 0 included, is an ordinary
      *  hash seed. The engine derives the salt from the cell
      *  fingerprint, so it is stable across sessions (stored violation
-     *  pairs and resumed journals stay coherent) while de-correlating
+     *  pairs stay coherent) while de-correlating
      *  placement between cells. Not part of the cell fingerprint: the
      *  same cell key always maps to the same salt, so keying it would
      *  be redundant. */

@@ -4,7 +4,7 @@
  * to run under ThreadSanitizer (ctest -L analysis in the MG_TSAN
  * build). Each test hammers one shared structure from many threads at
  * once — ThreadPool::parallelFor, ArtifactCache memoisation, the
- * sweep journal, the checkpoint store (whose writes and reads run
+ * checkpoint store (whose writes and reads run
  * outside its lock, and whose fail-soft write gate's warn-once latch
  * is read there too), and
  * FailSoftGate itself. The assertions check the determinism contract
@@ -29,9 +29,7 @@
 #include "common/failsoft.hh"
 #include "engine/artifact_cache.hh"
 #include "engine/checkpoint_store.hh"
-#include "engine/journal.hh"
 #include "engine/thread_pool.hh"
-#include "sim/report.hh"
 
 using namespace mg;
 namespace fs = std::filesystem;
@@ -159,36 +157,6 @@ TEST(StressArtifactCache, FailedComputeIsNotMemoised)
     // Post-storm, the key serves the memoised success.
     auto v = cache.get("flaky", [] { return 7; });
     EXPECT_EQ(*v, 7);
-}
-
-TEST(StressJournal, ConcurrentRecordsAllSurviveReplay)
-{
-    ScratchDir dir("journal");
-    constexpr std::size_t n = 256;
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(dir.str(), 0xfeedULL));
-        ThreadPool::parallelFor(kJobs, n, [&](std::size_t i) {
-            SweepCell cell;
-            cell.timed = true;
-            cell.templates = i;
-            cell.staticCoverage = static_cast<double>(i) / n;
-            j.record(i, cell);
-        });
-        EXPECT_EQ(j.recorded(), n);
-    }
-    // A second session replays every record bit-exactly.
-    SweepJournal j2;
-    ASSERT_TRUE(j2.open(dir.str(), 0xfeedULL));
-    EXPECT_EQ(j2.replayed(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        SweepCell cell;
-        ASSERT_TRUE(j2.lookup(i, cell)) << i;
-        EXPECT_TRUE(cell.timed);
-        EXPECT_EQ(cell.templates, i);
-        EXPECT_DOUBLE_EQ(cell.staticCoverage,
-                         static_cast<double>(i) / n);
-    }
 }
 
 TEST(StressCheckpointStore, ConcurrentStoreLoadRoundTrips)

@@ -179,6 +179,14 @@ TEST(Engine, UnknownFlagsAreFatal)
     EXPECT_EXIT(parseCli(2, const_cast<char **>(noShadow)),
                 ::testing::ExitedWithCode(1),
                 "unknown option '--no-ss-shadow'");
+    const char *journalDir[] = {"bench", "--journal-dir", "j"};
+    EXPECT_EXIT(parseCli(3, const_cast<char **>(journalDir)),
+                ::testing::ExitedWithCode(1),
+                "unknown option '--journal-dir'");
+    const char *noJournal[] = {"bench", "--no-journal"};
+    EXPECT_EXIT(parseCli(2, const_cast<char **>(noJournal)),
+                ::testing::ExitedWithCode(1),
+                "unknown option '--no-journal'");
     // strtoull clamps an out-of-range count to ULLONG_MAX.
     const char *overflow[] = {"bench", "--sample-interval",
                               "99999999999999999999999"};

@@ -1,24 +1,19 @@
 /**
  * @file
- * Fault-tolerance battery: the failure-domain, timeout, and crash
- * journal layers of the sweep engine.
+ * Fault-tolerance battery: the failure-domain and deadline layers of
+ * the sweep engine.
  *
  * Failures come from the cells' own inputs: a row whose workload
  * setup throws (a runtime error, an allocation failure) or sleeps
  * past the deadline stands in for a buggy, memory-starved or hung
  * kernel.
  *
- * Three layers, innermost out:
- *  - primitives: FailSoftGate latching, SweepCell serialization round
- *    trips, parallelFor exception containment (a throwing index must
- *    not skip its neighbours or be silently swallowed);
+ * Two layers, innermost out:
+ *  - primitives: FailSoftGate latching, parallelFor exception
+ *    containment (a throwing index must not skip its neighbours or be
+ *    silently swallowed);
  *  - per-cell failure domains: a failing or hung row costs exactly
- *    its own cells, and the sweep always completes;
- *  - the crash-safe journal: resume skips finished cells and
- *    converges to the uninterrupted sweep (also when a storeless
- *    journal is resumed with a checkpoint store), torn tails and
- *    corrupt records truncate instead of poisoning, only Ok cells
- *    replay.
+ *    its own cells, and the sweep always completes.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +24,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -37,9 +31,7 @@
 #include <vector>
 
 #include "common/failsoft.hh"
-#include "common/serial.hh"
 #include "engine/engine.hh"
-#include "engine/journal.hh"
 #include "engine/thread_pool.hh"
 #include "sim/report.hh"
 #include "workloads/suites.hh"
@@ -97,9 +89,7 @@ throwBadAlloc(Emulator &)
     throw std::bad_alloc();
 }
 
-/** Replace the setup of @p spec's row named @p id. The row keeps its
- *  id, so its journal key matches the healthy row's: a later sweep of
- *  the unmodified spec resumes the same journal. */
+/** Replace the setup of @p spec's row named @p id. */
 SweepSpec
 failingRow(SweepSpec spec, const std::string &id, SetupFn setup)
 {
@@ -123,53 +113,6 @@ expectCellsEqual(const SweepResult &a, const SweepResult &b)
     }
 }
 
-/** A SweepCell with every serialized field non-default. */
-SweepCell
-makeCell(std::uint64_t seed)
-{
-    SweepCell c;
-    c.stats.cycles = 1000 + seed;
-    c.stats.committedWork = 900 + seed;
-    c.timed = true;
-    c.staticCoverage = 0.25 + static_cast<double>(seed % 4) / 8;
-    c.templates = 12 + seed;
-    c.textSlots = 58 + seed;
-    c.sampledRun = (seed % 2) != 0;
-    c.sampled.intervals = static_cast<std::uint32_t>(3 + seed);
-    c.sampled.ipcHat = 1.5 + static_cast<double>(seed);
-    c.wallSeconds = 0.5 + static_cast<double>(seed);
-    c.workPerSec = 1e6 + static_cast<double>(seed);
-    c.outcome = CellOutcome::Ok;
-    return c;
-}
-
-/** Overwrite one byte at @p off (negative: from the end). */
-void
-flipByte(const fs::path &file, long long off)
-{
-    std::fstream f(file,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    if (off < 0)
-        f.seekp(off, std::ios::end);
-    else
-        f.seekp(off, std::ios::beg);
-    char c = 0;
-    f.seekg(f.tellp());
-    f.get(c);
-    f.seekp(-1, std::ios::cur);
-    c = static_cast<char>(c ^ 0x5a);
-    f.put(c);
-}
-
-fs::path
-journalFile(const ScratchDir &dir)
-{
-    for (const auto &e : fs::directory_iterator(dir.path))
-        if (e.path().extension() == ".mgsj")
-            return e.path();
-    return {};
-}
-
 } // namespace
 
 // ------------------------------------------------------------ primitives
@@ -182,49 +125,6 @@ TEST(FailSoft, GateLatchesOnFirstFailure)
     EXPECT_FALSE(g.ok());
     g.fail("silent second failure");   // must not warn again or reopen
     EXPECT_FALSE(g.ok());
-}
-
-TEST(FailSoft, SweepCellRoundTripsThroughSerialization)
-{
-    for (std::uint64_t seed : {0ull, 1ull, 2ull, 5ull}) {
-        SweepCell in = makeCell(seed);
-        if (seed == 1) {
-            in.outcome = CellOutcome::Failed;
-            in.error = "synthetic failure";
-        }
-        if (seed == 2)
-            in.outcome = CellOutcome::TimedOut;
-        SerialWriter w;
-        serializeSweepCell(in, w);
-
-        SerialReader r(w.data());
-        SweepCell out;
-        ASSERT_TRUE(deserializeSweepCell(r, out)) << "seed " << seed;
-        EXPECT_EQ(in.stats, out.stats);
-        EXPECT_EQ(in.timed, out.timed);
-        EXPECT_EQ(in.staticCoverage, out.staticCoverage);
-        EXPECT_EQ(in.templates, out.templates);
-        EXPECT_EQ(in.textSlots, out.textSlots);
-        EXPECT_EQ(in.sampledRun, out.sampledRun);
-        EXPECT_EQ(in.sampled.intervals, out.sampled.intervals);
-        EXPECT_EQ(in.sampled.ipcHat, out.sampled.ipcHat);
-        EXPECT_EQ(in.wallSeconds, out.wallSeconds);
-        EXPECT_EQ(in.workPerSec, out.workPerSec);
-        EXPECT_EQ(in.outcome, out.outcome);
-        EXPECT_EQ(in.error, out.error);
-    }
-}
-
-TEST(FailSoft, TruncatedCellRecordIsRejected)
-{
-    SerialWriter w;
-    serializeSweepCell(makeCell(3), w);
-    for (std::size_t keep : {std::size_t(0), w.size() / 2,
-                             w.size() - 1}) {
-        SerialReader r(w.data().data(), keep);
-        SweepCell out;
-        EXPECT_FALSE(deserializeSweepCell(r, out)) << "keep " << keep;
-    }
 }
 
 TEST(Pool, ParallelForRunsEveryIndexAndRethrowsLowest)
@@ -313,7 +213,7 @@ TEST(FaultSweep, StallTimesOutUnderDeadline)
         for (SweepColumn &c : spec.columns)
             c.config.sampling.enabled = sampled;
         ExperimentEngine engine(2);
-        engine.setFaultPolicy(FaultPolicy{1.0});
+        engine.setCellTimeout(1.0);
         SweepResult r = engine.sweep(spec);
 
         const char *site = sampled ? "functional pre-pass" : "timing loop";
@@ -340,7 +240,7 @@ TEST(FaultSweep, DeadlineCancelsARealSimulation)
         workload(bindKernel(findKernel("crc"), Scale::Long))};
     spec.columns = {{"baseline", SimConfig::baseline(), true}};
     ExperimentEngine engine(1);
-    engine.setFaultPolicy(FaultPolicy{0.01});
+    engine.setCellTimeout(0.01);
     SweepResult r = engine.sweep(spec);
 
     ASSERT_EQ(r.cells.size(), 1u);
@@ -358,7 +258,7 @@ TEST(FaultSweep, UnfiredPolicyIsByteIdenticalToNoPolicy)
     for (double timeout : {600.0, 1e30}) {
         SCOPED_TRACE(timeout);
         ExperimentEngine engine(2);
-        engine.setFaultPolicy(FaultPolicy{timeout});
+        engine.setCellTimeout(timeout);
         SweepResult guarded = engine.sweep(spec);
         expectCellsEqual(plain, guarded);
     }
@@ -386,7 +286,6 @@ TEST(FaultSweep, FaultFieldsReachTheJsonOnlyWhenFaulted)
     };
     std::string cleanJson = slurp(cleanPath);
     EXPECT_EQ(cleanJson.find("\"outcome\""), std::string::npos);
-    EXPECT_EQ(cleanJson.find("\"journal\""), std::string::npos);
 
     std::string faultJson = slurp(faultPath);
     EXPECT_NE(faultJson.find("\"outcome\": \"failed\""),
@@ -396,206 +295,4 @@ TEST(FaultSweep, FaultFieldsReachTheJsonOnlyWhenFaulted)
     // Ok cells carry no outcome ("ok" is implied by absence, and must
     // never be emitted).
     EXPECT_EQ(faultJson.find("\"outcome\": \"ok\""), std::string::npos);
-}
-
-// ------------------------------------------------------------- journal
-
-TEST(Journal, RecordsReplayAndLookup)
-{
-    ScratchDir dir("roundtrip");
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(dir.str(), 0x1234));
-        EXPECT_TRUE(j.attached());
-        EXPECT_EQ(j.replayed(), 0u);
-        j.record(1, makeCell(1));
-        j.record(2, makeCell(2));
-        j.record(1, makeCell(7));   // idempotent: first write wins
-        EXPECT_EQ(j.recorded(), 2u);
-    }
-    SweepJournal j;
-    ASSERT_TRUE(j.open(dir.str(), 0x1234));
-    EXPECT_EQ(j.replayed(), 2u);
-    SweepCell c;
-    ASSERT_TRUE(j.lookup(1, c));
-    EXPECT_EQ(c.stats, makeCell(1).stats);   // not the re-record
-    EXPECT_FALSE(j.lookup(3, c));
-
-    // A different spec fingerprint is a different file: no crosstalk.
-    SweepJournal other;
-    ASSERT_TRUE(other.open(dir.str(), 0x9999));
-    EXPECT_EQ(other.replayed(), 0u);
-}
-
-TEST(Journal, TornTailIsTruncatedNotFatal)
-{
-    ScratchDir dir("torn");
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-        for (std::uint64_t i = 1; i <= 3; ++i)
-            j.record(i, makeCell(i));
-    }
-    fs::path file = journalFile(dir);
-    ASSERT_FALSE(file.empty());
-    std::uintmax_t intact = fs::file_size(file);
-
-    // A crash mid-append leaves a torn record at the tail.
-    std::ofstream(file, std::ios::app | std::ios::binary)
-        << "\x40\x00\x00\x00torn";
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-        EXPECT_EQ(j.replayed(), 3u);   // everything fsync'd survives
-    }
-    EXPECT_EQ(fs::file_size(file), intact);
-}
-
-TEST(Journal, CorruptRecordTruncatesFromThere)
-{
-    ScratchDir dir("corrupt");
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-        for (std::uint64_t i = 1; i <= 3; ++i)
-            j.record(i, makeCell(i));
-    }
-    fs::path file = journalFile(dir);
-    flipByte(file, -4);   // inside the last record's payload
-    SweepJournal j;
-    ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-    EXPECT_EQ(j.replayed(), 2u);   // checksum cuts the bad tail off
-    j.record(9, makeCell(9));      // and appends still work
-    EXPECT_EQ(j.recorded(), 3u);
-}
-
-TEST(Journal, BadHeaderRestartsFresh)
-{
-    ScratchDir dir("header");
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-        j.record(1, makeCell(1));
-    }
-    flipByte(journalFile(dir), 0);   // not our magic any more
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-        EXPECT_EQ(j.replayed(), 0u);   // distrust the whole file
-        j.record(2, makeCell(2));
-    }
-    SweepJournal j;
-    ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-    EXPECT_EQ(j.replayed(), 1u);   // the restarted file is valid
-}
-
-TEST(Journal, UnusableDirectoryDegradesToNoOp)
-{
-    SweepJournal j;
-    EXPECT_FALSE(j.open("/proc/no-such-dir/journal", 0x1));
-    EXPECT_FALSE(j.attached());
-    j.record(1, makeCell(1));   // must not crash
-    SweepCell c;
-    EXPECT_FALSE(j.lookup(1, c));
-}
-
-TEST(Journal, ResumedSweepSkipsFinishedCells)
-{
-    ScratchDir dir("resume");
-    SweepSpec spec = testSpec();
-
-    ExperimentEngine first(2);
-    first.setJournalDir(dir.str());
-    SweepResult a = first.sweep(spec);
-    EXPECT_TRUE(a.journalAttached);
-    EXPECT_EQ(a.journalRecorded, a.cells.size());
-
-    // Same spec, fresh engine: every cell replays, nothing simulates.
-    ExperimentEngine second(2);
-    second.setJournalDir(dir.str());
-    SweepResult b = second.sweep(spec);
-    expectCellsEqual(a, b);
-    EXPECT_EQ(b.journalRecorded, a.journalRecorded);
-    EngineCounters ec = second.counters();
-    EXPECT_EQ(ec.profileComputes, 0u);
-    EXPECT_EQ(ec.runComputes, 0u);
-}
-
-TEST(Journal, OnlyOkCellsJournalSoFailuresRetryOnResume)
-{
-    ScratchDir dir("heal");
-    SweepSpec spec = testSpec();
-    SweepResult clean = ExperimentEngine(2).sweep(spec);
-
-    {
-        // First run: crc fails, bitcount succeeds.
-        ExperimentEngine engine(2);
-        engine.setJournalDir(dir.str());
-        SweepResult r =
-            engine.sweep(failingRow(spec, "crc", throwRuntimeError));
-        EXPECT_EQ(r.journalRecorded, 2u);   // the two Ok cells only
-    }
-    // The failure was the process's, not the cell's (say, memory
-    // exhaustion): rerunning with healthy inputs must re-simulate
-    // exactly the failed cells and converge to the fault-free sweep.
-    ExperimentEngine engine(2);
-    engine.setJournalDir(dir.str());
-    SweepResult r = engine.sweep(spec);
-    expectCellsEqual(clean, r);
-    EXPECT_EQ(r.journalRecorded, 4u);
-    EngineCounters ec = engine.counters();
-    EXPECT_EQ(ec.profileComputes, 1u);   // crc's artifacts only
-}
-
-TEST(Journal, ResumingAStorelessJournalWithAStoreMatchesAStoreSweep)
-{
-    // reed's sampled int-mem cell discovers store-set violations, so
-    // it runs the seeded second pass; gzip's is a plain sampled cell.
-    // The journal key does not record whether a store was attached,
-    // so a sweep journaled storeless and resumed with a store mixes
-    // both kinds of cell — which is only sound because a store
-    // memoizes and never changes a result.
-    SweepSpec spec;
-    spec.title = "store modes";
-    for (const char *name : {"reed", "gzip"})
-        spec.workloads.push_back(workload(bindKernel(findKernel(name))));
-    SimConfig sc = SimConfig::intMemMg();
-    sc.sampling.enabled = true;
-    sc.sampling.interval = 200;
-    sc.sampling.period = 2400;
-    sc.sampling.warmup = 400;
-    spec.columns = {{"int-mem", sc, true}};
-    auto attachStore = [](ExperimentEngine &e, const ScratchDir &d) {
-        e.setCheckpointStore(std::make_shared<CheckpointStore>(
-            CheckpointStoreConfig{d.str()}));
-    };
-
-    ScratchDir wholeJournal("modes-whole-journal");
-    ScratchDir wholeStore("modes-whole-store");
-    ExperimentEngine whole(2);
-    whole.setJournalDir(wholeJournal.str());
-    attachStore(whole, wholeStore);
-    SweepResult want = whole.sweep(spec);
-
-    ScratchDir journal("modes-journal");
-    {
-        // The storeless session fails gzip: only reed is journaled.
-        ExperimentEngine storeless(2);
-        storeless.setJournalDir(journal.str());
-        SweepSpec broken = failingRow(spec, "gzip", throwBadAlloc);
-        EXPECT_EQ(storeless.sweep(broken).journalRecorded, 1u);
-    }
-    ScratchDir store("modes-store");
-    ExperimentEngine resumed(2);
-    resumed.setJournalDir(journal.str());
-    attachStore(resumed, store);
-    SweepResult got = resumed.sweep(spec);
-    EXPECT_EQ(resumed.counters().sampledComputes, 1u);   // gzip only
-
-    // Store traffic (the checkpoint_store block and per-cell
-    // ckpt_* counters) says how a result was reached — the resumed
-    // session computed one cell, not two — so it is set aside.
-    want.storeAttached = false;
-    got.storeAttached = false;
-    EXPECT_EQ(sweepJson(got, "modes"), sweepJson(want, "modes"));
 }

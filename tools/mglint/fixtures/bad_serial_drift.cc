@@ -10,7 +10,7 @@ struct DriftRecord
     std::uint64_t id = 0;
     std::uint64_t epoch = 0;
     std::uint64_t spare = 0;
-    double weight = 0;
+    std::uint64_t weight = 0;
 };
 
 void
@@ -18,7 +18,7 @@ serializeDriftRecord(const DriftRecord &c, mg::SerialWriter &w)
 {
     w.u64(c.id);
     w.u64(c.epoch);
-    w.f64(c.weight);
+    w.u64(c.weight);
 }
 
 bool
@@ -26,27 +26,27 @@ deserializeDriftRecord(mg::SerialReader &r, DriftRecord &c)
 {
     c.id = r.u64();
     c.spare = r.u64();
-    c.weight = r.f64();
+    c.weight = r.u64();
     return r.ok();
 }
 
 struct SteadyRecord
 {
     std::uint64_t id = 0;
-    double weight = 0;
+    std::uint64_t weight = 0;
 };
 
 void
 serializeSteadyRecord(const SteadyRecord &c, mg::SerialWriter &w)
 {
     w.u64(c.id);
-    w.f64(c.weight);
+    w.u64(c.weight);
 }
 
 bool
 deserializeSteadyRecord(mg::SerialReader &r, SteadyRecord &c)
 {
     c.id = r.u64();
-    c.weight = r.f64();
+    c.weight = r.u64();
     return r.ok();   // clean: same member set on both sides
 }

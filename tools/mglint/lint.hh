@@ -3,7 +3,7 @@
  * mglint — the project's determinism-contract linter.
  *
  * Every published result rests on bit-identical stats across job
- * counts, sessions, and journal resumes; mglint machine-checks the
+ * counts and sessions; mglint machine-checks the
  * source-level invariants that contract depends on, with a light
  * hand-rolled tokenizer (no libclang) so it builds anywhere the
  * simulator does. Rules (IDs are stable; see docs/ARCHITECTURE.md
