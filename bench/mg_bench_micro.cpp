@@ -29,7 +29,7 @@ using namespace mg;
 Program
 assembleForBench(const Kernel &k)
 {
-    return assemble(k.source, k.name);
+    return assemble(k.sourceFor(Scale::Ref), k.name);
 }
 
 void
@@ -49,7 +49,7 @@ BM_EmulationRate(benchmark::State &state)
     std::uint64_t work = 0;
     for (auto _ : state) {
         Emulator emu(*bk.program);
-        bk.kernel->setup(emu, 0);
+        bk.setup(emu);
         work += emu.run().dynWork;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(work));

@@ -39,8 +39,7 @@ Kernel::setupAt(Emulator &emu, int inputSet, Scale s) const
 {
     if (!supports(s))
         fatal("kernel %s has no %s-scale variant", name, scaleName(s));
-    const ScaleVariant *v = variantOf(s);
-    (v ? v->setup : setup)(emu, inputSet);
+    setup(emu, inputSet, tier(s).size);
 }
 
 bool
@@ -48,8 +47,7 @@ Kernel::validateAt(const Emulator &emu, int inputSet, Scale s) const
 {
     if (!supports(s))
         fatal("kernel %s has no %s-scale variant", name, scaleName(s));
-    const ScaleVariant *v = variantOf(s);
-    return (v ? v->validate : validate)(emu, inputSet);
+    return validate(emu, inputSet, tier(s).size);
 }
 
 const std::vector<Kernel> &
@@ -136,7 +134,7 @@ kernelProgram(const Kernel &k, Scale scale)
     // assembled Program): the scaled tier of an iteration-count-scaled
     // kernel runs the identical binary on bigger inputs.
     std::string key = k.name;
-    if (const ScaleVariant *v = k.variantOf(scale); v && v->source)
+    if (scale != Scale::Ref && k.tier(scale).source)
         key += strfmt("@%s", scaleName(scale));
     std::lock_guard<std::mutex> g(lock);
     auto it = cache.find(key);
@@ -147,8 +145,7 @@ kernelProgram(const Kernel &k, Scale scale)
 
 const char *
 scaledSource(const char *src,
-             std::initializer_list<std::pair<const char *, const char *>>
-                 subs)
+             const std::vector<std::pair<std::string, std::string>> &subs)
 {
     // Registration-time storage: the Kernel structs keep raw pointers.
     static std::deque<std::string> store;
@@ -157,10 +154,10 @@ scaledSource(const char *src,
     for (const auto &[from, to] : subs) {
         std::size_t first = text.find(from);
         if (first == std::string::npos)
-            fatal("scaledSource: pattern '%s' not found", from);
+            fatal("scaledSource: pattern '%s' not found", from.c_str());
         if (text.find(from, first + 1) != std::string::npos)
-            fatal("scaledSource: pattern '%s' is ambiguous", from);
-        text.replace(first, std::string(from).size(), to);
+            fatal("scaledSource: pattern '%s' is ambiguous", from.c_str());
+        text.replace(first, from.size(), to);
     }
     std::lock_guard<std::mutex> g(lock);
     store.push_back(std::move(text));

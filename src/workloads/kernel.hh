@@ -19,16 +19,19 @@
  * (store-set training, congestion equilibria). `Scale::Huge` is the
  * 10M+-scale tier (a representative kernel per suite) long enough to
  * cross store-set clear intervals and stress fast-forward
- * scalability. A scaled variant reuses the reference program text
- * when only its in-memory inputs and iteration counts grow, or
- * substitutes a larger-data-segment assembly via scaledSource() when
- * a buffer must be resized.
+ * scalability.
+ *
+ * A kernel has one setup and one validator, both taking the input
+ * size; each tier is data, a `ScaleVariant` of {program text, input
+ * size}. A scaled tier reuses the reference program text when only
+ * its in-memory inputs and iteration counts grow, or runs an assembly
+ * derived with scaledSource() when a buffer must be resized.
  */
 
 #ifndef MG_WORKLOADS_KERNEL_HH
 #define MG_WORKLOADS_KERNEL_HH
 
-#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,17 +58,14 @@ const char *scaleName(Scale s);
 /** Parse a --scale value; fatal on anything but "ref"/"long"/"huge". */
 Scale parseScale(const std::string &text);
 
-/**
- * One non-reference size class of a kernel (null members =
- * unsupported at that scale).
- */
+/** One size class of a kernel. */
 struct ScaleVariant
 {
     /** Assembly at this scale; null = the Ref program is reused (the
      *  scaled inputs fit its buffers and only iteration counts grow). */
     const char *source = nullptr;
-    void (*setup)(Emulator &emu, int inputSet) = nullptr;
-    bool (*validate)(const Emulator &emu, int inputSet) = nullptr;
+    /** Input size handed to setup/validate; 0 = unsupported scale. */
+    int size = 0;
 };
 
 /** One benchmark kernel. */
@@ -74,47 +74,37 @@ struct Kernel
     const char *name;           ///< short id, e.g. "crc"
     const char *suite;          ///< SPECint-S, MediaBench-S, ...
     const char *description;
-    const char *source;         ///< MG-Alpha assembly text (Scale::Ref)
 
     /**
      * Write inputs into @p emu's memory (call after reset).
      * @param inputSet 0 = reference inputs, 1+ = alternate sets for
      *        the profile-robustness study
+     * @param size the kernel's input size (a tier's ScaleVariant::size)
      */
-    void (*setup)(Emulator &emu, int inputSet);
+    void (*setup)(Emulator &emu, int inputSet, int size);
 
     /** Check outputs against the C++ reference implementation. */
-    bool (*validate)(const Emulator &emu, int inputSet);
+    bool (*validate)(const Emulator &emu, int inputSet, int size);
 
-    // ---- scaled variants (value-initialized = unsupported) ----
-    ScaleVariant longVariant = {};
-    ScaleVariant hugeVariant = {};
+    /** Indexed by Scale; the Ref entry always carries a source. */
+    ScaleVariant tiers[std::size(allScales)] = {};
 
-    /** The variant registered for @p s (null for Scale::Ref). */
-    const ScaleVariant *
-    variantOf(Scale s) const
+    /** The tier table's entry for @p s. */
+    const ScaleVariant &
+    tier(Scale s) const
     {
-        if (s == Scale::Long)
-            return &longVariant;
-        if (s == Scale::Huge)
-            return &hugeVariant;
-        return nullptr;
+        return tiers[static_cast<int>(s)];
     }
 
     /** Does the kernel support @p s? (Ref always.) */
-    bool
-    supports(Scale s) const
-    {
-        const ScaleVariant *v = variantOf(s);
-        return !v || v->setup != nullptr;
-    }
+    bool supports(Scale s) const { return tier(s).size != 0; }
 
     /** Assembly text executed at @p s. */
     const char *
     sourceFor(Scale s) const
     {
-        const ScaleVariant *v = variantOf(s);
-        return v && v->source ? v->source : source;
+        const char *src = tier(s).source;
+        return src ? src : tier(Scale::Ref).source;
     }
 
     /** Scale-dispatching setup; fatal when @p s is unsupported. */
@@ -150,12 +140,14 @@ const Program &kernelProgram(const Kernel &k, Scale scale = Scale::Ref);
  * Derive a scale-variant assembly text: @p src with every (from, to)
  * replacement applied. Each `from` must occur exactly once — matching
  * a full `sym: .space N` line keeps substitutions unambiguous — and
- * the call is fatal otherwise. The returned storage lives for the
- * process (registration-time use).
+ * the call is fatal otherwise. Callers format both sides from the
+ * kernel's size constants, so a buffer and the input planted in it
+ * cannot disagree. The returned storage lives for the process
+ * (registration-time use).
  */
 const char *scaledSource(
     const char *src,
-    std::initializer_list<std::pair<const char *, const char *>> subs);
+    const std::vector<std::pair<std::string, std::string>> &subs);
 
 // Registration hooks used by the per-suite translation units.
 std::vector<Kernel> specintKernels();

@@ -74,7 +74,7 @@ crc_in:    .space 3600
 )ASM";
 
 void
-crcSetupImpl(Emulator &emu, int inputSet, int n)
+crcSetup(Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xc2cu + static_cast<unsigned>(inputSet));
     Memory &m = emu.memory();
@@ -87,7 +87,7 @@ crcSetupImpl(Emulator &emu, int inputSet, int n)
 }
 
 bool
-crcValidateImpl(const Emulator &emu, int inputSet, int n)
+crcValidate(const Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xc2cu + static_cast<unsigned>(inputSet));
     std::uint64_t table[256];
@@ -109,49 +109,15 @@ crcValidateImpl(const Emulator &emu, int inputSet, int n)
     return emu.memory().read(emu.program().symbol("crc_out"), 8) == crc;
 }
 
-void
-crcSetup(Emulator &emu, int inputSet)
-{
-    crcSetupImpl(emu, inputSet, crcN);
-}
-
-bool
-crcValidate(const Emulator &emu, int inputSet)
-{
-    return crcValidateImpl(emu, inputSet, crcN);
-}
-
-void
-crcSetupLong(Emulator &emu, int inputSet)
-{
-    crcSetupImpl(emu, inputSet, crcNLong);
-}
-
-bool
-crcValidateLong(const Emulator &emu, int inputSet)
-{
-    return crcValidateImpl(emu, inputSet, crcNLong);
-}
-
-void
-crcSetupHuge(Emulator &emu, int inputSet)
-{
-    crcSetupImpl(emu, inputSet, crcNHuge);
-}
-
-bool
-crcValidateHuge(const Emulator &emu, int inputSet)
-{
-    return crcValidateImpl(emu, inputSet, crcNHuge);
-}
-
 /** Long-tier program: the frame buffer grows to crcNLong bytes. */
 const char *crcLongSrc = scaledSource(
-    crcSrc, {{"crc_in:    .space 3600", "crc_in:    .space 110000"}});
+    crcSrc, {{strfmt("crc_in:    .space %d", crcN),
+              strfmt("crc_in:    .space %d", crcNLong)}});
 
 /** Huge-tier program: crcNHuge frame bytes. */
 const char *crcHugeSrc = scaledSource(
-    crcSrc, {{"crc_in:    .space 3600", "crc_in:    .space 910000"}});
+    crcSrc, {{strfmt("crc_in:    .space %d", crcN),
+              strfmt("crc_in:    .space %d", crcNHuge)}});
 
 // ---------------------------------------------------------------------
 // drr: deficit round robin packet scheduling over 8 queues.
@@ -234,7 +200,7 @@ drrGen(Rng &rng, std::vector<std::int64_t> &pkts, int perQueue)
 }
 
 void
-drrSetupImpl(Emulator &emu, int inputSet, int perQueue)
+drrSetup(Emulator &emu, int inputSet, int perQueue)
 {
     Rng rng(0xd66u + static_cast<unsigned>(inputSet));
     std::vector<std::int64_t> pkts;
@@ -252,7 +218,7 @@ drrSetupImpl(Emulator &emu, int inputSet, int perQueue)
 }
 
 bool
-drrValidateImpl(const Emulator &emu, int inputSet, int perQueue)
+drrValidate(const Emulator &emu, int inputSet, int perQueue)
 {
     Rng rng(0xd66u + static_cast<unsigned>(inputSet));
     std::vector<std::int64_t> pkts;
@@ -284,35 +250,14 @@ drrValidateImpl(const Emulator &emu, int inputSet, int perQueue)
     return emu.memory().read(emu.program().symbol("drr_out"), 8) == sum;
 }
 
-void
-drrSetup(Emulator &emu, int inputSet)
-{
-    drrSetupImpl(emu, inputSet, drrPerQueue);
-}
-
-bool
-drrValidate(const Emulator &emu, int inputSet)
-{
-    return drrValidateImpl(emu, inputSet, drrPerQueue);
-}
-
-void
-drrSetupLong(Emulator &emu, int inputSet)
-{
-    drrSetupImpl(emu, inputSet, drrPerQueueLong);
-}
-
-bool
-drrValidateLong(const Emulator &emu, int inputSet)
-{
-    return drrValidateImpl(emu, inputSet, drrPerQueueLong);
-}
-
 /** Long-tier program: the per-queue depth (an assembly-data constant
  *  the scheduler loop reads) and the packet array both grow. */
 const char *drrLongSrc = scaledSource(
-    drrSrc, {{"drr_perq:  .quad 420", "drr_perq:  .quad 3000"},
-             {"drr_pkts:  .space 26880", "drr_pkts:  .space 192000"}});
+    drrSrc,
+    {{strfmt("drr_perq:  .quad %d", drrPerQueue),
+      strfmt("drr_perq:  .quad %d", drrPerQueueLong)},
+     {strfmt("drr_pkts:  .space %d", 8 * drrQueues * drrPerQueue),
+      strfmt("drr_pkts:  .space %d", 8 * drrQueues * drrPerQueueLong)}});
 
 // ---------------------------------------------------------------------
 // frag: IP fragmentation — split packets into MTU-sized fragments and
@@ -375,7 +320,7 @@ fragGen(Rng &rng, std::vector<std::int64_t> &lens, int pkts)
 }
 
 void
-fragSetupImpl(Emulator &emu, int inputSet, int pkts)
+fragSetup(Emulator &emu, int inputSet, int pkts)
 {
     Rng rng(0xf4a6u + static_cast<unsigned>(inputSet));
     std::vector<std::int64_t> lens;
@@ -390,7 +335,7 @@ fragSetupImpl(Emulator &emu, int inputSet, int pkts)
 }
 
 bool
-fragValidateImpl(const Emulator &emu, int inputSet, int pkts)
+fragValidate(const Emulator &emu, int inputSet, int pkts)
 {
     Rng rng(0xf4a6u + static_cast<unsigned>(inputSet));
     std::vector<std::int64_t> lens;
@@ -419,34 +364,11 @@ fragValidateImpl(const Emulator &emu, int inputSet, int pkts)
         emu.memory().read(p.symbol("frag_cnt"), 8) == count;
 }
 
-void
-fragSetup(Emulator &emu, int inputSet)
-{
-    fragSetupImpl(emu, inputSet, fragPkts);
-}
-
-bool
-fragValidate(const Emulator &emu, int inputSet)
-{
-    return fragValidateImpl(emu, inputSet, fragPkts);
-}
-
-void
-fragSetupLong(Emulator &emu, int inputSet)
-{
-    fragSetupImpl(emu, inputSet, fragPktsLong);
-}
-
-bool
-fragValidateLong(const Emulator &emu, int inputSet)
-{
-    return fragValidateImpl(emu, inputSet, fragPktsLong);
-}
-
 /** Long-tier program: the packet-length array grows to fragPktsLong
  *  quads. */
 const char *fragLongSrc = scaledSource(
-    fragSrc, {{"frag_len: .space 10400", "frag_len: .space 192000"}});
+    fragSrc, {{strfmt("frag_len: .space %d", 8 * fragPkts),
+               strfmt("frag_len: .space %d", 8 * fragPktsLong)}});
 
 // ---------------------------------------------------------------------
 // rtr: two-level radix-trie IPv4 route lookup (16-bit root + 8-bit
@@ -525,7 +447,7 @@ rtrGen(Rng &rng, std::vector<std::uint32_t> &root,
 }
 
 void
-rtrSetupImpl(Emulator &emu, int inputSet, int lookups)
+rtrSetup(Emulator &emu, int inputSet, int lookups)
 {
     Rng rng(0x2077u + static_cast<unsigned>(inputSet));
     std::vector<std::uint32_t> root, leaf, ips;
@@ -545,7 +467,7 @@ rtrSetupImpl(Emulator &emu, int inputSet, int lookups)
 }
 
 bool
-rtrValidateImpl(const Emulator &emu, int inputSet, int lookups)
+rtrValidate(const Emulator &emu, int inputSet, int lookups)
 {
     Rng rng(0x2077u + static_cast<unsigned>(inputSet));
     std::vector<std::uint32_t> root, leaf, ips;
@@ -560,34 +482,11 @@ rtrValidateImpl(const Emulator &emu, int inputSet, int lookups)
     return emu.memory().read(emu.program().symbol("rtr_out"), 8) == sum;
 }
 
-void
-rtrSetup(Emulator &emu, int inputSet)
-{
-    rtrSetupImpl(emu, inputSet, rtrLookups);
-}
-
-bool
-rtrValidate(const Emulator &emu, int inputSet)
-{
-    return rtrValidateImpl(emu, inputSet, rtrLookups);
-}
-
-void
-rtrSetupLong(Emulator &emu, int inputSet)
-{
-    rtrSetupImpl(emu, inputSet, rtrLookupsLong);
-}
-
-bool
-rtrValidateLong(const Emulator &emu, int inputSet)
-{
-    return rtrValidateImpl(emu, inputSet, rtrLookupsLong);
-}
-
 /** Long-tier program: the lookup-key stream grows to rtrLookupsLong
  *  4-byte addresses; the trie tables are unchanged. */
 const char *rtrLongSrc = scaledSource(
-    rtrSrc, {{"rtr_ips:   .space 28000", "rtr_ips:   .space 280000"}});
+    rtrSrc, {{strfmt("rtr_ips:   .space %d", 4 * rtrLookups),
+              strfmt("rtr_ips:   .space %d", 4 * rtrLookupsLong)}});
 
 // ---------------------------------------------------------------------
 // reed: Reed-Solomon-style systematic encoder over GF(256) using
@@ -719,7 +618,7 @@ reedGenData(Rng &rng, std::vector<std::uint8_t> &data, int blocks)
 }
 
 void
-reedSetupImpl(Emulator &emu, int inputSet, int blocks)
+reedSetup(Emulator &emu, int inputSet, int blocks)
 {
     Rng rng(0x2eedu + static_cast<unsigned>(inputSet));
     std::uint8_t logt[256] = {}, alog[512] = {}, gen[16] = {};
@@ -736,7 +635,7 @@ reedSetupImpl(Emulator &emu, int inputSet, int blocks)
 }
 
 bool
-reedValidateImpl(const Emulator &emu, int inputSet, int blocks)
+reedValidate(const Emulator &emu, int inputSet, int blocks)
 {
     Rng rng(0x2eedu + static_cast<unsigned>(inputSet));
     std::uint8_t logt[256] = {}, alog[512] = {}, gen[16] = {};
@@ -767,34 +666,11 @@ reedValidateImpl(const Emulator &emu, int inputSet, int blocks)
     return emu.memory().read(emu.program().symbol("reed_out"), 8) == sum;
 }
 
-void
-reedSetup(Emulator &emu, int inputSet)
-{
-    reedSetupImpl(emu, inputSet, reedBlocks);
-}
-
-bool
-reedValidate(const Emulator &emu, int inputSet)
-{
-    return reedValidateImpl(emu, inputSet, reedBlocks);
-}
-
-void
-reedSetupLong(Emulator &emu, int inputSet)
-{
-    reedSetupImpl(emu, inputSet, reedBlocksLong);
-}
-
-bool
-reedValidateLong(const Emulator &emu, int inputSet)
-{
-    return reedValidateImpl(emu, inputSet, reedBlocksLong);
-}
-
 /** Long-tier program: the data segment grows to reedBlocksLong
  *  32-byte blocks. */
 const char *reedLongSrc = scaledSource(
-    reedSrc, {{"reed_data: .space 1280", "reed_data: .space 4640"}});
+    reedSrc, {{strfmt("reed_data: .space %d", reedK * reedBlocks),
+               strfmt("reed_data: .space %d", reedK * reedBlocksLong)}});
 
 } // namespace
 
@@ -803,21 +679,20 @@ commKernels()
 {
     return {
         {"crc", "CommBench-S", "table-driven CRC32 frame checksum",
-         crcSrc, crcSetup, crcValidate,
-         {crcLongSrc, crcSetupLong, crcValidateLong},
-         {crcHugeSrc, crcSetupHuge, crcValidateHuge}},
+         crcSetup, crcValidate,
+         {{crcSrc, crcN}, {crcLongSrc, crcNLong}, {crcHugeSrc, crcNHuge}}},
         {"drr", "CommBench-S", "deficit round robin packet scheduler",
-         drrSrc, drrSetup, drrValidate,
-         {drrLongSrc, drrSetupLong, drrValidateLong}},
+         drrSetup, drrValidate,
+         {{drrSrc, drrPerQueue}, {drrLongSrc, drrPerQueueLong}}},
         {"frag", "CommBench-S", "IP fragmentation header generation",
-         fragSrc, fragSetup, fragValidate,
-         {fragLongSrc, fragSetupLong, fragValidateLong}},
+         fragSetup, fragValidate,
+         {{fragSrc, fragPkts}, {fragLongSrc, fragPktsLong}}},
         {"rtr", "CommBench-S", "two-level radix-trie route lookup",
-         rtrSrc, rtrSetup, rtrValidate,
-         {rtrLongSrc, rtrSetupLong, rtrValidateLong}},
+         rtrSetup, rtrValidate,
+         {{rtrSrc, rtrLookups}, {rtrLongSrc, rtrLookupsLong}}},
         {"reed", "CommBench-S",
-         "Reed-Solomon GF(256) systematic encoder", reedSrc, reedSetup,
-         reedValidate, {reedLongSrc, reedSetupLong, reedValidateLong}},
+         "Reed-Solomon GF(256) systematic encoder", reedSetup,
+         reedValidate, {{reedSrc, reedBlocks}, {reedLongSrc, reedBlocksLong}}},
     };
 }
 

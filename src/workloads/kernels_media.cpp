@@ -242,7 +242,7 @@ ae_in:   .space 17600
 )ASM";
 
 void
-aeSetupImpl(Emulator &emu, int inputSet, int n)
+aeSetup(Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xadceu + static_cast<unsigned>(inputSet));
     auto wave = synthWave(rng, n);
@@ -258,7 +258,7 @@ aeSetupImpl(Emulator &emu, int inputSet, int n)
 }
 
 bool
-aeValidateImpl(const Emulator &emu, int inputSet, int n)
+aeValidate(const Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xadceu + static_cast<unsigned>(inputSet));
     auto wave = synthWave(rng, n);
@@ -271,34 +271,12 @@ aeValidateImpl(const Emulator &emu, int inputSet, int n)
     return emu.memory().read(emu.program().symbol("ae_out"), 8) == sum;
 }
 
-void
-aeSetup(Emulator &emu, int inputSet)
-{
-    aeSetupImpl(emu, inputSet, aeN);
-}
-
-bool
-aeValidate(const Emulator &emu, int inputSet)
-{
-    return aeValidateImpl(emu, inputSet, aeN);
-}
-
-void
-aeSetupLong(Emulator &emu, int inputSet)
-{
-    aeSetupImpl(emu, inputSet, aeNLong);
-}
-
-bool
-aeValidateLong(const Emulator &emu, int inputSet)
-{
-    return aeValidateImpl(emu, inputSet, aeNLong);
-}
-
 /** Long-tier program: sample input and code output grow to aeNLong. */
 const char *aeLongSrc = scaledSource(
-    aeSrc, {{"ae_code: .space 2200", "ae_code: .space 25000"},
-            {"ae_in:   .space 17600", "ae_in:   .space 200000"}});
+    aeSrc, {{strfmt("ae_code: .space %d", aeN),
+             strfmt("ae_code: .space %d", aeNLong)},
+            {strfmt("ae_in:   .space %d", 8 * aeN),
+             strfmt("ae_in:   .space %d", 8 * aeNLong)}});
 
 // ---------------------------------------------------------------------
 // adpcm.dec: IMA ADPCM decoder over a pre-encoded stream.
@@ -382,7 +360,7 @@ ad_code: .space 2600
 )ASM";
 
 void
-adSetupImpl(Emulator &emu, int inputSet, int n)
+adSetup(Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xadcdu + static_cast<unsigned>(inputSet));
     auto wave = synthWave(rng, n);
@@ -400,7 +378,7 @@ adSetupImpl(Emulator &emu, int inputSet, int n)
 }
 
 bool
-adValidateImpl(const Emulator &emu, int inputSet, int n)
+adValidate(const Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xadcdu + static_cast<unsigned>(inputSet));
     auto wave = synthWave(rng, n);
@@ -414,33 +392,10 @@ adValidateImpl(const Emulator &emu, int inputSet, int n)
     return emu.memory().read(emu.program().symbol("ad_out"), 8) == sum;
 }
 
-void
-adSetup(Emulator &emu, int inputSet)
-{
-    adSetupImpl(emu, inputSet, adN);
-}
-
-bool
-adValidate(const Emulator &emu, int inputSet)
-{
-    return adValidateImpl(emu, inputSet, adN);
-}
-
-void
-adSetupLong(Emulator &emu, int inputSet)
-{
-    adSetupImpl(emu, inputSet, adNLong);
-}
-
-bool
-adValidateLong(const Emulator &emu, int inputSet)
-{
-    return adValidateImpl(emu, inputSet, adNLong);
-}
-
 /** Long-tier program: the encoded stream grows to adNLong bytes. */
 const char *adLongSrc = scaledSource(
-    adSrc, {{"ad_code: .space 2600", "ad_code: .space 32000"}});
+    adSrc, {{strfmt("ad_code: .space %d", adN),
+             strfmt("ad_code: .space %d", adNLong)}});
 
 // ---------------------------------------------------------------------
 // g721.enc: adaptive 2-tap sign-sign LMS predictor with 4-bit error
@@ -514,7 +469,7 @@ g7_in:  .space 19200
 )ASM";
 
 void
-g7SetupImpl(Emulator &emu, int inputSet, int n)
+g7Setup(Emulator &emu, int inputSet, int n)
 {
     Rng rng(0x721u + static_cast<unsigned>(inputSet));
     auto wave = synthWave(rng, n);
@@ -529,7 +484,7 @@ g7SetupImpl(Emulator &emu, int inputSet, int n)
 }
 
 bool
-g7ValidateImpl(const Emulator &emu, int inputSet, int n)
+g7Validate(const Emulator &emu, int inputSet, int n)
 {
     Rng rng(0x721u + static_cast<unsigned>(inputSet));
     auto wave = synthWave(rng, n);
@@ -551,33 +506,10 @@ g7ValidateImpl(const Emulator &emu, int inputSet, int n)
     return emu.memory().read(emu.program().symbol("g7_out"), 8) == sum;
 }
 
-void
-g7Setup(Emulator &emu, int inputSet)
-{
-    g7SetupImpl(emu, inputSet, g7N);
-}
-
-bool
-g7Validate(const Emulator &emu, int inputSet)
-{
-    return g7ValidateImpl(emu, inputSet, g7N);
-}
-
-void
-g7SetupLong(Emulator &emu, int inputSet)
-{
-    g7SetupImpl(emu, inputSet, g7NLong);
-}
-
-bool
-g7ValidateLong(const Emulator &emu, int inputSet)
-{
-    return g7ValidateImpl(emu, inputSet, g7NLong);
-}
-
 /** Long-tier program: the sample input grows to g7NLong quads. */
 const char *g7LongSrc = scaledSource(
-    g7Src, {{"g7_in:  .space 19200", "g7_in:  .space 292000"}});
+    g7Src, {{strfmt("g7_in:  .space %d", 8 * g7N),
+             strfmt("g7_in:  .space %d", 8 * g7NLong)}});
 
 // ---------------------------------------------------------------------
 // jpeg.dct: 8x8 forward DCT per block as two fixed-point 8x8 matrix
@@ -693,7 +625,7 @@ dct_in:   .space 5120
 )ASM";
 
 void
-dctSetupImpl(Emulator &emu, int inputSet, int blocks)
+dctSetup(Emulator &emu, int inputSet, int blocks)
 {
     Rng rng(0xdc7u + static_cast<unsigned>(inputSet));
     auto c = dctCoeffs();
@@ -712,7 +644,7 @@ dctSetupImpl(Emulator &emu, int inputSet, int blocks)
 }
 
 bool
-dctValidateImpl(const Emulator &emu, int inputSet, int blocks)
+dctValidate(const Emulator &emu, int inputSet, int blocks)
 {
     Rng rng(0xdc7u + static_cast<unsigned>(inputSet));
     auto c = dctCoeffs();
@@ -746,50 +678,16 @@ dctValidateImpl(const Emulator &emu, int inputSet, int blocks)
     return emu.memory().read(emu.program().symbol("dct_out"), 8) == sum;
 }
 
-void
-dctSetup(Emulator &emu, int inputSet)
-{
-    dctSetupImpl(emu, inputSet, dctBlocks);
-}
-
-bool
-dctValidate(const Emulator &emu, int inputSet)
-{
-    return dctValidateImpl(emu, inputSet, dctBlocks);
-}
-
-void
-dctSetupLong(Emulator &emu, int inputSet)
-{
-    dctSetupImpl(emu, inputSet, dctBlocksLong);
-}
-
-bool
-dctValidateLong(const Emulator &emu, int inputSet)
-{
-    return dctValidateImpl(emu, inputSet, dctBlocksLong);
-}
-
-void
-dctSetupHuge(Emulator &emu, int inputSet)
-{
-    dctSetupImpl(emu, inputSet, dctBlocksHuge);
-}
-
-bool
-dctValidateHuge(const Emulator &emu, int inputSet)
-{
-    return dctValidateImpl(emu, inputSet, dctBlocksHuge);
-}
-
 /** Long-tier program: the block loop is unchanged, the input segment
- *  grows to dctBlocksLong 8x8 blocks (70 x 512 bytes). */
+ *  grows to dctBlocksLong 8x8 blocks of quads (512 bytes each). */
 const char *dctLongSrc = scaledSource(
-    dctSrc, {{"dct_in:   .space 5120", "dct_in:   .space 35840"}});
+    dctSrc, {{strfmt("dct_in:   .space %d", 512 * dctBlocks),
+              strfmt("dct_in:   .space %d", 512 * dctBlocksLong)}});
 
-/** Huge-tier program: dctBlocksHuge 8x8 blocks (625 x 512 bytes). */
+/** Huge-tier program: dctBlocksHuge 8x8 blocks. */
 const char *dctHugeSrc = scaledSource(
-    dctSrc, {{"dct_in:   .space 5120", "dct_in:   .space 320000"}});
+    dctSrc, {{strfmt("dct_in:   .space %d", 512 * dctBlocks),
+              strfmt("dct_in:   .space %d", 512 * dctBlocksHuge)}});
 
 // ---------------------------------------------------------------------
 // mpeg2.idct: inverse transform (out = C^T * in * C) with a final
@@ -892,7 +790,7 @@ idct_in:   .space 5120
 )ASM";
 
 void
-idctSetupImpl(Emulator &emu, int inputSet, int blocks)
+idctSetup(Emulator &emu, int inputSet, int blocks)
 {
     Rng rng(0x1dc7u + static_cast<unsigned>(inputSet));
     auto c = dctCoeffs();
@@ -910,7 +808,7 @@ idctSetupImpl(Emulator &emu, int inputSet, int blocks)
 }
 
 bool
-idctValidateImpl(const Emulator &emu, int inputSet, int blocks)
+idctValidate(const Emulator &emu, int inputSet, int blocks)
 {
     Rng rng(0x1dc7u + static_cast<unsigned>(inputSet));
     auto c = dctCoeffs();
@@ -948,34 +846,11 @@ idctValidateImpl(const Emulator &emu, int inputSet, int blocks)
     return emu.memory().read(emu.program().symbol("idct_out"), 8) == sum;
 }
 
-void
-idctSetup(Emulator &emu, int inputSet)
-{
-    idctSetupImpl(emu, inputSet, idctBlocks);
-}
-
-bool
-idctValidate(const Emulator &emu, int inputSet)
-{
-    return idctValidateImpl(emu, inputSet, idctBlocks);
-}
-
-void
-idctSetupLong(Emulator &emu, int inputSet)
-{
-    idctSetupImpl(emu, inputSet, idctBlocksLong);
-}
-
-bool
-idctValidateLong(const Emulator &emu, int inputSet)
-{
-    return idctValidateImpl(emu, inputSet, idctBlocksLong);
-}
-
 /** Long-tier program: the input segment grows to idctBlocksLong 8x8
  *  blocks. */
 const char *idctLongSrc = scaledSource(
-    idctSrc, {{"idct_in:   .space 5120", "idct_in:   .space 35840"}});
+    idctSrc, {{strfmt("idct_in:   .space %d", 512 * idctBlocks),
+               strfmt("idct_in:   .space %d", 512 * idctBlocksLong)}});
 
 // ---------------------------------------------------------------------
 // gsm.lpc: 8-stage fixed-point LPC analysis filter (serial dependence
@@ -1039,7 +914,7 @@ lpc_in:  .space 12000
 )ASM";
 
 void
-lpcSetupImpl(Emulator &emu, int inputSet, int n)
+lpcSetup(Emulator &emu, int inputSet, int n)
 {
     Rng rng(0x95bu + static_cast<unsigned>(inputSet));
     auto wave = synthWave(rng, n);
@@ -1058,7 +933,7 @@ lpcSetupImpl(Emulator &emu, int inputSet, int n)
 }
 
 bool
-lpcValidateImpl(const Emulator &emu, int inputSet, int n)
+lpcValidate(const Emulator &emu, int inputSet, int n)
 {
     Rng rng(0x95bu + static_cast<unsigned>(inputSet));
     auto wave = synthWave(rng, n);
@@ -1080,33 +955,10 @@ lpcValidateImpl(const Emulator &emu, int inputSet, int n)
     return emu.memory().read(emu.program().symbol("lpc_out"), 8) == sum;
 }
 
-void
-lpcSetup(Emulator &emu, int inputSet)
-{
-    lpcSetupImpl(emu, inputSet, lpcN);
-}
-
-bool
-lpcValidate(const Emulator &emu, int inputSet)
-{
-    return lpcValidateImpl(emu, inputSet, lpcN);
-}
-
-void
-lpcSetupLong(Emulator &emu, int inputSet)
-{
-    lpcSetupImpl(emu, inputSet, lpcNLong);
-}
-
-bool
-lpcValidateLong(const Emulator &emu, int inputSet)
-{
-    return lpcValidateImpl(emu, inputSet, lpcNLong);
-}
-
 /** Long-tier program: the input segment grows to lpcNLong samples. */
 const char *lpcLongSrc = scaledSource(
-    lpcSrc, {{"lpc_in:  .space 12000", "lpc_in:  .space 52000"}});
+    lpcSrc, {{strfmt("lpc_in:  .space %d", 8 * lpcN),
+              strfmt("lpc_in:  .space %d", 8 * lpcNLong)}});
 
 } // namespace
 
@@ -1115,26 +967,24 @@ mediaKernels()
 {
     return {
         {"adpcm.enc", "MediaBench-S", "IMA ADPCM speech encoder",
-         aeSrc, aeSetup, aeValidate,
-         {aeLongSrc, aeSetupLong, aeValidateLong}},
+         aeSetup, aeValidate, {{aeSrc, aeN}, {aeLongSrc, aeNLong}}},
         {"adpcm.dec", "MediaBench-S", "IMA ADPCM speech decoder",
-         adSrc, adSetup, adValidate,
-         {adLongSrc, adSetupLong, adValidateLong}},
+         adSetup, adValidate, {{adSrc, adN}, {adLongSrc, adNLong}}},
         {"g721.enc", "MediaBench-S",
-         "adaptive sign-sign LMS predictive coder", g7Src, g7Setup,
-         g7Validate, {g7LongSrc, g7SetupLong, g7ValidateLong}},
+         "adaptive sign-sign LMS predictive coder", g7Setup, g7Validate,
+         {{g7Src, g7N}, {g7LongSrc, g7NLong}}},
         {"jpeg.dct", "MediaBench-S",
-         "8x8 fixed-point forward DCT block transform", dctSrc,
-         dctSetup, dctValidate,
-         {dctLongSrc, dctSetupLong, dctValidateLong},
-         {dctHugeSrc, dctSetupHuge, dctValidateHuge}},
+         "8x8 fixed-point forward DCT block transform", dctSetup,
+         dctValidate,
+         {{dctSrc, dctBlocks}, {dctLongSrc, dctBlocksLong},
+          {dctHugeSrc, dctBlocksHuge}}},
         {"mpeg2.idct", "MediaBench-S",
-         "8x8 fixed-point inverse DCT with clamping", idctSrc,
-         idctSetup, idctValidate,
-         {idctLongSrc, idctSetupLong, idctValidateLong}},
+         "8x8 fixed-point inverse DCT with clamping", idctSetup,
+         idctValidate,
+         {{idctSrc, idctBlocks}, {idctLongSrc, idctBlocksLong}}},
         {"gsm.lpc", "MediaBench-S",
-         "8-stage fixed-point LPC analysis filter", lpcSrc, lpcSetup,
-         lpcValidate, {lpcLongSrc, lpcSetupLong, lpcValidateLong}},
+         "8-stage fixed-point LPC analysis filter", lpcSetup,
+         lpcValidate, {{lpcSrc, lpcN}, {lpcLongSrc, lpcNLong}}},
     };
 }
 

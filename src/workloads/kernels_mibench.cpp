@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -56,7 +57,7 @@ bc_in:  .space 11200
 )ASM";
 
 void
-bcSetupImpl(Emulator &emu, int inputSet, int n)
+bcSetup(Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xb17c0u + static_cast<unsigned>(inputSet));
     Memory &m = emu.memory();
@@ -68,7 +69,7 @@ bcSetupImpl(Emulator &emu, int inputSet, int n)
 }
 
 bool
-bcValidateImpl(const Emulator &emu, int inputSet, int n)
+bcValidate(const Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xb17c0u + static_cast<unsigned>(inputSet));
     std::uint64_t total = 0;
@@ -79,33 +80,10 @@ bcValidateImpl(const Emulator &emu, int inputSet, int n)
     return emu.memory().read(emu.program().symbol("bc_out"), 8) == total;
 }
 
-void
-bcSetup(Emulator &emu, int inputSet)
-{
-    bcSetupImpl(emu, inputSet, bcN);
-}
-
-bool
-bcValidate(const Emulator &emu, int inputSet)
-{
-    return bcValidateImpl(emu, inputSet, bcN);
-}
-
-void
-bcSetupLong(Emulator &emu, int inputSet)
-{
-    bcSetupImpl(emu, inputSet, bcNLong);
-}
-
-bool
-bcValidateLong(const Emulator &emu, int inputSet)
-{
-    return bcValidateImpl(emu, inputSet, bcNLong);
-}
-
 /** Long-tier program: the word array grows to bcNLong quads. */
 const char *bcLongSrc = scaledSource(
-    bcSrc, {{"bc_in:  .space 11200", "bc_in:  .space 52800"}});
+    bcSrc, {{strfmt("bc_in:  .space %d", 8 * bcN),
+             strfmt("bc_in:  .space %d", 8 * bcNLong)}});
 
 // ---------------------------------------------------------------------
 // sha: SHA-1-style compression rounds (message schedule + 80 rounds of
@@ -221,7 +199,7 @@ sha_msg:  .space 2304
 )ASM";
 
 void
-shaSetupImpl(Emulator &emu, int inputSet, int blocks)
+shaSetup(Emulator &emu, int inputSet, int blocks)
 {
     Rng rng(0x5a1u + static_cast<unsigned>(inputSet));
     Memory &m = emu.memory();
@@ -234,7 +212,7 @@ shaSetupImpl(Emulator &emu, int inputSet, int blocks)
 }
 
 bool
-shaValidateImpl(const Emulator &emu, int inputSet, int blocks)
+shaValidate(const Emulator &emu, int inputSet, int blocks)
 {
     Rng rng(0x5a1u + static_cast<unsigned>(inputSet));
     auto rotl = [](std::uint32_t v, int n) {
@@ -265,50 +243,16 @@ shaValidateImpl(const Emulator &emu, int inputSet, int blocks)
     return emu.memory().read(emu.program().symbol("sha_out"), 8) == sum;
 }
 
-void
-shaSetup(Emulator &emu, int inputSet)
-{
-    shaSetupImpl(emu, inputSet, shaBlocks);
-}
-
-bool
-shaValidate(const Emulator &emu, int inputSet)
-{
-    return shaValidateImpl(emu, inputSet, shaBlocks);
-}
-
-void
-shaSetupLong(Emulator &emu, int inputSet)
-{
-    shaSetupImpl(emu, inputSet, shaBlocksLong);
-}
-
-bool
-shaValidateLong(const Emulator &emu, int inputSet)
-{
-    return shaValidateImpl(emu, inputSet, shaBlocksLong);
-}
-
-void
-shaSetupHuge(Emulator &emu, int inputSet)
-{
-    shaSetupImpl(emu, inputSet, shaBlocksHuge);
-}
-
-bool
-shaValidateHuge(const Emulator &emu, int inputSet)
-{
-    return shaValidateImpl(emu, inputSet, shaBlocksHuge);
-}
-
 /** Long-tier program: the message grows to shaBlocksLong 64-byte
  *  blocks. */
 const char *shaLongSrc = scaledSource(
-    shaSrc, {{"sha_msg:  .space 2304", "sha_msg:  .space 21760"}});
+    shaSrc, {{strfmt("sha_msg:  .space %d", 64 * shaBlocks),
+              strfmt("sha_msg:  .space %d", 64 * shaBlocksLong)}});
 
 /** Huge-tier program: shaBlocksHuge 64-byte blocks. */
 const char *shaHugeSrc = scaledSource(
-    shaSrc, {{"sha_msg:  .space 2304", "sha_msg:  .space 195200"}});
+    shaSrc, {{strfmt("sha_msg:  .space %d", 64 * shaBlocks),
+              strfmt("sha_msg:  .space %d", 64 * shaBlocksHuge)}});
 
 // ---------------------------------------------------------------------
 // dijkstra: O(N^2) single-source shortest paths over a dense random
@@ -426,7 +370,7 @@ djFill(Rng &rng, std::vector<std::int32_t> &adj, int n)
 }
 
 void
-djSetupImpl(Emulator &emu, int inputSet, int n)
+djSetup(Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xd1357u + static_cast<unsigned>(inputSet));
     std::vector<std::int32_t> adj;
@@ -440,7 +384,7 @@ djSetupImpl(Emulator &emu, int inputSet, int n)
 }
 
 bool
-djValidateImpl(const Emulator &emu, int inputSet, int n)
+djValidate(const Emulator &emu, int inputSet, int n)
 {
     Rng rng(0xd1357u + static_cast<unsigned>(inputSet));
     std::vector<std::int32_t> adj;
@@ -474,49 +418,34 @@ djValidateImpl(const Emulator &emu, int inputSet, int n)
     return emu.memory().read(emu.program().symbol("dj_out"), 8) == sum;
 }
 
-void
-djSetup(Emulator &emu, int inputSet)
+/** Every N-dependent line of djSrc for @p n nodes: the node count is
+ *  a program *text* constant here (loop bounds, the 4*N adjacency-row
+ *  stride, and the data arrays). Multi-line patterns keep each line
+ *  unambiguous where the bare bound appears in more than one loop. */
+std::vector<std::string>
+djLines(int n)
 {
-    djSetupImpl(emu, inputSet, djN);
+    return {
+        strfmt("ldq  r13, dj_inf\n    li   r1, %d", n),
+        strfmt("li   r10, %d", n),
+        strfmt("cmplt r1, %d, r2\n    bne  r2, scan", n),
+        strfmt("cmplt r1, %d, r2\n    bne  r2, rel", n),
+        strfmt("li   r2, %d", 4 * n),
+        strfmt("li   r1, %d\n    clr  r12", n),
+        strfmt("dj_dist: .space %d", 8 * n),
+        strfmt("dj_vis:  .space %d", 8 * n),
+        strfmt("dj_adj:  .space %d", 4 * n * n),
+    };
 }
 
-bool
-djValidate(const Emulator &emu, int inputSet)
-{
-    return djValidateImpl(emu, inputSet, djN);
-}
-
-void
-djSetupLong(Emulator &emu, int inputSet)
-{
-    djSetupImpl(emu, inputSet, djNLong);
-}
-
-bool
-djValidateLong(const Emulator &emu, int inputSet)
-{
-    return djValidateImpl(emu, inputSet, djNLong);
-}
-
-/** Long-tier program: the node count is a program *text* constant
- *  here (loop bounds, the 4*N adjacency-row stride, and the data
- *  arrays), so the derivation substitutes every N-dependent line.
- *  Multi-line patterns keep each substitution unambiguous where the
- *  bare bound appears in more than one loop. */
-const char *djLongSrc = scaledSource(
-    djSrc,
-    {{"ldq  r13, dj_inf\n    li   r1, 48",
-      "ldq  r13, dj_inf\n    li   r1, 240"},
-     {"li   r10, 48", "li   r10, 240"},
-     {"cmplt r1, 48, r2\n    bne  r2, scan",
-      "cmplt r1, 240, r2\n    bne  r2, scan"},
-     {"cmplt r1, 48, r2\n    bne  r2, rel",
-      "cmplt r1, 240, r2\n    bne  r2, rel"},
-     {"li   r2, 192", "li   r2, 960"},
-     {"li   r1, 48\n    clr  r12", "li   r1, 240\n    clr  r12"},
-     {"dj_dist: .space 384", "dj_dist: .space 1920"},
-     {"dj_vis:  .space 384", "dj_vis:  .space 1920"},
-     {"dj_adj:  .space 9216", "dj_adj:  .space 230400"}});
+/** Long-tier program: every djLines() line resized to djNLong nodes. */
+const char *djLongSrc = [] {
+    std::vector<std::string> ref = djLines(djN), scaled = djLines(djNLong);
+    std::vector<std::pair<std::string, std::string>> subs;
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        subs.emplace_back(ref[i], scaled[i]);
+    return scaledSource(djSrc, subs);
+}();
 
 // ---------------------------------------------------------------------
 // stringsearch: Horspool search of several patterns over a text.
@@ -629,7 +558,7 @@ ssGen(Rng &rng, std::vector<std::uint8_t> &text,
 }
 
 void
-ssSetupImpl(Emulator &emu, int inputSet, int textLen)
+ssSetup(Emulator &emu, int inputSet, int textLen)
 {
     Rng rng(0x57a7u + static_cast<unsigned>(inputSet));
     std::vector<std::uint8_t> text, pats;
@@ -642,7 +571,7 @@ ssSetupImpl(Emulator &emu, int inputSet, int textLen)
 }
 
 bool
-ssValidateImpl(const Emulator &emu, int inputSet, int textLen)
+ssValidate(const Emulator &emu, int inputSet, int textLen)
 {
     Rng rng(0x57a7u + static_cast<unsigned>(inputSet));
     std::vector<std::uint8_t> text, pats;
@@ -675,33 +604,10 @@ ssValidateImpl(const Emulator &emu, int inputSet, int textLen)
         matches;
 }
 
-void
-ssSetup(Emulator &emu, int inputSet)
-{
-    ssSetupImpl(emu, inputSet, ssTextLen);
-}
-
-bool
-ssValidate(const Emulator &emu, int inputSet)
-{
-    return ssValidateImpl(emu, inputSet, ssTextLen);
-}
-
-void
-ssSetupLong(Emulator &emu, int inputSet)
-{
-    ssSetupImpl(emu, inputSet, ssTextLenLong);
-}
-
-bool
-ssValidateLong(const Emulator &emu, int inputSet)
-{
-    return ssValidateImpl(emu, inputSet, ssTextLenLong);
-}
-
 /** Long-tier program: the text grows to ssTextLenLong bytes. */
 const char *ssLongSrc = scaledSource(
-    ssSrc, {{"ss_text:  .space 4096", "ss_text:  .space 29500"}});
+    ssSrc, {{strfmt("ss_text:  .space %d", ssTextLen),
+             strfmt("ss_text:  .space %d", ssTextLenLong)}});
 
 // ---------------------------------------------------------------------
 // blowfish: 16-round Feistel block cipher with four S-boxes.
@@ -786,7 +692,7 @@ bfGen(Rng &rng, std::vector<std::uint32_t> &sbox,
 }
 
 void
-bfSetupImpl(Emulator &emu, int inputSet, int nblocks)
+bfSetup(Emulator &emu, int inputSet, int nblocks)
 {
     Rng rng(0xb10f5u + static_cast<unsigned>(inputSet));
     std::vector<std::uint32_t> sbox, blocks;
@@ -806,7 +712,7 @@ bfSetupImpl(Emulator &emu, int inputSet, int nblocks)
 }
 
 bool
-bfValidateImpl(const Emulator &emu, int inputSet, int nblocks)
+bfValidate(const Emulator &emu, int inputSet, int nblocks)
 {
     Rng rng(0xb10f5u + static_cast<unsigned>(inputSet));
     std::vector<std::uint32_t> sbox, blocks;
@@ -831,34 +737,11 @@ bfValidateImpl(const Emulator &emu, int inputSet, int nblocks)
     return emu.memory().read(emu.program().symbol("bf_out"), 8) == sum;
 }
 
-void
-bfSetup(Emulator &emu, int inputSet)
-{
-    bfSetupImpl(emu, inputSet, bfBlocks);
-}
-
-bool
-bfValidate(const Emulator &emu, int inputSet)
-{
-    return bfValidateImpl(emu, inputSet, bfBlocks);
-}
-
-void
-bfSetupLong(Emulator &emu, int inputSet)
-{
-    bfSetupImpl(emu, inputSet, bfBlocksLong);
-}
-
-bool
-bfValidateLong(const Emulator &emu, int inputSet)
-{
-    return bfValidateImpl(emu, inputSet, bfBlocksLong);
-}
-
 /** Long-tier program: the block stream grows to bfBlocksLong 8-byte
  *  blocks. */
 const char *bfLongSrc = scaledSource(
-    bfSrc, {{"bf_in:   .space 2720", "bf_in:   .space 19200"}});
+    bfSrc, {{strfmt("bf_in:   .space %d", 8 * bfBlocks),
+             strfmt("bf_in:   .space %d", 8 * bfBlocksLong)}});
 
 // ---------------------------------------------------------------------
 // rgb2gray: RGBA-to-luma pixel conversion (the "2rgba"-style pixel
@@ -905,7 +788,7 @@ rg_in:   .space 16800
 )ASM";
 
 void
-rgSetupImpl(Emulator &emu, int inputSet, int n)
+rgSetup(Emulator &emu, int inputSet, int n)
 {
     Rng rng(0x26bau + static_cast<unsigned>(inputSet));
     Memory &m = emu.memory();
@@ -918,7 +801,7 @@ rgSetupImpl(Emulator &emu, int inputSet, int n)
 }
 
 bool
-rgValidateImpl(const Emulator &emu, int inputSet, int n)
+rgValidate(const Emulator &emu, int inputSet, int n)
 {
     Rng rng(0x26bau + static_cast<unsigned>(inputSet));
     std::uint64_t sum = 0;
@@ -932,35 +815,13 @@ rgValidateImpl(const Emulator &emu, int inputSet, int n)
     return emu.memory().read(emu.program().symbol("rg_out"), 8) == sum;
 }
 
-void
-rgSetup(Emulator &emu, int inputSet)
-{
-    rgSetupImpl(emu, inputSet, rgN);
-}
-
-bool
-rgValidate(const Emulator &emu, int inputSet)
-{
-    return rgValidateImpl(emu, inputSet, rgN);
-}
-
-void
-rgSetupLong(Emulator &emu, int inputSet)
-{
-    rgSetupImpl(emu, inputSet, rgNLong);
-}
-
-bool
-rgValidateLong(const Emulator &emu, int inputSet)
-{
-    return rgValidateImpl(emu, inputSet, rgNLong);
-}
-
 /** Long-tier program: the pixel input and luma output both grow to
  *  rgNLong entries. */
 const char *rgLongSrc = scaledSource(
-    rgSrc, {{"rg_gray: .space 4200", "rg_gray: .space 58000"},
-            {"rg_in:   .space 16800", "rg_in:   .space 232000"}});
+    rgSrc, {{strfmt("rg_gray: .space %d", rgN),
+             strfmt("rg_gray: .space %d", rgNLong)},
+            {strfmt("rg_in:   .space %d", 4 * rgN),
+             strfmt("rg_in:   .space %d", 4 * rgNLong)}});
 
 } // namespace
 
@@ -969,25 +830,25 @@ mibenchKernels()
 {
     return {
         {"bitcount", "MiBench-S",
-         "bit counting via ctpop and Kernighan's loop", bcSrc, bcSetup,
-         bcValidate, {bcLongSrc, bcSetupLong, bcValidateLong}},
+         "bit counting via ctpop and Kernighan's loop", bcSetup,
+         bcValidate, {{bcSrc, bcN}, {bcLongSrc, bcNLong}}},
         {"sha", "MiBench-S",
          "SHA-1-style message schedule and 80 compression rounds",
-         shaSrc, shaSetup, shaValidate,
-         {shaLongSrc, shaSetupLong, shaValidateLong},
-         {shaHugeSrc, shaSetupHuge, shaValidateHuge}},
+         shaSetup, shaValidate,
+         {{shaSrc, shaBlocks}, {shaLongSrc, shaBlocksLong},
+          {shaHugeSrc, shaBlocksHuge}}},
         {"dijkstra", "MiBench-S",
-         "dense single-source shortest paths (O(N^2) scan)", djSrc,
-         djSetup, djValidate, {djLongSrc, djSetupLong, djValidateLong}},
+         "dense single-source shortest paths (O(N^2) scan)", djSetup,
+         djValidate, {{djSrc, djN}, {djLongSrc, djNLong}}},
         {"stringsearch", "MiBench-S",
-         "Horspool multi-pattern text search", ssSrc, ssSetup,
-         ssValidate, {ssLongSrc, ssSetupLong, ssValidateLong}},
+         "Horspool multi-pattern text search", ssSetup, ssValidate,
+         {{ssSrc, ssTextLen}, {ssLongSrc, ssTextLenLong}}},
         {"blowfish", "MiBench-S",
-         "16-round Feistel cipher with four S-boxes", bfSrc, bfSetup,
-         bfValidate, {bfLongSrc, bfSetupLong, bfValidateLong}},
+         "16-round Feistel cipher with four S-boxes", bfSetup,
+         bfValidate, {{bfSrc, bfBlocks}, {bfLongSrc, bfBlocksLong}}},
         {"rgb2gray", "MiBench-S",
-         "RGBA-to-luma pixel conversion loop", rgSrc, rgSetup,
-         rgValidate, {rgLongSrc, rgSetupLong, rgValidateLong}},
+         "RGBA-to-luma pixel conversion loop", rgSetup, rgValidate,
+         {{rgSrc, rgN}, {rgLongSrc, rgNLong}}},
     };
 }
 

@@ -132,7 +132,7 @@ gz_in:    .space 5000
 )ASM";
 
 void
-gzSetupImpl(Emulator &emu, int inputSet, int n)
+gzSetup(Emulator &emu, int inputSet, int n)
 {
     Rng rng(0x9217u + static_cast<unsigned>(inputSet));
     auto in = gzInput(rng, n);
@@ -143,7 +143,7 @@ gzSetupImpl(Emulator &emu, int inputSet, int n)
 }
 
 bool
-gzValidateImpl(const Emulator &emu, int inputSet, int n)
+gzValidate(const Emulator &emu, int inputSet, int n)
 {
     Rng rng(0x9217u + static_cast<unsigned>(inputSet));
     auto in = gzInput(rng, n);
@@ -183,33 +183,10 @@ gzValidateImpl(const Emulator &emu, int inputSet, int n)
         emu.memory().read(p.symbol("gz_cnt"), 8) == count;
 }
 
-void
-gzSetup(Emulator &emu, int inputSet)
-{
-    gzSetupImpl(emu, inputSet, gzN);
-}
-
-bool
-gzValidate(const Emulator &emu, int inputSet)
-{
-    return gzValidateImpl(emu, inputSet, gzN);
-}
-
-void
-gzSetupLong(Emulator &emu, int inputSet)
-{
-    gzSetupImpl(emu, inputSet, gzNLong);
-}
-
-bool
-gzValidateLong(const Emulator &emu, int inputSet)
-{
-    return gzValidateImpl(emu, inputSet, gzNLong);
-}
-
 /** Long-tier program: the input text grows to gzNLong bytes. */
 const char *gzLongSrc = scaledSource(
-    gzSrc, {{"gz_in:    .space 5000", "gz_in:    .space 55000"}});
+    gzSrc, {{strfmt("gz_in:    .space %d", gzN),
+             strfmt("gz_in:    .space %d", gzNLong)}});
 
 // ---------------------------------------------------------------------
 // mcf: pointer-chasing relaxation over a random-permutation linked
@@ -277,7 +254,7 @@ mcfPerm(Rng &rng, std::vector<std::int64_t> &perm)
 }
 
 void
-mcfSetupImpl(Emulator &emu, int inputSet, int passes)
+mcfSetup(Emulator &emu, int inputSet, int passes)
 {
     Rng rng(0x3cfu + static_cast<unsigned>(inputSet));
     std::vector<std::int64_t> perm;
@@ -300,7 +277,7 @@ mcfSetupImpl(Emulator &emu, int inputSet, int passes)
 }
 
 bool
-mcfValidateImpl(const Emulator &emu, int inputSet, int passes)
+mcfValidate(const Emulator &emu, int inputSet, int passes)
 {
     Rng rng(0x3cfu + static_cast<unsigned>(inputSet));
     std::vector<std::int64_t> perm;
@@ -331,42 +308,6 @@ mcfValidateImpl(const Emulator &emu, int inputSet, int passes)
     for (int i = 0; i < mcfNodes; ++i)
         sum += static_cast<std::uint64_t>(pot[static_cast<size_t>(i)]);
     return emu.memory().read(emu.program().symbol("mcf_out"), 8) == sum;
-}
-
-void
-mcfSetup(Emulator &emu, int inputSet)
-{
-    mcfSetupImpl(emu, inputSet, mcfPasses);
-}
-
-bool
-mcfValidate(const Emulator &emu, int inputSet)
-{
-    return mcfValidateImpl(emu, inputSet, mcfPasses);
-}
-
-void
-mcfSetupLong(Emulator &emu, int inputSet)
-{
-    mcfSetupImpl(emu, inputSet, mcfPassesLong);
-}
-
-bool
-mcfValidateLong(const Emulator &emu, int inputSet)
-{
-    return mcfValidateImpl(emu, inputSet, mcfPassesLong);
-}
-
-void
-mcfSetupHuge(Emulator &emu, int inputSet)
-{
-    mcfSetupImpl(emu, inputSet, mcfPassesHuge);
-}
-
-bool
-mcfValidateHuge(const Emulator &emu, int inputSet)
-{
-    return mcfValidateImpl(emu, inputSet, mcfPassesHuge);
 }
 
 // ---------------------------------------------------------------------
@@ -503,7 +444,7 @@ par_text:  .space 5200
 )ASM";
 
 void
-parSetupImpl(Emulator &emu, int inputSet, int textLen)
+parSetup(Emulator &emu, int inputSet, int textLen)
 {
     Rng rng(0x9a25u + static_cast<unsigned>(inputSet));
     std::vector<std::uint64_t> table;
@@ -519,7 +460,7 @@ parSetupImpl(Emulator &emu, int inputSet, int textLen)
 }
 
 bool
-parValidateImpl(const Emulator &emu, int inputSet, int textLen)
+parValidate(const Emulator &emu, int inputSet, int textLen)
 {
     Rng rng(0x9a25u + static_cast<unsigned>(inputSet));
     std::vector<std::uint64_t> table;
@@ -558,33 +499,10 @@ parValidateImpl(const Emulator &emu, int inputSet, int textLen)
         expect;
 }
 
-void
-parSetup(Emulator &emu, int inputSet)
-{
-    parSetupImpl(emu, inputSet, parTextLen);
-}
-
-bool
-parValidate(const Emulator &emu, int inputSet)
-{
-    return parValidateImpl(emu, inputSet, parTextLen);
-}
-
-void
-parSetupLong(Emulator &emu, int inputSet)
-{
-    parSetupImpl(emu, inputSet, parTextLenLong);
-}
-
-bool
-parValidateLong(const Emulator &emu, int inputSet)
-{
-    return parValidateImpl(emu, inputSet, parTextLenLong);
-}
-
 /** Long-tier program: the token text grows to parTextLenLong bytes. */
 const char *parLongSrc = scaledSource(
-    parSrc, {{"par_text:  .space 5200", "par_text:  .space 72000"}});
+    parSrc, {{strfmt("par_text:  .space %d", parTextLen),
+              strfmt("par_text:  .space %d", parTextLenLong)}});
 
 // ---------------------------------------------------------------------
 // twolf: annealing-style placement — swap two cells, recompute the
@@ -744,7 +662,7 @@ twGen(Rng &rng)
 }
 
 void
-twSetupImpl(Emulator &emu, int inputSet, int iters)
+twSetup(Emulator &emu, int inputSet, int iters)
 {
     Rng rng(0x2017u + static_cast<unsigned>(inputSet));
     TwState s = twGen(rng);
@@ -772,7 +690,7 @@ twSetupImpl(Emulator &emu, int inputSet, int iters)
 }
 
 bool
-twValidateImpl(const Emulator &emu, int inputSet, int iters)
+twValidate(const Emulator &emu, int inputSet, int iters)
 {
     Rng rng(0x2017u + static_cast<unsigned>(inputSet));
     TwState s = twGen(rng);
@@ -810,30 +728,6 @@ twValidateImpl(const Emulator &emu, int inputSet, int iters)
     }
     return emu.memory().read(emu.program().symbol("tw_out"), 8) ==
         static_cast<std::uint64_t>(cur);
-}
-
-void
-twSetup(Emulator &emu, int inputSet)
-{
-    twSetupImpl(emu, inputSet, twIters);
-}
-
-bool
-twValidate(const Emulator &emu, int inputSet)
-{
-    return twValidateImpl(emu, inputSet, twIters);
-}
-
-void
-twSetupLong(Emulator &emu, int inputSet)
-{
-    twSetupImpl(emu, inputSet, twItersLong);
-}
-
-bool
-twValidateLong(const Emulator &emu, int inputSet)
-{
-    return twValidateImpl(emu, inputSet, twItersLong);
 }
 
 // ---------------------------------------------------------------------
@@ -927,7 +821,7 @@ gapGen(Rng &rng, std::vector<std::uint64_t> &a,
 }
 
 void
-gapSetupImpl(Emulator &emu, int inputSet, int iters)
+gapSetup(Emulator &emu, int inputSet, int iters)
 {
     Rng rng(0x9a9u + static_cast<unsigned>(inputSet));
     std::vector<std::uint64_t> a, b;
@@ -945,7 +839,7 @@ gapSetupImpl(Emulator &emu, int inputSet, int iters)
 }
 
 bool
-gapValidateImpl(const Emulator &emu, int inputSet, int iters)
+gapValidate(const Emulator &emu, int inputSet, int iters)
 {
     Rng rng(0x9a9u + static_cast<unsigned>(inputSet));
     std::vector<std::uint64_t> a, b;
@@ -972,30 +866,6 @@ gapValidateImpl(const Emulator &emu, int inputSet, int iters)
         sum = sum * 31 +
             (a[static_cast<size_t>(i)] ^ b[static_cast<size_t>(i)]);
     return emu.memory().read(emu.program().symbol("gap_out"), 8) == sum;
-}
-
-void
-gapSetup(Emulator &emu, int inputSet)
-{
-    gapSetupImpl(emu, inputSet, gapIters);
-}
-
-bool
-gapValidate(const Emulator &emu, int inputSet)
-{
-    return gapValidateImpl(emu, inputSet, gapIters);
-}
-
-void
-gapSetupLong(Emulator &emu, int inputSet)
-{
-    gapSetupImpl(emu, inputSet, gapItersLong);
-}
-
-bool
-gapValidateLong(const Emulator &emu, int inputSet)
-{
-    return gapValidateImpl(emu, inputSet, gapItersLong);
 }
 
 // ---------------------------------------------------------------------
@@ -1064,7 +934,7 @@ cf_own:    .space 20800
 )ASM";
 
 void
-cfSetupImpl(Emulator &emu, int inputSet, int boards)
+cfSetup(Emulator &emu, int inputSet, int boards)
 {
     Rng rng(0xc4a4u + static_cast<unsigned>(inputSet));
     Memory &m = emu.memory();
@@ -1081,7 +951,7 @@ cfSetupImpl(Emulator &emu, int inputSet, int boards)
 }
 
 bool
-cfValidateImpl(const Emulator &emu, int inputSet, int boards)
+cfValidate(const Emulator &emu, int inputSet, int boards)
 {
     Rng rng(0xc4a4u + static_cast<unsigned>(inputSet));
     std::uint64_t sum = 0;
@@ -1103,34 +973,12 @@ cfValidateImpl(const Emulator &emu, int inputSet, int boards)
     return emu.memory().read(emu.program().symbol("cf_out"), 8) == sum;
 }
 
-void
-cfSetup(Emulator &emu, int inputSet)
-{
-    cfSetupImpl(emu, inputSet, cfBoards);
-}
-
-bool
-cfValidate(const Emulator &emu, int inputSet)
-{
-    return cfValidateImpl(emu, inputSet, cfBoards);
-}
-
-void
-cfSetupLong(Emulator &emu, int inputSet)
-{
-    cfSetupImpl(emu, inputSet, cfBoardsLong);
-}
-
-bool
-cfValidateLong(const Emulator &emu, int inputSet)
-{
-    return cfValidateImpl(emu, inputSet, cfBoardsLong);
-}
-
 /** Long-tier program: the board arrays grow to cfBoardsLong quads. */
 const char *cfLongSrc = scaledSource(
-    cfSrc, {{"cf_occ:    .space 20800", "cf_occ:    .space 292000"},
-            {"cf_own:    .space 20800", "cf_own:    .space 292000"}});
+    cfSrc, {{strfmt("cf_occ:    .space %d", 8 * cfBoards),
+             strfmt("cf_occ:    .space %d", 8 * cfBoardsLong)},
+            {strfmt("cf_own:    .space %d", 8 * cfBoards),
+             strfmt("cf_own:    .space %d", 8 * cfBoardsLong)}});
 
 } // namespace
 
@@ -1139,27 +987,24 @@ specintKernels()
 {
     return {
         {"gzip", "SPECint-S", "LZ77-style compression with hash heads",
-         gzSrc, gzSetup, gzValidate,
-         {gzLongSrc, gzSetupLong, gzValidateLong}},
+         gzSetup, gzValidate, {{gzSrc, gzN}, {gzLongSrc, gzNLong}}},
         {"mcf", "SPECint-S",
-         "pointer-chasing relaxation over a 192KB node cycle", mcfSrc,
-         mcfSetup, mcfValidate,
-         {nullptr, mcfSetupLong, mcfValidateLong},
-         {nullptr, mcfSetupHuge, mcfValidateHuge}},
+         "pointer-chasing relaxation over a 192KB node cycle", mcfSetup,
+         mcfValidate,
+         {{mcfSrc, mcfPasses}, {nullptr, mcfPassesLong},
+          {nullptr, mcfPassesHuge}}},
         {"parser", "SPECint-S",
-         "tokenizer with open-addressed dictionary lookup", parSrc,
-         parSetup, parValidate,
-         {parLongSrc, parSetupLong, parValidateLong}},
+         "tokenizer with open-addressed dictionary lookup", parSetup,
+         parValidate, {{parSrc, parTextLen}, {parLongSrc, parTextLenLong}}},
         {"twolf", "SPECint-S",
-         "annealing placement with half-perimeter cost", twSrc,
-         twSetup, twValidate, {nullptr, twSetupLong, twValidateLong}},
+         "annealing placement with half-perimeter cost", twSetup,
+         twValidate, {{twSrc, twIters}, {nullptr, twItersLong}}},
         {"gap", "SPECint-S",
-         "multi-precision addition with carry chains", gapSrc,
-         gapSetup, gapValidate,
-         {nullptr, gapSetupLong, gapValidateLong}},
+         "multi-precision addition with carry chains", gapSetup,
+         gapValidate, {{gapSrc, gapIters}, {nullptr, gapItersLong}}},
         {"crafty", "SPECint-S",
-         "bitboard mobility evaluation with popcounts", cfSrc, cfSetup,
-         cfValidate, {cfLongSrc, cfSetupLong, cfValidateLong}},
+         "bitboard mobility evaluation with popcounts", cfSetup,
+         cfValidate, {{cfSrc, cfBoards}, {cfLongSrc, cfBoardsLong}}},
     };
 }
 

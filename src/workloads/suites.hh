@@ -6,10 +6,11 @@
  * suites (and the paper's standard configuration columns) as engine
  * sweep axes.
  *
- * Scale flows through the workload id ("<kernel>@long"), which is the
- * key every engine artifact cache fingerprints on — so profiles,
- * prepared rewrites, timing runs, and sample summaries of the two
- * tiers never collide even when they share one program text.
+ * Scale flows through the workload id ("<kernel>@long",
+ * "<kernel>@huge"), which is the key every engine artifact cache
+ * fingerprints on — so profiles, prepared rewrites, timing runs, and
+ * sample summaries of different tiers never collide even when they
+ * share one program text.
  */
 
 #ifndef MG_WORKLOADS_SUITES_HH
@@ -56,8 +57,9 @@ std::uint64_t checkKernel(const BoundKernel &bk, int inputSet = 0);
 
 /**
  * Engine workload for @p bk's input set @p inputSet. The workload id
- * is the kernel name (suffixed "@long" for the long tier and "#<set>"
- * for alternate inputs), which is what the artifact caches key on.
+ * is the kernel name (suffixed "@long" or "@huge" for a scaled tier
+ * and "#<set>" for alternate inputs), which is what the artifact
+ * caches key on.
  */
 EngineWorkload workload(const BoundKernel &bk, int inputSet = 0);
 

@@ -19,7 +19,7 @@ std::uint64_t
 referenceWork(const BoundKernel &bk)
 {
     Emulator emu(*bk.program);
-    bk.kernel->setup(emu, 0);
+    bk.setup(emu);
     return emu.run(100000000ull).dynWork;
 }
 
@@ -34,12 +34,13 @@ TEST_P(CoreBaseline, RetiresOracleWork)
 
     CoreConfig cfg;
     Core core(*bk.program, nullptr, cfg);
-    bk.kernel->setup(core.oracle(), 0);
+    bk.setup(core.oracle());
     CoreStats st = core.run();
 
     EXPECT_EQ(st.committedWork, expect) << GetParam();
     EXPECT_EQ(st.committedSlots, expect) << GetParam();
-    EXPECT_TRUE(bk.kernel->validate(core.oracle(), 0)) << GetParam();
+    EXPECT_TRUE(bk.kernel->validateAt(core.oracle(), 0, Scale::Ref))
+        << GetParam();
     EXPECT_GT(st.ipc(), 0.05) << GetParam();
     EXPECT_LT(st.ipc(), 6.0) << GetParam();
 }
@@ -56,13 +57,14 @@ TEST_P(CoreBaseline, MiniGraphConfigRetiresSameWork)
                                         sc.machine);
 
     Core core(prep.program, &prep.table, sc.core);
-    bk.kernel->setup(core.oracle(), 0);
+    bk.setup(core.oracle());
     CoreStats st = core.run();
 
     EXPECT_EQ(st.committedWork, expect) << GetParam();
     EXPECT_LE(st.committedSlots, expect) << GetParam();
     EXPECT_GT(st.committedHandles, 0u) << GetParam();
-    EXPECT_TRUE(bk.kernel->validate(core.oracle(), 0)) << GetParam();
+    EXPECT_TRUE(bk.kernel->validateAt(core.oracle(), 0, Scale::Ref))
+        << GetParam();
     // Dynamic coverage consistency: slots + removed = work.
     EXPECT_NEAR(st.dynamicCoverage(),
                 1.0 - static_cast<double>(st.committedSlots) /

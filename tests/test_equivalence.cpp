@@ -46,18 +46,18 @@ TEST_P(Equivalence, RewrittenProgramMatchesOriginal)
         << c.kernel << ": no mini-graphs selected";
 
     Emulator emu(prep.program, &prep.table);
-    bk.kernel->setup(emu, 0);
+    bk.setup(emu);
     EmuResult r = emu.run(100000000ull);
     ASSERT_EQ(r.stop, StopReason::Halted)
         << c.kernel << " (rewritten) did not halt";
-    EXPECT_TRUE(bk.kernel->validate(emu, 0))
+    EXPECT_TRUE(bk.kernel->validateAt(emu, 0, Scale::Ref))
         << c.kernel << " (rewritten) produced wrong outputs";
 
     // The rewritten program must do the same architectural work
     // (handles expand to their constituent instructions; pad nops
     // carry no work).
     Emulator ref(*bk.program);
-    bk.kernel->setup(ref, 0);
+    bk.setup(ref);
     EmuResult rr = ref.run(100000000ull);
     EXPECT_EQ(r.dynWork, rr.dynWork)
         << c.kernel << ": constituent work count changed";

@@ -53,13 +53,14 @@ TEST_P(ShapeSweep, BaselineTerminatesAndValidates)
     cfg.schedulerCycles = s.sched;
 
     Core core(*bk.program, nullptr, cfg);
-    bk.kernel->setup(core.oracle(), 0);
+    bk.setup(core.oracle());
     CoreStats st = core.run();
-    EXPECT_TRUE(bk.kernel->validate(core.oracle(), 0)) << s.name;
+    EXPECT_TRUE(bk.kernel->validateAt(core.oracle(), 0, Scale::Ref))
+        << s.name;
     EXPECT_GT(st.ipc(), 0.0) << s.name;
 
     Emulator ref(*bk.program);
-    bk.kernel->setup(ref, 0);
+    bk.setup(ref);
     EXPECT_EQ(st.committedWork, ref.run().dynWork) << s.name;
 }
 
@@ -82,9 +83,10 @@ TEST_P(ShapeSweep, MiniGraphTerminatesAndValidates)
     PreparedMg prep = prepareMiniGraphs(*bk.program, prof, sc.policy,
                                         sc.machine);
     Core core(prep.program, &prep.table, sc.core);
-    bk.kernel->setup(core.oracle(), 0);
+    bk.setup(core.oracle());
     CoreStats st = core.run();
-    EXPECT_TRUE(bk.kernel->validate(core.oracle(), 0)) << s.name;
+    EXPECT_TRUE(bk.kernel->validateAt(core.oracle(), 0, Scale::Ref))
+        << s.name;
     EXPECT_GT(st.committedHandles, 0u) << s.name;
 }
 

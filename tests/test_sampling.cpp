@@ -132,11 +132,11 @@ TEST(Sampling, FastForwardThenRunCompletesTheProgram)
     // normally, and the drained machine ends with a full free list.
     BoundKernel bk = bindKernel(findKernel("crc"));
     Emulator probe(*bk.program);
-    bk.kernel->setup(probe, 0);
+    bk.setup(probe);
     std::uint64_t total = probe.run().dynWork;
 
     Core core(*bk.program, nullptr, CoreConfig{});
-    bk.kernel->setup(core.oracle(), 0);
+    bk.setup(core.oracle());
     int freeAtReset = core.regFreeCount();
     core.fastForward(total / 2, /*ipcEst=*/2.0);
     std::uint64_t skipped = core.oracle().dynWork();
