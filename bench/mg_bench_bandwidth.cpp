@@ -32,7 +32,6 @@ void
 narrowExecute(CoreConfig &c)
 {
     c.issueWidth = 4;
-    c.fu.issueWidth = 4;
     c.fu.loadPorts = 1;
 }
 

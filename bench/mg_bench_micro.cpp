@@ -239,8 +239,7 @@ BM_SampledSimRate(benchmark::State &state)
 void
 BM_WindowConflictReserve(benchmark::State &state)
 {
-    WindowResources res;
-    SlidingWindow w(res, 16);
+    SlidingWindow w(SimConfig::intMemMg().core.fu, 16);
     const std::vector<std::vector<FuKind>> shapes = {
         {FuKind::LoadPort, FuKind::None, FuKind::IntAlu, FuKind::IntAlu},
         {FuKind::IntAlu, FuKind::IntAlu, FuKind::StorePort},
@@ -271,8 +270,7 @@ BM_WindowConflictReserve(benchmark::State &state)
 void
 BM_WindowConflictReserveUnpacked(benchmark::State &state)
 {
-    WindowResources res;
-    SlidingWindow w(res, 16);
+    SlidingWindow w(SimConfig::intMemMg().core.fu, 16);
     const std::vector<std::vector<FuKind>> shapes = {
         {FuKind::LoadPort, FuKind::None, FuKind::IntAlu, FuKind::IntAlu},
         {FuKind::IntAlu, FuKind::IntAlu, FuKind::StorePort},

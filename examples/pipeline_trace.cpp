@@ -28,9 +28,7 @@ runIt(const Program &p, const MgTable *t, const char *label)
     PreparedMg prep;
     if (t) {
         cfg.useMiniGraphs = true;
-        cfg.core.mgEnabled = true;
-        cfg.core.fu.intAlus = 2;
-        cfg.core.fu.aluPipes = 2;
+        cfg.core.enableMiniGraphs();
         prep.program = p;
         prep.table = *t;
     }

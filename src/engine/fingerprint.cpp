@@ -50,7 +50,8 @@ void
 addMachine(Fingerprint &fp, const MgtMachine &m)
 {
     fp.add("loadLat", m.loadLat)
-        .add("aluPipes", m.useAluPipes)
+        // Fixed token of the deleted plain-ALU schedule switch.
+        .add("aluPipes", true)
         .add("collapse", m.collapsing)
         .add("pipeDepth", m.aluPipeDepth);
 }
@@ -62,8 +63,9 @@ addCache(Fingerprint &fp, const char *tag, const CacheGeometry &g)
 }
 
 void
-addCore(Fingerprint &fp, const CoreConfig &c)
+addCore(Fingerprint &fp, const SimConfig &s)
 {
+    const CoreConfig &c = s.core;
     fp.add("fw", c.fetchWidth)
         .add("rw", c.renameWidth)
         .add("iw", c.issueWidth)
@@ -84,13 +86,16 @@ addCore(Fingerprint &fp, const CoreConfig &c)
         .add("fpu", c.fu.fpUnits)
         .add("ldp", c.fu.loadPorts)
         .add("stp", c.fu.storePorts)
-        .add("fuiw", c.fu.issueWidth)
+        // fuiw, mg, sw, seqs and imh name deleted duplicate fields,
+        // spelled out from what now decides them so keys (and the
+        // phase salt hashed from them) match byte-for-byte.
+        .add("fuiw", c.issueWidth)
         .add("rrp", c.fu.regReadPorts)
         .add("rwp", c.fu.regWritePorts)
-        .add("mg", c.mgEnabled)
-        .add("sw", c.slidingWindow)
-        .add("seqs", c.sequencers)
-        .add("imh", c.maxIntMemHandlesPerCycle);
+        .add("mg", s.useMiniGraphs)
+        .add("sw", s.useMiniGraphs && s.policy.allowMemory)
+        .add("seqs", mgstSequencers)
+        .add("imh", intMemHandlesPerCycle);
     addCache(fp, "l1i", c.mem.l1i);
     addCache(fp, "l1d", c.mem.l1d);
     addCache(fp, "l2", c.mem.l2);
@@ -161,7 +166,7 @@ cellFingerprint(const std::string &workload, const SimConfig &cfg)
     fp.add("cell", workload)
         .add("useMg", cfg.useMiniGraphs)
         .add("runBudget", cfg.runBudget);
-    addCore(fp, cfg.core);
+    addCore(fp, cfg);
     if (cfg.useMiniGraphs) {
         fp.add("profBudget", cfg.profileBudget)
             .add("compress", cfg.compress);

@@ -112,22 +112,20 @@ MgTemplate::finalize(const MgtMachine &m)
     // Identify contiguous AP-eligible segments (broken by memory ops and
     // multiplies) and cap them at the pipeline depth.
     std::vector<int> segStart(static_cast<size_t>(n), -1);
-    if (m.useAluPipes) {
-        int cur = -1;
-        int len = 0;
-        int capacity = m.collapsing ? m.aluPipeDepth * 2 : m.aluPipeDepth;
-        for (int i = 0; i < n; ++i) {
-            if (apEligible(insns[static_cast<size_t>(i)].op)) {
-                if (cur < 0 || len >= capacity) {
-                    cur = i;
-                    len = 0;
-                }
-                segStart[static_cast<size_t>(i)] = cur;
-                ++len;
-            } else {
-                cur = -1;
+    int cur = -1;
+    int len = 0;
+    int capacity = m.collapsing ? m.aluPipeDepth * 2 : m.aluPipeDepth;
+    for (int i = 0; i < n; ++i) {
+        if (apEligible(insns[static_cast<size_t>(i)].op)) {
+            if (cur < 0 || len >= capacity) {
+                cur = i;
                 len = 0;
             }
+            segStart[static_cast<size_t>(i)] = cur;
+            ++len;
+        } else {
+            cur = -1;
+            len = 0;
         }
     }
 

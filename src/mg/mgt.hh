@@ -113,7 +113,6 @@ PackedFubmp packFubmp(const std::vector<FuKind> &fubmp);
 struct MgtMachine
 {
     int loadLat = 2;            ///< load-to-use hit latency
-    bool useAluPipes = true;    ///< integer runs execute on ALU pipelines
     bool collapsing = false;    ///< pair-wise collapsing ALU pipelines
     int aluPipeDepth = 4;       ///< stages per ALU pipeline
 };

@@ -16,9 +16,8 @@ SimConfig::intMg(bool collapsing)
     SimConfig c;
     c.name = collapsing ? "int+collapsing" : "int";
     c.useMiniGraphs = true;
-    c.core.enableMiniGraphs(/*intMem=*/false);
+    c.core.enableMiniGraphs();
     c.policy.allowMemory = false;
-    c.machine.useAluPipes = true;
     c.machine.collapsing = collapsing;
     return c;
 }
@@ -29,9 +28,8 @@ SimConfig::intMemMg(bool collapsing)
     SimConfig c;
     c.name = collapsing ? "int-mem+collapsing" : "int-mem";
     c.useMiniGraphs = true;
-    c.core.enableMiniGraphs(/*intMem=*/true);
+    c.core.enableMiniGraphs();
     c.policy.allowMemory = true;
-    c.machine.useAluPipes = true;
     c.machine.collapsing = collapsing;
     return c;
 }

@@ -94,10 +94,8 @@ Core::Core(const Program &p, const MgTable *t, const CoreConfig &c)
       rob(c.robSize),
       iq(c.iqSize, c.physRegs),
       lsq(c.lsqSize),
-      fu(c.fu),
-      seqs(c.sequencers),
-      window(WindowResources{c.fu.intAlus, 1, c.fu.loadPorts,
-                             c.fu.storePorts, c.fu.aluPipes}),
+      fu(c.fu, c.issueWidth),
+      window(c.fu),
       slab(static_cast<std::size_t>(c.robSize + c.fetchQueueSize) + 8),
       replayQueue(static_cast<std::size_t>(c.robSize + c.fetchQueueSize) + 8),
       fetchQueue(static_cast<std::size_t>(c.fetchQueueSize) + 1)
@@ -114,6 +112,12 @@ Core::Core(const Program &p, const MgTable *t, const CoreConfig &c)
         fetchLineShift = 0;
         while ((1u << fetchLineShift) < lb)
             ++fetchLineShift;
+    }
+    // Only integer-memory handles reserve window lines, so a table
+    // without one leaves every line empty and the window unconsulted.
+    for (std::size_t id = 0; t && id < t->size(); ++id) {
+        const MgHeader &h = t->at(static_cast<MgId>(id)).hdr;
+        windowed_ |= h.hasLoad || h.hasStore;
     }
     memOps.reserve(static_cast<std::size_t>(c.lsqSize));
     pendingMem.reserve(static_cast<std::size_t>(c.lsqSize));
@@ -495,14 +499,11 @@ Core::issueHandle(DynInst *d, int ports)
             return false;
         if (d->dstPhys != physNone && !fu.writePortFree(outReady))
             return false;
-        fu.tryIssueAluPipe(h.lat);
+        fu.claimAluPipe(h.lat);
         seqs.tryStart(now, h.totalLat);
     } else {
         // Integer-memory handle: sliding-window scheduler.
-        if (!cfg.slidingWindow)
-            fatal("integer-memory handle but the sliding-window "
-                  "scheduler is disabled");
-        if (intMemIssuedThisCycle >= cfg.maxIntMemHandlesPerCycle) {
+        if (intMemIssuedThisCycle >= intMemHandlesPerCycle) {
             ++stats_.intMemIssueConflicts;
             return false;
         }
@@ -523,7 +524,7 @@ Core::issueHandle(DynInst *d, int ports)
         if (d->dstPhys != physNone && !fu.writePortFree(outReady))
             return false;
         if (fu0Pipe)
-            fu.tryIssueAluPipe(h.lat);
+            fu.claimAluPipe(h.lat);
         else
             fu.claimSingleton(fu0);
         seqs.tryStart(now, h.totalLat);
@@ -574,7 +575,7 @@ Core::doIssue()
         return;   // nothing can attempt: skip the per-cycle FU setup
 
     fu.beginCycle(now);
-    if (cfg.slidingWindow) {
+    if (windowed_) {
         // FUBMP reservations made by in-flight integer-memory handles
         // claim their units in the cycle they fire.
         int res[4];
@@ -606,8 +607,7 @@ Core::doIssue()
     std::uint8_t gPorts[chunk];
     const Cycle bypass = static_cast<Cycle>(cfg.bypassWindow);
     DynInst *cursor = iq.readyFirst();
-    int issued = 0;
-    while (cursor && issued < cfg.issueWidth) {
+    while (cursor && fu.issueSlotFree()) {
         int gn = 0;
         for (DynInst *d = cursor; gn < chunk && d; d = d->rdyNext) {
             bool srcsReady = true;
@@ -630,7 +630,7 @@ Core::doIssue()
             cursor = d->rdyNext;   // first ungathered entry
         }
 
-        for (int i = 0; i < gn && issued < cfg.issueWidth; ++i) {
+        for (int i = 0; i < gn && fu.issueSlotFree(); ++i) {
             DynInst *d = gInst[i];
 
             // Both interface inputs (or both sources) must be ready:
@@ -649,9 +649,10 @@ Core::doIssue()
                 }
             }
 
-            if (d->isHandle() ? issueHandle(d, gPorts[i])
-                              : issueSingleton(d, gPorts[i]))
-                ++issued;
+            if (d->isHandle())
+                issueHandle(d, gPorts[i]);
+            else
+                issueSingleton(d, gPorts[i]);
         }
     }
 }

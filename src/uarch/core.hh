@@ -71,14 +71,10 @@ struct CoreConfig
     int misfetchPenalty = 3;    ///< BTB-miss-on-taken bubble
     int bypassWindow = 3;       ///< cycles a value rides the bypass
 
-    // Execution resources.
+    // Execution resources. The mini-graph machinery beyond the ALU
+    // pipelines is fixed by the paper: mgstSequencers MGST sequencers
+    // and intMemHandlesPerCycle integer-memory handle per cycle.
     FuPoolConfig fu;            ///< 4 int ALUs baseline
-
-    // Mini-graph machinery.
-    bool mgEnabled = false;
-    bool slidingWindow = false; ///< integer-memory handles issue
-    int sequencers = 6;
-    int maxIntMemHandlesPerCycle = 1;
 
     HierarchyConfig mem;
     BranchPredConfig bp;
@@ -87,13 +83,10 @@ struct CoreConfig
     /** Derive the paper's mini-graph configuration: two of the four
      *  integer ALUs become ALU pipelines. */
     void
-    enableMiniGraphs(bool intMem, int pipeDepth = 4)
+    enableMiniGraphs()
     {
-        mgEnabled = true;
-        slidingWindow = intMem;
         fu.intAlus = 2;
         fu.aluPipes = 2;
-        fu.aluPipeDepth = pipeDepth;
     }
 };
 
@@ -398,7 +391,9 @@ class Core
     std::vector<DynInst *> window_;
     std::uint64_t windowMask = 0;
 
-    // Per-cycle mini-graph issue throttle.
+    // Sliding-window scheduling: on when the table holds an
+    // integer-memory template, with a per-cycle handle throttle.
+    bool windowed_ = false;
     int intMemIssuedThisCycle = 0;
 
     // Reusable per-cycle scratch (hoisted out of the cycle loop).

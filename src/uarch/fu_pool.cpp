@@ -4,104 +4,16 @@
 
 namespace mg {
 
-FuPool::FuPool(const FuPoolConfig &c) : cfg(c)
+FuPool::FuPool(const FuPoolConfig &c, int width) : cfg(c), issueWidth(width)
 {
     for (int i = 0; i < cfg.aluPipes; ++i)
         pipes_.emplace_back(cfg.aluPipeDepth);
 }
 
 void
-FuPool::preClaim(FuKind fu, int n)
-{
-    switch (fu) {
-      case FuKind::IntAlu:
-      case FuKind::IntMult:
-      case FuKind::AluPipe:
-        intUsed += n;
-        break;
-      case FuKind::LoadPort:
-        loadUsed += n;
-        break;
-      case FuKind::StorePort:
-        storeUsed += n;
-        break;
-      default:
-        break;
-    }
-}
-
-bool
-FuPool::tryIssueSingleton(FuKind fu)
-{
-    if (!issueSlotFree())
-        return false;
-    switch (fu) {
-      case FuKind::IntAlu:
-      case FuKind::IntMult: {
-          // The paper's composition limit groups all integer ops.
-          int intCap = cfg.intAlus + cfg.aluPipes;
-          if (intUsed >= intCap)
-              return false;
-          if (intUsed < cfg.intAlus) {
-              ++intUsed;
-              ++totalUsed;
-              return true;
-          }
-          // Spill onto an ALU pipeline stage 0 (no penalty).
-          for (AluPipeline &p : pipes_) {
-              if (p.tryIssue(now, 1)) {
-                  ++intUsed;
-                  ++totalUsed;
-                  return true;
-              }
-          }
-          return false;
-      }
-      case FuKind::FpAlu:
-        if (fpUsed >= cfg.fpUnits)
-            return false;
-        ++fpUsed;
-        ++totalUsed;
-        return true;
-      case FuKind::LoadPort:
-        if (loadUsed >= cfg.loadPorts)
-            return false;
-        ++loadUsed;
-        ++totalUsed;
-        return true;
-      case FuKind::StorePort:
-        if (storeUsed >= cfg.storePorts)
-            return false;
-        ++storeUsed;
-        ++totalUsed;
-        return true;
-      default:
-        panic("tryIssueSingleton: bad FU kind");
-    }
-}
-
-bool
-FuPool::tryIssueAluPipe(int outLat)
-{
-    if (!issueSlotFree())
-        return false;
-    int intCap = cfg.intAlus + cfg.aluPipes;
-    if (intUsed >= intCap)
-        return false;
-    for (AluPipeline &p : pipes_) {
-        if (p.tryIssue(now, outLat)) {
-            ++intUsed;
-            ++totalUsed;
-            return true;
-        }
-    }
-    return false;
-}
-
-void
 FuPool::claimFailed()
 {
-    panic("claimSingleton without a successful probe");
+    panic("FuPool claim without a successful probe");
 }
 
 } // namespace mg

@@ -29,19 +29,21 @@ struct FuPoolConfig
     int fpUnits = 2;
     int loadPorts = 2;
     int storePorts = 1;
-    int issueWidth = 6;     ///< total ops per cycle
     int regReadPorts = 5;
     int regWritePorts = 4;
 };
 
 /**
  * Cycle-granular issue-slot arbiter. All units are fully pipelined:
- * each accepts one new operation per cycle.
+ * each accepts one new operation per cycle. Every resource has one
+ * probe and one claim: the issue stage probes everything an operation
+ * needs before it claims anything, so a claim never fails.
  */
 class FuPool
 {
   public:
-    explicit FuPool(const FuPoolConfig &cfg);
+    /** @param issueWidth total operations issued per cycle */
+    FuPool(const FuPoolConfig &cfg, int issueWidth);
 
     /** Start a new cycle: reset per-cycle slot counters.
      *  (Inline: runs once every simulated cycle.) */
@@ -52,22 +54,15 @@ class FuPool
         slideTo(c);
         for (AluPipeline &p : pipes_)
             p.advanceTo(c);
-        totalUsed = intUsed = fpUsed = loadUsed = storeUsed = multUsed = 0;
+        issued = intUsed = fpUsed = loadUsed = storeUsed = 0;
         readUsed = 0;
     }
 
     /**
-     * Pre-claim @p n units of @p fu for this cycle without consuming
-     * issue slots — used to honour sliding-window FUBMP reservations
-     * made by earlier integer-memory handles.
-     */
-    void preClaim(FuKind fu, int n);
-
-    /**
-     * Batched pre-claim of a SlidingWindow::usedNow() readout:
-     * @p res[0..3] = IntAlu, LoadPort, StorePort, AluPipe units firing
-     * this cycle. One call per select cycle instead of four kind
-     * dispatches.
+     * Pre-claim a SlidingWindow::usedNow() readout without consuming
+     * issue slots, honouring the FUBMP reservations earlier
+     * integer-memory handles made: @p res[0..3] = IntAlu, LoadPort,
+     * StorePort, AluPipe units firing this cycle.
      */
     void
     preClaimUsed(const int res[4])
@@ -78,16 +73,11 @@ class FuPool
     }
 
     /** Issue slots still available this cycle. */
-    bool issueSlotFree() const { return totalUsed < cfg.issueWidth; }
+    bool issueSlotFree() const { return issued < issueWidth; }
 
-    /**
-     * Try to claim a singleton-op slot of kind @p fu. Integer ops
-     * fall back to an ALU pipeline stage-0 slot when the plain ALUs
-     * are exhausted (outLat = 1, no pipeline penalty).
-     */
-    bool tryIssueSingleton(FuKind fu);
-
-    /** Probe: would tryIssueSingleton(@p fu) succeed right now?
+    /** Probe: can a singleton op of kind @p fu issue right now?
+     *  Integer ops fall back to an ALU pipeline stage-0 slot when the
+     *  plain ALUs are exhausted (outLat = 1, no pipeline penalty).
      *  (Inline: every select attempt probes before claiming.) */
     bool
     canIssueSingleton(FuKind fu) const
@@ -121,55 +111,40 @@ class FuPool
 
     /**
      * Claim a singleton slot after a successful canIssueSingleton(@p
-     * fu) probe this cycle: the mutation half of tryIssueSingleton,
-     * without re-validating capacity.
+     * fu) probe this cycle, without re-validating capacity.
      * (Inline: one call per issued singleton op.)
      */
     void
     claimSingleton(FuKind fu)
     {
+        ++issued;
         switch (fu) {
           case FuKind::IntAlu:
           case FuKind::IntMult:
             if (intUsed < cfg.intAlus) {
                 ++intUsed;
-                ++totalUsed;
                 return;
             }
-            // Spill onto an ALU pipeline stage 0, as tryIssueSingleton
-            // would (the probe guaranteed one is free).
-            for (AluPipeline &p : pipes_) {
-                if (p.tryIssue(now, 1)) {
-                    ++intUsed;
-                    ++totalUsed;
-                    return;
-                }
-            }
-            claimFailed();
+            // Spill onto an ALU pipeline stage 0 (the probe
+            // guaranteed one is free).
+            claimPipe(1);
+            return;
           case FuKind::FpAlu:
             ++fpUsed;
-            ++totalUsed;
             return;
           case FuKind::LoadPort:
             ++loadUsed;
-            ++totalUsed;
             return;
           case FuKind::StorePort:
             ++storeUsed;
-            ++totalUsed;
             return;
           default:
             claimFailed();
         }
     }
 
-    /**
-     * Try to claim an ALU pipeline for a whole integer mini-graph
-     * whose output emerges after @p outLat cycles.
-     */
-    bool tryIssueAluPipe(int outLat);
-
-    /** Probe: would tryIssueAluPipe(@p outLat) succeed right now?
+    /** Probe: can an ALU pipeline take a whole integer mini-graph
+     *  whose output emerges after @p outLat cycles right now?
      *  (Inline: handle attempts probe this every select pass.) */
     bool
     canIssueAluPipe(int outLat) const
@@ -184,6 +159,15 @@ class FuPool
                 return true;
         }
         return false;
+    }
+
+    /** Claim an ALU pipeline after a successful canIssueAluPipe(@p
+     *  outLat) probe this cycle. */
+    void
+    claimAluPipe(int outLat)
+    {
+        ++issued;
+        claimPipe(outLat);
     }
 
     /** Probe: is a write port free at completion cycle @p cycle? */
@@ -222,17 +206,16 @@ class FuPool
     }
 
     const FuPoolConfig &config() const { return cfg; }
-    std::vector<AluPipeline> &pipes() { return pipes_; }
 
   private:
     FuPoolConfig cfg;
+    int issueWidth;
     Cycle now = 0;
-    int totalUsed = 0;
+    int issued = 0;     ///< issue slots claimed this cycle
     int intUsed = 0;
     int fpUsed = 0;
     int loadUsed = 0;
     int storeUsed = 0;
-    int multUsed = 0;
     int readUsed = 0;
     std::vector<AluPipeline> pipes_;
 
@@ -244,6 +227,19 @@ class FuPool
     Cycle lastSlide = 0;
 
     [[noreturn]] static void claimFailed();
+
+    /** Enter the first pipeline whose entry slot is free now and whose
+     *  output port is free @p outLat cycles on (a probe found one). */
+    void
+    claimPipe(int outLat)
+    {
+        ++intUsed;
+        for (AluPipeline &p : pipes_) {
+            if (p.tryIssue(now, outLat))
+                return;
+        }
+        claimFailed();
+    }
 
     void
     slideTo(Cycle c)

@@ -18,6 +18,10 @@
 
 namespace mg {
 
+/** MGST sequencers: one per handle the 6-wide machine may schedule
+ *  in a cycle (paper Section 4.1). */
+inline constexpr int mgstSequencers = 6;
+
 /** Pool of MGST sequencers, modelled as a counted resource. */
 class SequencerPool
 {
@@ -25,7 +29,7 @@ class SequencerPool
     /**
      * @param count sequencers (= max handles issued per cycle)
      */
-    explicit SequencerPool(int count = 6);
+    explicit SequencerPool(int count = mgstSequencers);
 
     /**
      * Claim a sequencer from @p now for @p cycles. At most one new

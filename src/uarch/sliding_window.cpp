@@ -8,7 +8,7 @@
 
 namespace mg {
 
-SlidingWindow::SlidingWindow(const WindowResources &res, int depth)
+SlidingWindow::SlidingWindow(const FuPoolConfig &fu, int depth)
     : depth_(depth)
 {
     if (depth < static_cast<int>(2 * mgMaxSize))
@@ -28,8 +28,9 @@ SlidingWindow::SlidingWindow(const WindowResources &res, int depth)
     lineBits = depth_ == 64 ? ~std::uint64_t(0)
                             : (std::uint64_t(1) << depth_) - 1;
 
-    cap = {res.intAlu, res.intMult, 0 /* FpAlu: never windowed */,
-           res.loadPorts, res.storePorts, res.aluPipes};
+    cap = {fu.intAlus, 1 /* IntMult: one multiplier */,
+           0 /* FpAlu: never windowed */, fu.loadPorts, fu.storePorts,
+           fu.aluPipes};
     for (int l = 0; l < fuLaneCount; ++l) {
         atCapInit[static_cast<size_t>(l)] =
             cap[static_cast<size_t>(l)] <= 0 ? lineBits : 0;

@@ -29,29 +29,26 @@
 
 #include "common/types.hh"
 #include "mg/mgt.hh"
+#include "uarch/fu_pool.hh"
 
 namespace mg {
 
-/** Per-cycle resource capacities tracked by the window. */
-struct WindowResources
-{
-    int intAlu = 2;
-    int intMult = 1;
-    int loadPorts = 2;
-    int storePorts = 1;
-    int aluPipes = 2;
-};
+/** Integer-memory handles issued per cycle: the sliding-window
+ *  scheduler checks and reserves one FUBMP per cycle (paper
+ *  Section 4.3). */
+inline constexpr int intMemHandlesPerCycle = 1;
 
 /** The reservation window. */
 class SlidingWindow
 {
   public:
     /**
-     * @param res   per-cycle capacities
+     * @param fu    per-cycle unit capacities (ALUs, ALU pipelines,
+     *              load and store ports; one multiplier lane, no FP)
      * @param depth future cycles covered (>= max mini-graph latency;
      *              rounded up to a power of two, at most 64 lines)
      */
-    SlidingWindow(const WindowResources &res, int depth = 16);
+    explicit SlidingWindow(const FuPoolConfig &fu, int depth = 16);
 
     /**
      * Would reserving @p p starting at cycle offset 1 conflict with

@@ -68,7 +68,6 @@ TEST(Amplification, CompensatesForNarrowPipeline)
     BoundKernel bk = bindKernel(findKernel("dijkstra"));
     auto narrow = [](CoreConfig &c) {
         c.fetchWidth = c.renameWidth = c.issueWidth = c.commitWidth = 4;
-        c.fu.issueWidth = 4;
     };
     CoreConfig base4;
     narrow(base4);

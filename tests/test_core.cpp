@@ -95,7 +95,6 @@ TEST(CoreKnobs, NarrowerMachineIsSlower)
     CoreConfig narrow;
     narrow.fetchWidth = narrow.renameWidth = narrow.issueWidth =
         narrow.commitWidth = 2;
-    narrow.fu.issueWidth = 2;
 
     CoreStats w = runCore(*bk.program, nullptr, wide, bk.setup);
     CoreStats n = runCore(*bk.program, nullptr, narrow, bk.setup);

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/serial.hh"
@@ -387,6 +390,217 @@ TEST(Engine, DefaultSampledCellKeysArePinned)
                                          w.setup, *eng.summary(w, cfg));
     EXPECT_EQ(viaEngine.est, direct.est);
     EXPECT_EQ(viaEngine.intervals, direct.intervals);
+}
+
+/** fnv1a64 of each key a sweep column's cell computes under. */
+struct KeyGolden
+{
+    const char *column;
+    const char *tier;
+    std::uint64_t cell;       ///< cellFingerprint
+    std::uint64_t prepare;    ///< prepareFingerprint
+    std::uint64_t summary;    ///< summaryFingerprint
+};
+
+const KeyGolden keyGoldens[] = {
+    {"baseline", "ref", 0x7b9121a9bc4cf860ull,
+     0x11efcdbe4d5ebed7ull, 0x9c9d882cd91abc38ull},
+    {"int", "ref", 0xc0589c1bb8a34560ull,
+     0x2cb93a1b91249640ull, 0x44837d27b9daaa43ull},
+    {"int+coll", "ref", 0x5ab509a244331469ull,
+     0x34d2f521eb2d8bc7ull, 0x44837d27b9daaa43ull},
+    {"int-mem", "ref", 0xb3078ccf2a2cdef8ull,
+     0x11efcdbe4d5ebed7ull, 0x0a3207d2adaff40dull},
+    {"int-mem+coll", "ref", 0x8facd1affd415e61ull,
+     0x0f07cfc0924bf750ull, 0x0a3207d2adaff40dull},
+    {"4w-base", "ref", 0x30b3b7a88fa5a367ull,
+     0x11efcdbe4d5ebed7ull, 0x9c9d882cd91abc38ull},
+    {"4w-mg", "ref", 0xd10b9d4064ddb6e7ull,
+     0x11efcdbe4d5ebed7ull, 0x0a3207d2adaff40dull},
+    {"4w6x-base", "ref", 0x87c4802b32020286ull,
+     0x11efcdbe4d5ebed7ull, 0x9c9d882cd91abc38ull},
+    {"4w6x-mg", "ref", 0x3bc1d5589bafc17eull,
+     0x11efcdbe4d5ebed7ull, 0x0a3207d2adaff40dull},
+    {"2cyc-base", "ref", 0x604117eb656257edull,
+     0x11efcdbe4d5ebed7ull, 0x9c9d882cd91abc38ull},
+    {"2cyc-mg", "ref", 0x3b5c2ea70f75f4b1ull,
+     0x11efcdbe4d5ebed7ull, 0x0a3207d2adaff40dull},
+    {"baseline", "ref-critpath", 0x2351bcdeecfcb1aeull,
+     0x11efcdbe4d5ebed7ull, 0x9c9d882cd91abc38ull},
+    {"int", "ref-critpath", 0xd7283f59a3a360aeull,
+     0x2cb93a1b91249640ull, 0x44837d27b9daaa43ull},
+    {"int+coll", "ref-critpath", 0xb23ceb09a709cc49ull,
+     0x34d2f521eb2d8bc7ull, 0x44837d27b9daaa43ull},
+    {"int-mem", "ref-critpath", 0x1fc4e2e0f945d786ull,
+     0x11efcdbe4d5ebed7ull, 0x0a3207d2adaff40dull},
+    {"int-mem+coll", "ref-critpath", 0x50b0e37dfd6138e1ull,
+     0x0f07cfc0924bf750ull, 0x0a3207d2adaff40dull},
+    {"4w-base", "ref-critpath", 0x37a38bef8235785full,
+     0x11efcdbe4d5ebed7ull, 0x9c9d882cd91abc38ull},
+    {"4w-mg", "ref-critpath", 0xc864b8b7f5945edfull,
+     0x11efcdbe4d5ebed7ull, 0x0a3207d2adaff40dull},
+    {"4w6x-base", "ref-critpath", 0xe878eea2c34122ccull,
+     0x11efcdbe4d5ebed7ull, 0x9c9d882cd91abc38ull},
+    {"4w6x-mg", "ref-critpath", 0xa5d959ccb2c27e04ull,
+     0x11efcdbe4d5ebed7ull, 0x0a3207d2adaff40dull},
+    {"2cyc-base", "ref-critpath", 0x235da98e0972b775ull,
+     0x11efcdbe4d5ebed7ull, 0x9c9d882cd91abc38ull},
+    {"2cyc-mg", "ref-critpath", 0xb4b71a78e2c20a71ull,
+     0x11efcdbe4d5ebed7ull, 0x0a3207d2adaff40dull},
+    {"baseline", "long-full", 0xec945cfa29fef59eull,
+     0x415e20c46ae95ba3ull, 0xe39cdb78416bbabeull},
+    {"int", "long-full", 0x34303f2d3e2e6beeull,
+     0xceb7a945c542f8dcull, 0x6df4e2d636270145ull},
+    {"int+coll", "long-full", 0xf495e66d04d6a2a7ull,
+     0x530658367ec68bb3ull, 0x6df4e2d636270145ull},
+    {"int-mem", "long-full", 0xc78ce3230efcbc76ull,
+     0x415e20c46ae95ba3ull, 0x8c7ac9a0116137d7ull},
+    {"int-mem+coll", "long-full", 0x943be33141e4b50full,
+     0x2d5b560fc32e498cull, 0x8c7ac9a0116137d7ull},
+    {"4w-base", "long-full", 0x95806e8335b72915ull,
+     0x415e20c46ae95ba3ull, 0xe39cdb78416bbabeull},
+    {"4w-mg", "long-full", 0xb4444f4ddaf9249dull,
+     0x415e20c46ae95ba3ull, 0x8c7ac9a0116137d7ull},
+    {"4w6x-base", "long-full", 0x0e1bbc32b331f138ull,
+     0x415e20c46ae95ba3ull, 0xe39cdb78416bbabeull},
+    {"4w6x-mg", "long-full", 0x8d89c8ebfc9f5ed0ull,
+     0x415e20c46ae95ba3ull, 0x8c7ac9a0116137d7ull},
+    {"2cyc-base", "long-full", 0x4637e8d0c24ae23full,
+     0x415e20c46ae95ba3ull, 0xe39cdb78416bbabeull},
+    {"2cyc-mg", "long-full", 0x61430534a5dcf87bull,
+     0x415e20c46ae95ba3ull, 0x8c7ac9a0116137d7ull},
+    {"baseline", "long-sampled", 0x828baf25bde77fc3ull,
+     0x415e20c46ae95ba3ull, 0xe39cdb78416bbabeull},
+    {"int", "long-sampled", 0x6905981c113386b3ull,
+     0xceb7a945c542f8dcull, 0x6df4e2d636270145ull},
+    {"int+coll", "long-sampled", 0x2061fb306bc3ce5cull,
+     0x530658367ec68bb3ull, 0x6df4e2d636270145ull},
+    {"int-mem", "long-sampled", 0x14c86db10414fd7bull,
+     0x415e20c46ae95ba3ull, 0x8c7ac9a0116137d7ull},
+    {"int-mem+coll", "long-sampled", 0x5abd02a856b962a4ull,
+     0x2d5b560fc32e498cull, 0x8c7ac9a0116137d7ull},
+    {"4w-base", "long-sampled", 0xb4191dc81328fad2ull,
+     0x415e20c46ae95ba3ull, 0xe39cdb78416bbabeull},
+    {"4w-mg", "long-sampled", 0x56119904942b24baull,
+     0x415e20c46ae95ba3ull, 0x8c7ac9a0116137d7ull},
+    {"4w6x-base", "long-sampled", 0x62ef1f124d48d7c5ull,
+     0x415e20c46ae95ba3ull, 0xe39cdb78416bbabeull},
+    {"4w6x-mg", "long-sampled", 0xf0cd0fd8ba81655dull,
+     0x415e20c46ae95ba3ull, 0x8c7ac9a0116137d7ull},
+    {"2cyc-base", "long-sampled", 0x5b6cfbe99f0615f4ull,
+     0x415e20c46ae95ba3ull, 0xe39cdb78416bbabeull},
+    {"2cyc-mg", "long-sampled", 0x35bc0e07fe54b728ull,
+     0x415e20c46ae95ba3ull, 0x8c7ac9a0116137d7ull},
+};
+
+/** The Figure 6 columns plus mg_bench_bandwidth's machine variants. */
+std::vector<SweepColumn>
+keyColumns()
+{
+    std::vector<SweepColumn> cols = standardColumns();
+    auto narrowFrontEnd = [](CoreConfig &c) {
+        c.fetchWidth = c.renameWidth = c.commitWidth = 4;
+    };
+    auto narrowExecute = [](CoreConfig &c) {
+        c.issueWidth = 4;
+        c.fu.loadPorts = 1;
+    };
+    auto addPair = [&](const std::string &tag, auto tweak) {
+        SimConfig base = SimConfig::baseline();
+        tweak(base.core);
+        cols.push_back({tag + "-base", base, true});
+        SimConfig mg = SimConfig::intMemMg();
+        tweak(mg.core);
+        cols.push_back({tag + "-mg", mg, true});
+    };
+    addPair("4w", [&](CoreConfig &c) {
+        narrowFrontEnd(c);
+        narrowExecute(c);
+    });
+    addPair("4w6x", narrowFrontEnd);
+    addPair("2cyc", [](CoreConfig &c) { c.schedulerCycles = 2; });
+    return cols;
+}
+
+TEST(Engine, SweepColumnKeysArePinned)
+{
+    // Every key the Figure 6 and Figure 8 sweeps compute under, at the
+    // ref tier (plain and with the analyzer), the long tier in full
+    // and sampled at the default interval. A cell key seeds its
+    // sampled phase salt and names its stored records, so a token
+    // that drifts silently moves sampled stats and orphans the store.
+    struct Tier
+    {
+        const char *name;
+        std::vector<const char *> argv;
+    };
+    const Tier tiers[] = {
+        {"ref", {"bench"}},
+        {"ref-critpath",
+         {"bench", "--critpath", "--whatif", "robsize=256,l1dlat=3"}},
+        {"long-full", {"bench", "--scale", "long", "--full"}},
+        {"long-sampled",
+         {"bench", "--scale", "long", "--sample-interval", "1000"}},
+    };
+    auto hash = [](const std::string &k) {
+        return fnv1a64(k.data(), k.size());
+    };
+    std::string actual;     // the table as it stands, printed on failure
+    std::size_t rows = 0;
+    ExperimentEngine eng(1);
+    for (const Tier &t : tiers) {
+        CliOptions cli = parseCli(static_cast<int>(t.argv.size()),
+                                  const_cast<char **>(t.argv.data()));
+        SweepSpec spec;
+        spec.workloads = {
+            workload(bindKernel(findKernel("crc"), cli.scale))};
+        spec.columns = keyColumns();
+        cli.applySampling(spec);
+        cli.applyAnalysis(spec);
+        const EngineWorkload &w = spec.workloads[0];
+        for (const SweepColumn &col : spec.columns) {
+            const SimConfig &cfg = col.config;
+            const Program *prog = w.program;
+            const MgTable *mgt = nullptr;
+            std::shared_ptr<const PreparedMg> prep;
+            if (cfg.useMiniGraphs) {
+                prep = eng.prepare(w, cfg);
+                prog = &prep->program;
+                mgt = &prep->table;
+            }
+            std::uint64_t cell = hash(cellFingerprint(w.id, cfg));
+            std::uint64_t prepare = hash(prepareFingerprint(
+                profileFingerprint(w.id, cfg.profileBudget), cfg.policy,
+                cfg.machine, cfg.compress));
+            std::uint64_t summary = hash(summaryFingerprint(
+                w.id + "|" + binaryFingerprint(*prog, mgt), cfg.sampling,
+                cfg.runBudget));
+            actual += strfmt("    {\"%s\", \"%s\", 0x%016llxull,\n"
+                             "     0x%016llxull, 0x%016llxull},\n",
+                             col.name.c_str(), t.name,
+                             static_cast<unsigned long long>(cell),
+                             static_cast<unsigned long long>(prepare),
+                             static_cast<unsigned long long>(summary));
+            ++rows;
+            const KeyGolden *g = nullptr;
+            for (const KeyGolden &row : keyGoldens) {
+                if (col.name == row.column &&
+                    std::string(t.name) == row.tier)
+                    g = &row;
+            }
+            if (!g) {
+                ADD_FAILURE() << "no golden row for " << col.name << " @ "
+                              << t.name;
+                continue;
+            }
+            EXPECT_EQ(cell, g->cell) << col.name << " @ " << t.name;
+            EXPECT_EQ(prepare, g->prepare) << col.name << " @ " << t.name;
+            EXPECT_EQ(summary, g->summary) << col.name << " @ " << t.name;
+        }
+    }
+    EXPECT_EQ(std::size(keyGoldens), rows);
+    if (HasFailure())
+        std::printf("actual goldens:\n%s", actual.c_str());
 }
 
 } // namespace

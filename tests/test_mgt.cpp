@@ -70,21 +70,6 @@ TEST(Figure2, MiniGraph34)
     EXPECT_EQ(t.hdr.fubmpStr(), "-:AP:-");
 }
 
-TEST(Figure2, MiniGraph34OnPlainAlus)
-{
-    MgTemplate t;
-    t.insns = {alu(Op::LDQ, E0, IM, 16, false),
-               alu(Op::SRL, M(0), IM, 14, true),
-               alu(Op::AND, M(1), IM, 1, true)};
-    t.outIdx = 2;
-    MgtMachine m;
-    m.useAluPipes = false;
-    t.finalize(m);
-    // Without ALU pipelines the tail reserves plain ALUs in both
-    // cycles: the paper's "-:ALU:ALU" template.
-    EXPECT_EQ(t.hdr.fubmpStr(), "-:ALU:ALU");
-}
-
 TEST(MgtSchedule, CollapsingPairsAluOps)
 {
     MgTemplate t;

@@ -45,7 +45,6 @@ TEST_P(ShapeSweep, BaselineTerminatesAndValidates)
     CoreConfig cfg;
     cfg.fetchWidth = cfg.renameWidth = cfg.issueWidth = cfg.commitWidth =
         s.width;
-    cfg.fu.issueWidth = s.width;
     cfg.robSize = s.rob;
     cfg.iqSize = s.iq;
     cfg.lsqSize = s.lsq;
@@ -71,7 +70,6 @@ TEST_P(ShapeSweep, MiniGraphTerminatesAndValidates)
     SimConfig sc = SimConfig::intMemMg();
     sc.core.fetchWidth = sc.core.renameWidth = sc.core.issueWidth =
         sc.core.commitWidth = s.width;
-    sc.core.fu.issueWidth = s.width;
     sc.core.robSize = s.rob;
     sc.core.iqSize = s.iq;
     sc.core.lsqSize = s.lsq;

@@ -27,7 +27,7 @@ namespace {
 class RefSlidingWindow
 {
   public:
-    RefSlidingWindow(const WindowResources &r, int depth)
+    RefSlidingWindow(const FuPoolConfig &r, int depth)
         : res(r), depth_(depth)
     {
         if (depth < 16)
@@ -122,7 +122,7 @@ class RefSlidingWindow
     int depth() const { return depth_; }
 
   private:
-    WindowResources res;
+    FuPoolConfig res;
     int depth_;
     Cycle mask = 0;
     std::vector<std::vector<int>> used;
@@ -138,8 +138,8 @@ class RefSlidingWindow
     capacity(FuKind fu) const
     {
         switch (fu) {
-          case FuKind::IntAlu: return res.intAlu;
-          case FuKind::IntMult: return res.intMult;
+          case FuKind::IntAlu: return res.intAlus;
+          case FuKind::IntMult: return 1;
           case FuKind::FpAlu: return 0;
           case FuKind::LoadPort: return res.loadPorts;
           case FuKind::StorePort: return res.storePorts;
@@ -223,8 +223,27 @@ compareAll(SlidingWindow &w, RefSlidingWindow &ref, Cycle now)
         ASSERT_EQ(a[i], b[i]) << "usedNow[" << i << "] @" << now;
 }
 
+/** An FU pool with the window-visible capacities given. */
+FuPoolConfig
+pool(int alus, int loadPorts, int storePorts, int aluPipes)
+{
+    FuPoolConfig fu;
+    fu.intAlus = alus;
+    fu.loadPorts = loadPorts;
+    fu.storePorts = storePorts;
+    fu.aluPipes = aluPipes;
+    return fu;
+}
+
+/** The paper's mini-graph machine: two ALUs became ALU pipelines. */
+FuPoolConfig
+miniGraphPool()
+{
+    return pool(2, 2, 1, 2);
+}
+
 void
-runDifferential(const WindowResources &res, int depth,
+runDifferential(const FuPoolConfig &res, int depth,
                 std::uint64_t seed, int iters, int maxLen)
 {
     SlidingWindow w(res, depth);
@@ -282,12 +301,12 @@ TEST(SlidingWindowDiff, RandomizedAgainstVectorScanReference)
     // ~10k randomized operations per (resources, depth) cell, over
     // the production configuration, tight capacities, zero-capacity
     // lanes, and every legal pow2 depth.
-    WindowResources prod;                       // defaults: 2/1/-/2/1/2
-    WindowResources tight{1, 1, 1, 1, 1};
-    WindowResources noPipes{4, 1, 2, 1, 0};    // aluPipes == 0 lane
-    WindowResources wide{6, 2, 4, 2, 4};
+    FuPoolConfig prod = miniGraphPool();
+    FuPoolConfig tight = pool(1, 1, 1, 1);
+    FuPoolConfig noPipes = pool(4, 2, 1, 0);   // aluPipes == 0 lane
+    FuPoolConfig wide = pool(6, 4, 2, 4);
     int cell = 0;
-    for (const WindowResources &res : {prod, tight, noPipes, wide}) {
+    for (const FuPoolConfig &res : {prod, tight, noPipes, wide}) {
         for (int depth : {16, 24, 32, 64}) {
             runDifferential(res, depth,
                             0x5eedull + static_cast<std::uint64_t>(cell),
@@ -302,7 +321,7 @@ TEST(SlidingWindowDiff, WindowWrapStress)
     // Drive now straight through several wraps of the line ring with
     // dense FUBMPs so reservations straddle the wrap point; one-cycle
     // steps keep every line live across the boundary.
-    WindowResources res;
+    FuPoolConfig res = miniGraphPool();
     SlidingWindow w(res, 16);
     RefSlidingWindow ref(res, 16);
     Rng rng(0xabcdefull);
@@ -324,7 +343,7 @@ TEST(SlidingWindowDiff, MaxLengthFubmp)
     // FUBMPs whose last entry sits exactly at, one before, and past
     // the window depth: the representability cutoff must match the
     // reference's per-entry offset >= depth rejection.
-    WindowResources res;
+    FuPoolConfig res = miniGraphPool();
     for (int depth : {16, 64}) {
         SlidingWindow w(res, depth);
         RefSlidingWindow ref(res, depth);
@@ -353,7 +372,7 @@ TEST(SlidingWindowDiff, CapacityZeroLaneAlwaysConflicts)
     // FpAlu is never windowed (capacity 0): any FUBMP touching it
     // must conflict regardless of window state, and reserveOne must
     // refuse it — in both implementations.
-    WindowResources res;
+    FuPoolConfig res = miniGraphPool();
     SlidingWindow w(res, 16);
     RefSlidingWindow ref(res, 16);
     std::vector<FuKind> fp{FuKind::FpAlu};

@@ -207,9 +207,9 @@ TEST(LsqTest, ViolationFindsOldestYoungerLoad)
 
 TEST(SlidingWindowTest, ReserveAndConflict)
 {
-    WindowResources res;
-    res.intAlu = 1;
-    SlidingWindow w(res, 16);
+    FuPoolConfig fu;
+    fu.intAlus = 1;
+    SlidingWindow w(fu, 16);
     std::vector<FuKind> bmp = {FuKind::None, FuKind::IntAlu,
                                FuKind::IntAlu};
     EXPECT_FALSE(w.conflicts(bmp, 100));
@@ -224,9 +224,9 @@ TEST(SlidingWindowTest, ReserveAndConflict)
 
 TEST(SlidingWindowTest, WindowSlidesForward)
 {
-    WindowResources res;
-    res.loadPorts = 1;
-    SlidingWindow w(res, 16);
+    FuPoolConfig fu;
+    fu.loadPorts = 1;
+    SlidingWindow w(fu, 16);
     std::vector<FuKind> bmp = {FuKind::LoadPort};
     w.reserve(bmp, 10);
     EXPECT_TRUE(w.conflicts(bmp, 10));
@@ -236,8 +236,7 @@ TEST(SlidingWindowTest, WindowSlidesForward)
 
 TEST(SlidingWindowTest, UsedAtReportsCurrentCycle)
 {
-    WindowResources res;
-    SlidingWindow w(res, 16);
+    SlidingWindow w(FuPoolConfig{}, 16);
     std::vector<FuKind> bmp = {FuKind::StorePort};
     w.reserve(bmp, 5);   // reserves cycle 6
     EXPECT_EQ(w.usedAt(FuKind::StorePort, 6), 1);
@@ -246,14 +245,21 @@ TEST(SlidingWindowTest, UsedAtReportsCurrentCycle)
 
 TEST(AluPipelineTest, EntryAndOutputConflicts)
 {
+    // The FU pool probes entryFree/outputFree, then enters through
+    // tryIssue.
     AluPipeline ap(4);
+    EXPECT_TRUE(ap.entryFree(10) && ap.outputFree(13));
     EXPECT_TRUE(ap.tryIssue(10, 3));
     // Entry busy at 10.
+    EXPECT_FALSE(ap.entryFree(10));
     EXPECT_FALSE(ap.tryIssue(10, 1));
     // Output port busy at 13: a singleton entering at 12 with lat 1
     // would write at 13.
+    EXPECT_TRUE(ap.entryFree(12));
+    EXPECT_FALSE(ap.outputFree(13));
     EXPECT_FALSE(ap.tryIssue(12, 1));
     // lat 2 writes at 14: fine.
+    EXPECT_TRUE(ap.outputFree(14));
     EXPECT_TRUE(ap.tryIssue(12, 2));
     EXPECT_EQ(ap.accepted(), 2u);
 }
@@ -267,6 +273,7 @@ TEST(AluPipelineTest, SingletonsBackToBack)
 
 TEST(SequencerTest, CountedOccupancy)
 {
+    // The core probes freeAt, then claims through tryStart.
     SequencerPool seqs(2);
     EXPECT_TRUE(seqs.tryStart(0, 4));
     EXPECT_TRUE(seqs.tryStart(0, 4));
@@ -277,21 +284,31 @@ TEST(SequencerTest, CountedOccupancy)
     EXPECT_EQ(seqs.walks(), 3u);
 }
 
+/** The issue stage's protocol: probe, then claim. */
+bool
+issueSingleton(FuPool &fu, FuKind kind)
+{
+    if (!fu.canIssueSingleton(kind))
+        return false;
+    fu.claimSingleton(kind);
+    return true;
+}
+
 TEST(FuPoolTest, CompositionLimits)
 {
-    FuPoolConfig cfg;   // 4 int, 2 fp, 2 ld, 1 st, width 6
-    FuPool fu(cfg);
+    FuPoolConfig cfg;   // 4 int, 2 fp, 2 ld, 1 st
+    FuPool fu(cfg, 6);
     fu.beginCycle(5);
-    EXPECT_TRUE(fu.tryIssueSingleton(FuKind::StorePort));
-    EXPECT_FALSE(fu.tryIssueSingleton(FuKind::StorePort));
-    EXPECT_TRUE(fu.tryIssueSingleton(FuKind::LoadPort));
-    EXPECT_TRUE(fu.tryIssueSingleton(FuKind::LoadPort));
-    EXPECT_FALSE(fu.tryIssueSingleton(FuKind::LoadPort));
-    EXPECT_TRUE(fu.tryIssueSingleton(FuKind::IntAlu));
-    EXPECT_TRUE(fu.tryIssueSingleton(FuKind::IntAlu));
-    EXPECT_TRUE(fu.tryIssueSingleton(FuKind::IntAlu));
+    EXPECT_TRUE(issueSingleton(fu, FuKind::StorePort));
+    EXPECT_FALSE(issueSingleton(fu, FuKind::StorePort));
+    EXPECT_TRUE(issueSingleton(fu, FuKind::LoadPort));
+    EXPECT_TRUE(issueSingleton(fu, FuKind::LoadPort));
+    EXPECT_FALSE(issueSingleton(fu, FuKind::LoadPort));
+    EXPECT_TRUE(issueSingleton(fu, FuKind::IntAlu));
+    EXPECT_TRUE(issueSingleton(fu, FuKind::IntAlu));
+    EXPECT_TRUE(issueSingleton(fu, FuKind::IntAlu));
     // Total issue width (6) now exhausted even though an ALU remains.
-    EXPECT_FALSE(fu.tryIssueSingleton(FuKind::IntAlu));
+    EXPECT_FALSE(issueSingleton(fu, FuKind::IntAlu));
 }
 
 TEST(FuPoolTest, IntOpsSpillOntoAluPipes)
@@ -299,18 +316,44 @@ TEST(FuPoolTest, IntOpsSpillOntoAluPipes)
     FuPoolConfig cfg;
     cfg.intAlus = 2;
     cfg.aluPipes = 2;
-    FuPool fu(cfg);
+    FuPool fu(cfg, 6);
     fu.beginCycle(0);
     // Four integer ops per cycle: 2 plain + 2 pipeline stage-0 slots.
     for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(fu.tryIssueSingleton(FuKind::IntAlu)) << i;
-    EXPECT_FALSE(fu.tryIssueSingleton(FuKind::IntAlu));
+        EXPECT_TRUE(issueSingleton(fu, FuKind::IntAlu)) << i;
+    EXPECT_FALSE(issueSingleton(fu, FuKind::IntAlu));
+}
+
+TEST(FuPoolTest, IssueWidthCapsSingletonsAndHandlesTogether)
+{
+    // One count of issued slots covers both paths: a 3-wide machine
+    // stops at three operations whatever mix of handles and
+    // singletons filled them, with units still free.
+    FuPoolConfig cfg;
+    cfg.intAlus = 2;
+    cfg.aluPipes = 2;
+    FuPool fu(cfg, 3);
+    fu.beginCycle(0);
+    ASSERT_TRUE(fu.canIssueAluPipe(3));
+    fu.claimAluPipe(3);
+    EXPECT_TRUE(issueSingleton(fu, FuKind::LoadPort));
+    EXPECT_TRUE(fu.issueSlotFree());
+    EXPECT_TRUE(issueSingleton(fu, FuKind::IntAlu));
+    EXPECT_FALSE(fu.issueSlotFree());
+    EXPECT_FALSE(fu.canIssueAluPipe(1));   // the second pipe is idle
+    for (FuKind k : {FuKind::IntAlu, FuKind::FpAlu, FuKind::LoadPort,
+                     FuKind::StorePort})
+        EXPECT_FALSE(fu.canIssueSingleton(k)) << fuKindName(k);
+    // The next cycle starts with every slot free again.
+    fu.beginCycle(1);
+    EXPECT_TRUE(fu.canIssueAluPipe(1));
+    EXPECT_TRUE(issueSingleton(fu, FuKind::StorePort));
 }
 
 TEST(FuPoolTest, WritePortBudget)
 {
     FuPoolConfig cfg;
-    FuPool fu(cfg);
+    FuPool fu(cfg, 6);
     fu.beginCycle(0);
     for (int i = 0; i < cfg.regWritePorts; ++i)
         EXPECT_TRUE(fu.claimWritePort(9));
@@ -322,7 +365,7 @@ TEST(FuPoolTest, WritePortBudget)
 TEST(FuPoolTest, ReadPortBudget)
 {
     FuPoolConfig cfg;
-    FuPool fu(cfg);
+    FuPool fu(cfg, 6);
     fu.beginCycle(0);
     EXPECT_TRUE(fu.claimReadPorts(3));
     EXPECT_TRUE(fu.claimReadPorts(2));
@@ -333,13 +376,14 @@ TEST(FuPoolTest, ReadPortBudget)
 TEST(FuPoolTest, PreClaimConsumesUnitsNotIssueSlots)
 {
     FuPoolConfig cfg;
-    FuPool fu(cfg);
+    FuPool fu(cfg, 6);
     fu.beginCycle(0);
-    fu.preClaim(FuKind::LoadPort, 2);
+    const int res[4] = {0, 2, 0, 0};   // both load ports fire now
+    fu.preClaimUsed(res);
     EXPECT_FALSE(fu.canIssueSingleton(FuKind::LoadPort));
     // Issue width is untouched: integer ops still flow.
     for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(fu.tryIssueSingleton(FuKind::IntAlu));
+        EXPECT_TRUE(issueSingleton(fu, FuKind::IntAlu));
 }
 
 } // namespace
